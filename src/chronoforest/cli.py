@@ -54,6 +54,13 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
+def nonnegative_int(text: str) -> int:
+    n = int(text)
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
+    return n
+
+
 def _open_out(path: Optional[str]):
     if path is None or path == "-":
         return sys.stdout, False
@@ -209,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="graft sticks and write forest/contour CSV")
     p_build.add_argument("--input", help="sticks JSON file ('-' for stdin)")
     p_build.add_argument("--law", help="law spec to sample sticks from")
-    p_build.add_argument("--n", type=int, default=100, help="sticks to sample with --law")
+    p_build.add_argument("--n", type=nonnegative_int, default=100, help="sticks to sample with --law")
     p_build.add_argument("--seed", type=int, help="seed for --law sampling")
     p_build.add_argument("--forest-out", help="forest CSV path (default stdout)")
     p_build.add_argument("--contour-out", help="contour polyline CSV path")

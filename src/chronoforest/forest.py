@@ -20,7 +20,8 @@ The *contour* of the forest is the piecewise-linear excursion traced by
 exploring sticks depth-first at slope +-1: it climbs from the n-th
 individual's birth time up its full stick and descends to the birth time of
 individual n+1.  Individual n is visited at time ``K(n) = 2 * total life
-length of sticks 0..n-1 - birth_time(n)``.
+length of sticks 0..n-1 - birth_time(n)``; ``ContourPath.from_heights``
+is the one place that clock is computed.
 """
 
 from __future__ import annotations
@@ -217,6 +218,30 @@ class ContourPath:
         self.heights = heights
         self.v = v
 
+    @classmethod
+    def from_heights(cls, heights: np.ndarray, v: np.ndarray) -> "ContourPath":
+        """The contour of individuals with birth times ``heights`` (length
+        n+1, entry 0 being 0) and life lengths ``v`` (length n).
+
+        Visit times follow the clock K(n) = 2 * (v[0] + ... + v[n-1]) -
+        heights[n].  Raises ``ValueError`` when the path would descend
+        above a peak, i.e. when some heights[n+1] exceeds heights[n] + v[n]
+        beyond rounding: no forest has such heights.
+        """
+        visit_times = np.empty(len(heights))
+        visit_times[0] = 0.0
+        visit_times[1:] = 2.0 * np.cumsum(v) - heights[1:]
+        descents = visit_times[1:] - visit_times[:-1] - v
+        # each descent carries a few ulps of rounding of the visit times
+        tol = 1e-9 + 8.0 * np.finfo(float).eps * float(np.abs(visit_times).max())
+        if descents.size and descents.min() < -tol:
+            n = int(np.argmin(descents))
+            raise ValueError(
+                f"contour would descend above its peak after individual {n}:"
+                f" height {heights[n + 1]!r} exceeds {heights[n]!r} + {v[n]!r}"
+            )
+        return cls(visit_times, heights, v)
+
     @property
     def end_time(self) -> float:
         return float(self.visit_times[-1])
@@ -271,17 +296,8 @@ def contour_path(forest: ChronForest) -> ContourPath:
     The forest may be incomplete (pending stubs); the path then ends at the
     terminal graft height instead of 0.
     """
-    n = forest.n_sticks
     v = np.array([node.stick.v for node in forest.nodes])
-    heights = forest.birth_times()
-    visit_times = np.empty(n + 1)
-    visit_times[0] = 0.0
-    # K(n+1) = K(n) + 2 v(n) + heights(n) - heights(n+1): climb the stick,
-    # descend to the next birth.
-    np.cumsum(2.0 * v + heights[:-1] - heights[1:], out=visit_times[1:])
-    descents = visit_times[1:] - visit_times[:-1] - v
-    assert descents.size == 0 or descents.min() > -1e-9, "contour would descend above its peak"
-    return ContourPath(visit_times, heights, v)
+    return ContourPath.from_heights(forest.birth_times(), v)
 
 
 def min_contour(forest: ChronForest, m: int, n: int) -> float:

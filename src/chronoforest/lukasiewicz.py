@@ -43,7 +43,6 @@ __all__ = [
     "dual_passage_measure",
     "ancestors_from_walk",
     "mrca",
-    "D_functional",
 ]
 
 
@@ -314,7 +313,3 @@ def mrca(sticks_or_walk, m: int, n: int) -> Optional[int]:
     j = dual_passage_time(w, m, level)
     return m - j if j is not None else None
 
-
-def D_functional(sticks: Sequence[Stick], n: int, level: int) -> float:
-    """Drop functional at focal n for a walk descent of ``level``."""
-    return ladder_decomp(sticks, n).D(level, sticks)

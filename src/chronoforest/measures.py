@@ -19,19 +19,25 @@ records, for a focal individual, the unexplored birth ages carried by each of
 its ancestors, from the most ancient (element 0) down to its parent (last
 element).  The zero measure acts as the neutral element for concatenation,
 and the ``sup_support`` functional extends additively to sequences.
+
+A *stick batch* is the flat-array form of a stick sequence that the samplers
+and the height kernel work on; ``StickBatch`` owns its layout.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "PointMeasure",
     "ZERO",
     "Stick",
+    "StickBatch",
     "SpineSeq",
     "EMPTY_SPINE",
     "mass",
@@ -54,6 +60,9 @@ class PointMeasure:
 
     def __init__(self, ages: Iterable[float] = ()):
         atoms = tuple(sorted((float(a) for a in ages), reverse=True))
+        if not all(map(math.isfinite, atoms)):
+            bad = next(a for a in atoms if not math.isfinite(a))
+            raise ValueError(f"atoms must be finite, got {bad!r}")
         if atoms and not atoms[-1] > 0.0:
             raise ValueError(f"atoms must be strictly positive, got {atoms[-1]!r}")
         self._atoms = atoms
@@ -137,8 +146,8 @@ class Stick:
     births: PointMeasure = ZERO
 
     def __post_init__(self):
-        if not self.v > 0.0:
-            raise ValueError(f"life length must be positive, got {self.v!r}")
+        if not 0.0 < self.v < math.inf:
+            raise ValueError(f"life length must be positive and finite, got {self.v!r}")
         if self.births.sup_support > self.v:
             raise ValueError(
                 f"birth age {self.births.sup_support!r} exceeds life length {self.v!r}"
@@ -157,6 +166,51 @@ class Stick:
         if not isinstance(obj, dict) or "v" not in obj or "births" not in obj:
             raise ValueError(f"stick must be an object with 'v' and 'births', got {obj!r}")
         return cls(float(obj["v"]), PointMeasure(obj["births"]))
+
+
+@dataclass
+class StickBatch:
+    """A batch of sticks in flat-array form.
+
+    ``ages[offsets[k]:offsets[k+1]]`` are stick k's birth ages in
+    non-increasing order.  ``offsets`` (length n+1, starting at 0) is derived
+    from ``counts`` on construction.
+    """
+
+    counts: np.ndarray
+    v: np.ndarray
+    ages: np.ndarray
+    offsets: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.offsets = self.offsets_for(self.counts)
+
+    @staticmethod
+    def offsets_for(counts: np.ndarray) -> np.ndarray:
+        """Start of each stick's ages in the flat array, then the total."""
+        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        return offsets
+
+    @property
+    def n(self) -> int:
+        return len(self.counts)
+
+    def measure(self, i: int) -> PointMeasure:
+        return PointMeasure(self.ages[self.offsets[i] : self.offsets[i + 1]])
+
+    def stick(self, i: int) -> Stick:
+        return Stick(float(self.v[i]), self.measure(i))
+
+    def to_sticks(self) -> list[Stick]:
+        return [self.stick(i) for i in range(self.n)]
+
+    @classmethod
+    def from_sticks(cls, sticks: Sequence[Stick]) -> "StickBatch":
+        counts = np.array([s.births.mass for s in sticks], dtype=np.int64)
+        v = np.array([s.v for s in sticks], dtype=float)
+        ages = np.array([a for s in sticks for a in s.births.atoms], dtype=float)
+        return cls(counts, v, ages)
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ from .lukasiewicz import (
     walk,
     ancestors_from_walk,
 )
-from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick
+from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick, StickBatch
 
 __all__ = [
     "phi",
@@ -167,11 +167,8 @@ def height_profile_arrays(
 
 def height_profile(sticks: Sequence[Stick]) -> tuple[np.ndarray, np.ndarray]:
     """Birth times and generations of individuals 0..n for a stick sequence."""
-    counts = np.array([s.births.mass for s in sticks], dtype=np.int64)
-    offsets = np.zeros(len(sticks) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    ages = np.array([a for s in sticks for a in s.births.atoms])
-    return height_profile_arrays(counts, offsets, ages)
+    batch = StickBatch.from_sticks(sticks)
+    return height_profile_arrays(batch.counts, batch.offsets, batch.ages)
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ import numpy as np
 
 from ..forest import ContourPath
 from ..lukasiewicz import ladder_decomp, walk
-from ..measures import Stick
+from ..measures import Stick, StickBatch
 from ..spine import height_profile_arrays
 from .laws import StickLaw, parse_law
 
@@ -171,51 +171,40 @@ class _Population:
     vc2: np.ndarray  # doubled cumulative life lengths, length n
     heights: np.ndarray  # chronological heights, length n+1
     depths: np.ndarray  # generation depths, length n+1
-    k: np.ndarray  # contour visit times, length n+1
+    path: ContourPath  # the contour
+    gen_path: ContourPath  # the contour of the generation process
 
     @property
     def n(self) -> int:
         return len(self.counts)
-
-    def contour(self) -> ContourPath:
-        return ContourPath(self.k, self.heights, self.v)
-
-    def generation_contour(self) -> ContourPath:
-        kcal = 2.0 * np.arange(self.n + 1) - self.depths
-        return ContourPath(kcal, self.depths.astype(float), np.ones(self.n))
 
 
 def _simulate_population(
     law: StickLaw, rng: np.random.Generator, min_sticks: int, raw_time: float, raw_gen_time: float
 ) -> _Population:
     """Sample sticks until index, contour and generation-contour coverage."""
-    counts = np.empty(0, dtype=np.int64)
-    v = np.empty(0)
-    ages = np.empty(0)
     # cushion: the contour visit times lag the doubled length sums by the
     # running height, which for a critical forest grows like sqrt(n)
     base = max(min_sticks, int(raw_time / (2.0 * law.mean_v)) + 1, 64)
     chunk = base + int(6.0 * math.sqrt(base)) + 64
+    batch = law.sample_batch(rng, chunk)
     while True:
-        batch = law.sample_batch(rng, chunk)
-        counts = np.concatenate([counts, batch.counts])
-        v = np.concatenate([v, batch.v])
-        ages = np.concatenate([ages, batch.ages])
-        offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        heights, depths = height_profile_arrays(counts, offsets, ages)
-        n = len(counts)
-        vc2 = 2.0 * np.cumsum(v)
-        k = np.empty(n + 1)
-        k[0] = 0.0
-        k[1:] = vc2 - heights[1:]
-        kcal_end = 2.0 * n - depths[n]
-        if n >= min_sticks and k[-1] >= raw_time and kcal_end >= raw_gen_time:
+        heights, depths = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
+        n = batch.n
+        path = ContourPath.from_heights(heights, batch.v)
+        gen_path = ContourPath.from_heights(depths.astype(float), np.ones(n))
+        if n >= min_sticks and path.end_time >= raw_time and gen_path.end_time >= raw_gen_time:
             s = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(counts - 1, out=s[1:])
-            assert np.all(np.diff(k) >= -1e-9)
-            return _Population(counts, v, s, vc2, heights, depths, k)
+            np.cumsum(batch.counts - 1, out=s[1:])
+            vc2 = 2.0 * np.cumsum(batch.v)
+            return _Population(batch.counts, batch.v, s, vc2, heights, depths, path, gen_path)
         chunk = max(chunk // 2, 256)
+        more = law.sample_batch(rng, chunk)
+        batch = StickBatch(
+            np.concatenate([batch.counts, more.counts]),
+            np.concatenate([batch.v, more.v]),
+            np.concatenate([batch.ages, more.ages]),
+        )
 
 
 def simulate_replicate(
@@ -237,12 +226,12 @@ def simulate_replicate(
     pop = _simulate_population(
         law, rng, min_sticks, p * t_max, p * interval[1] / beta
     )
-    path = pop.contour()
+    path = pop.path
     rows = []
     for t in times:
         s_raw = p * t
         j = int(math.floor(s_raw))
-        phi = int(np.searchsorted(pop.k, s_raw, side="left"))
+        phi = int(np.searchsorted(path.visit_times, s_raw, side="left"))
         phibar = int(np.searchsorted(pop.vc2, s_raw, side="left"))
         assert phi >= phibar
         hp = eps * pop.heights[j]
@@ -266,7 +255,7 @@ def simulate_replicate(
             }
         )
     u, w = interval
-    gen_path = pop.generation_contour()
+    gen_path = pop.gen_path
     t_last = max(times)
     phibar_last = int(np.searchsorted(pop.vc2, p * t_last, side="left"))
     extras = {
@@ -424,8 +413,7 @@ def simulate_contour(
 ) -> ContourPath:
     """A contour path covering raw time p * t_max (helper for window scans)."""
     min_sticks = int(p * t_max / (2.0 * law.mean_v)) + 2
-    pop = _simulate_population(law, rng, min_sticks, p * t_max, 0.0)
-    return pop.contour()
+    return _simulate_population(law, rng, min_sticks, p * t_max, 0.0).path
 
 
 def max_rise_in_window(path: ContourPath, width: float) -> float:
@@ -473,16 +461,10 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
     """
     sticks = list(sticks)
     n = len(sticks)
-    v = np.array([s.v for s in sticks])
-    vc2 = 2.0 * np.cumsum(v)
-    counts = np.array([s.births.mass for s in sticks], dtype=np.int64)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    ages = np.array([a for s in sticks for a in s.births.atoms])
-    heights, _ = height_profile_arrays(counts, offsets, ages)
-    k = np.empty(n + 1)
-    k[0] = 0.0
-    k[1:] = vc2 - heights[1:]
+    batch = StickBatch.from_sticks(sticks)
+    heights, _ = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
+    k = ContourPath.from_heights(heights, batch.v).visit_times
+    vc2 = 2.0 * np.cumsum(batch.v)
     if vc2[-1] < raw_time or k[-1] < raw_time:
         raise ValueError("not enough sticks to cover the requested time")
     j0 = int(np.searchsorted(vc2, raw_time, side="left"))
@@ -492,11 +474,8 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
     # length since j0 beats the restarted spine height minus the ladder ages
     # recoverable below the running minimum of the restarted count walk,
     # minus the length overshoot at j0.
-    tail_counts = counts[j0:]
-    tail_offsets = offsets[j0:] - offsets[j0]
-    tail_heights, _ = height_profile_arrays(
-        tail_counts, tail_offsets, ages[offsets[j0] :]
-    )
+    tail = StickBatch(batch.counts[j0:], batch.v[j0:], batch.ages[batch.offsets[j0] :])
+    tail_heights, _ = height_profile_arrays(tail.counts, tail.offsets, tail.ages)
     decomp = ladder_decomp(sticks[:j0], j0)
     w = walk(sticks)
     overshoot = vc2[j0] - raw_time
@@ -507,7 +486,7 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
         if d > 0:
             run_min = min(run_min, int(w.s[j0 + d]))
         level = int(w.s[j0]) - run_min
-        doubled_extra = (vc2[j0 + d - 1] - vc2[j0]) if d >= 1 else -2.0 * v[j0]
+        doubled_extra = (vc2[j0 + d - 1] - vc2[j0]) if d >= 1 else -2.0 * batch.v[j0]
         rhs = tail_heights[d] - decomp.D(level, sticks[:j0]) - overshoot
         if doubled_extra - heights[j0] >= rhs - 1e-9:
             formula = d

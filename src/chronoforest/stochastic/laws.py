@@ -17,13 +17,12 @@ whether life lengths live on a lattice (with ``span`` the mesh).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy.special import zeta as _zeta
 
-from ..measures import PointMeasure, Stick
+from ..measures import PointMeasure, Stick, StickBatch
 
 __all__ = [
     "StickBatch",
@@ -34,53 +33,10 @@ __all__ = [
     "GaltonWatsonUnitLaw",
     "ExponentialUniformLaw",
     "StableFamilyLaw",
-    "example_family",
     "AGE_MAPS",
     "parse_law",
     "random_verification_law",
 ]
-
-
-@dataclass
-class StickBatch:
-    """A batch of sticks in flat-array form.
-
-    ``ages[offsets[k]:offsets[k+1]]`` are stick k's birth ages in
-    non-increasing order.
-    """
-
-    counts: np.ndarray
-    v: np.ndarray
-    offsets: np.ndarray
-    ages: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
-
-    def measure(self, i: int) -> PointMeasure:
-        return PointMeasure(self.ages[self.offsets[i] : self.offsets[i + 1]])
-
-    def stick(self, i: int) -> Stick:
-        return Stick(float(self.v[i]), self.measure(i))
-
-    def to_sticks(self) -> list[Stick]:
-        return [self.stick(i) for i in range(self.n)]
-
-    @classmethod
-    def from_sticks(cls, sticks: Sequence[Stick]) -> "StickBatch":
-        counts = np.array([s.births.mass for s in sticks], dtype=np.int64)
-        offsets = np.zeros(len(sticks) + 1, dtype=np.int64)
-        np.cumsum(counts, out=offsets[1:])
-        ages = np.array([a for s in sticks for a in s.births.atoms], dtype=float)
-        v = np.array([s.v for s in sticks], dtype=float)
-        return cls(counts, v, offsets, ages)
-
-
-def _offsets_for(counts: np.ndarray) -> np.ndarray:
-    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets
 
 
 def _sort_ages_desc(ages: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -134,7 +90,7 @@ class StickLaw:
         counts = self.sample_counts(rng, n)
         v = np.asarray(self.sample_v_given_counts(rng, counts), dtype=float)
         ages = self.sample_ages_flat(rng, counts, v)
-        return StickBatch(counts, v, _offsets_for(counts), ages)
+        return StickBatch(counts, v, ages)
 
     def sample_stick(self, rng: np.random.Generator) -> Stick:
         return self.sample_batch(rng, 1).stick(0)
@@ -151,7 +107,7 @@ class StickLaw:
             raise ValueError("size-biased counts must be >= 1")
         v = np.asarray(self.sample_v_given_counts(rng, counts), dtype=float)
         ages = self.sample_ages_flat(rng, counts, v)
-        offsets = _offsets_for(counts)
+        offsets = StickBatch.offsets_for(counts)
         picks = offsets[:-1] + rng.integers(0, counts)
         return ages[picks]
 
@@ -209,20 +165,44 @@ class ConstantStickLaw(StickLaw):
         return pmf
 
 
-class GeometricUniformLaw(StickLaw):
+class _GeometricCountLaw(StickLaw):
+    """Shared offspring part of the geometric laws.
+
+    Counts have pmf q(1-q)^k on k >= 0 with q = 1/(1+mean); subclasses
+    supply the life lengths and birth ages.
+    """
+
+    def __init__(self, mean_offspring: float):
+        if mean_offspring < 0:
+            raise ValueError("mean offspring must be >= 0")
+        self.mean_offspring = float(mean_offspring)
+        self.q = 1.0 / (1.0 + self.mean_offspring)
+
+    def sample_counts(self, rng, size=None):
+        return rng.geometric(self.q, size=size) - 1
+
+    def sample_sizebiased_counts(self, rng, size=None):
+        # k * q(1-q)^k / mean == (j+1) q^2 (1-q)^j at k = j+1: negative
+        # binomial with 2 successes, shifted by one.
+        if self.mean_offspring == 0:
+            raise ValueError("size-biased count undefined: offspring is always 0")
+        return 1 + rng.negative_binomial(2, self.q, size=size)
+
+    def count_pmf(self, kmax):
+        k = np.arange(kmax + 1)
+        return self.q * (1.0 - self.q) ** k
+
+
+class GeometricUniformLaw(_GeometricCountLaw):
     """Geometric offspring counts, constant life length v, uniform ages.
 
-    Counts have pmf q(1-q)^k on k >= 0 with q = 1/(1+mean).  Ages are
-    i.i.d. uniform on (0, v]; with ``lattice=L`` they are instead uniform on
-    {v/L, 2v/L, ..., v}, which creates plenty of ties.
+    Ages are i.i.d. uniform on (0, v]; with ``lattice=L`` they are instead
+    uniform on {v/L, 2v/L, ..., v}, which creates plenty of ties.
     """
 
     def __init__(self, mean_offspring: float = 1.0, v: float = 1.0, lattice: Optional[int] = None):
-        if mean_offspring < 0:
-            raise ValueError("mean offspring must be >= 0")
+        super().__init__(mean_offspring)
         self.name = "geo-uniform" if lattice is None else "geo-lattice"
-        self.mean_offspring = float(mean_offspring)
-        self.q = 1.0 / (1.0 + mean_offspring)
         self.vconst = float(v)
         self.lattice = lattice
         self.mean_v = float(v)
@@ -230,12 +210,9 @@ class GeometricUniformLaw(StickLaw):
             mean_age = v / 2.0
         else:
             mean_age = v * (lattice + 1) / (2.0 * lattice)
-        self.mean_ystar = mean_offspring * mean_age
+        self.mean_ystar = self.mean_offspring * mean_age
         self.arithmetic = True  # V is constant
         self.span = float(v)
-
-    def sample_counts(self, rng, size=None):
-        return rng.geometric(self.q, size=size) - 1
 
     def sample_v(self, rng, size=None):
         return np.full(size, self.vconst) if size is not None else self.vconst
@@ -247,19 +224,8 @@ class GeometricUniformLaw(StickLaw):
         ages = self.vconst * rng.integers(1, self.lattice + 1, size=total) / self.lattice
         return _sort_ages_desc(ages, counts)
 
-    def sample_sizebiased_counts(self, rng, size=None):
-        # k * q(1-q)^k / mean == (j+1) q^2 (1-q)^j at k = j+1: negative
-        # binomial with 2 successes, shifted by one.
-        if self.mean_offspring == 0:
-            raise ValueError("size-biased count undefined: offspring is always 0")
-        return 1 + rng.negative_binomial(2, self.q, size=size)
-
     def sample_length_biased_v(self, rng, size=None):
         return self.sample_v(rng, size)
-
-    def count_pmf(self, kmax):
-        k = np.arange(kmax + 1)
-        return self.q * (1.0 - self.q) ** k
 
 
 class TwoPointAgesLaw(StickLaw):
@@ -310,25 +276,19 @@ class TwoPointAgesLaw(StickLaw):
         return pmf
 
 
-class GaltonWatsonUnitLaw(StickLaw):
+class GaltonWatsonUnitLaw(_GeometricCountLaw):
     """Unit life lengths, all births at age 1: the image of the
     genealogical collapse.  Offspring counts are geometric with the given
     mean.  Chronological height and generation coincide exactly on these
     forests."""
 
     def __init__(self, mean_offspring: float = 1.0):
-        if mean_offspring < 0:
-            raise ValueError("mean offspring must be >= 0")
+        super().__init__(mean_offspring)
         self.name = "gw"
-        self.mean_offspring = float(mean_offspring)
-        self.q = 1.0 / (1.0 + mean_offspring)
         self.mean_v = 1.0
-        self.mean_ystar = float(mean_offspring)
+        self.mean_ystar = self.mean_offspring
         self.arithmetic = True
         self.span = 1.0
-
-    def sample_counts(self, rng, size=None):
-        return rng.geometric(self.q, size=size) - 1
 
     def sample_v(self, rng, size=None):
         return np.ones(size) if size is not None else 1.0
@@ -336,20 +296,11 @@ class GaltonWatsonUnitLaw(StickLaw):
     def sample_ages_flat(self, rng, counts, v):
         return np.ones(int(np.sum(counts)))
 
-    def sample_sizebiased_counts(self, rng, size=None):
-        if self.mean_offspring == 0:
-            raise ValueError("size-biased count undefined: offspring is always 0")
-        return 1 + rng.negative_binomial(2, self.q, size=size)
-
     def sample_length_biased_v(self, rng, size=None):
         return self.sample_v(rng, size)
 
-    def count_pmf(self, kmax):
-        k = np.arange(kmax + 1)
-        return self.q * (1.0 - self.q) ** k
 
-
-class ExponentialUniformLaw(StickLaw):
+class ExponentialUniformLaw(_GeometricCountLaw):
     """Exponential life lengths, geometric counts, uniform ages.
 
     The non-arithmetic workhorse: the stationary overshoot of an
@@ -359,17 +310,13 @@ class ExponentialUniformLaw(StickLaw):
     def __init__(self, rate: float = 1.0, mean_offspring: float = 1.0):
         if rate <= 0:
             raise ValueError("rate must be positive")
+        super().__init__(mean_offspring)
         self.name = "exp-uniform"
         self.rate = float(rate)
-        self.mean_offspring = float(mean_offspring)
-        self.q = 1.0 / (1.0 + mean_offspring)
         self.mean_v = 1.0 / rate
-        self.mean_ystar = mean_offspring * self.mean_v / 2.0
+        self.mean_ystar = self.mean_offspring * self.mean_v / 2.0
         self.arithmetic = False
         self.span = None
-
-    def sample_counts(self, rng, size=None):
-        return rng.geometric(self.q, size=size) - 1
 
     def sample_v(self, rng, size=None):
         return rng.exponential(1.0 / self.rate, size=size)
@@ -377,18 +324,9 @@ class ExponentialUniformLaw(StickLaw):
     def sample_ages_flat(self, rng, counts, v):
         return _uniform_ages(rng, counts, v)
 
-    def sample_sizebiased_counts(self, rng, size=None):
-        if self.mean_offspring == 0:
-            raise ValueError("size-biased count undefined: offspring is always 0")
-        return 1 + rng.negative_binomial(2, self.q, size=size)
-
     def sample_length_biased_v(self, rng, size=None):
         # density v * rate * exp(-rate v) / E V = Gamma(2, 1/rate)
         return rng.gamma(2.0, 1.0 / self.rate, size=size)
-
-    def count_pmf(self, kmax):
-        k = np.arange(kmax + 1)
-        return self.q * (1.0 - self.q) ** k
 
 
 def _age_map_identity(k: np.ndarray) -> np.ndarray:
@@ -501,7 +439,7 @@ class StableFamilyLaw(StickLaw):
         total = int(counts.sum())
         ages = np.ones(total)
         nz = counts > 0
-        first_idx = _offsets_for(counts)[:-1][nz]
+        first_idx = StickBatch.offsets_for(counts)[:-1][nz]
         ages[first_idx] = self._first_atom(counts[nz])
         if self.variant == "generalized":
             ages = _sort_ages_desc(ages, counts)
@@ -527,14 +465,6 @@ class StableFamilyLaw(StickLaw):
         out = 1.0 + k
         return float(out[0]) if scalar else out
 
-    def length_biased_count_pmf(self, kmax: int) -> np.ndarray:
-        """Pmf of the count of a length-biased stick, on 0..kmax."""
-        k = np.arange(1, kmax + 1, dtype=float)
-        pmf = np.zeros(kmax + 1)
-        pmf[0] = self.p0 / 2.0
-        pmf[1:] = (1.0 + k) * k ** -(self.alpha + 1.0) / (2.0 * self.z_a)
-        return pmf
-
     def sample_ystars(self, rng, n):
         # A uniformly chosen atom of the size-biased stick is the special
         # first atom with probability 1/count, else an age-1 atom; no need
@@ -549,18 +479,6 @@ class StableFamilyLaw(StickLaw):
         pmf[0] = self.p0
         pmf[1:] = k ** -(self.alpha + 1.0) / self.z_a
         return pmf
-
-
-def example_family(name: str, alpha: float = 1.5, age_map: Optional[str] = None) -> StableFamilyLaw:
-    """The named heavy-tailed example laws ("family1", "family2", "generalized")."""
-    key = name.replace("_", "").replace("-", "").lower()
-    if key in {"family1", "1"}:
-        return StableFamilyLaw("1", alpha)
-    if key in {"family2", "2"}:
-        return StableFamilyLaw("2", alpha)
-    if key in {"generalized", "familygen", "gen"}:
-        return StableFamilyLaw("generalized", alpha, age_map)
-    raise ValueError(f"unknown family {name!r}")
 
 
 _LAW_RE = re.compile(r"^([a-z0-9_-]+)(?:\((.*)\))?$")

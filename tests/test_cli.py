@@ -1,6 +1,10 @@
 """Command-line front end: exit codes, files written, determinism."""
 
+import io
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -185,3 +189,29 @@ def test_scale_inline_config(tmp_path, capsys):
 def test_unknown_law_is_usage_error(capsys):
     assert main(["build", "--law", "martians(mean=1)", "--n", "5", "--seed", "1"]) == 2
     assert main(["scale", "--law", "gw(mean=1.0)", "--p", "-5", "--seed", "1"]) == 2
+    capsys.readouterr()
+    for law in ("geo-uniform(mean=-0.5)", "exp-uniform(mean=-0.5)"):
+        assert main(["build", "--law", law, "--n", "5", "--seed", "1"]) == 2
+        assert "mean offspring must be >= 0" in capsys.readouterr().err
+
+
+def test_build_negative_n_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["build", "--law", "gw(mean=1.0)", "--n", "-3", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--n: must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_readme_build_example(monkeypatch, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    m = re.search(r"^echo '(.*)' \| chronoforest (build .*)$", readme, re.MULTILINE)
+    assert m, "README has no literal 'echo JSON | chronoforest build' example"
+    monkeypatch.setattr("sys.stdin", io.StringIO(m.group(1)))
+    assert main(shlex.split(m.group(2))) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert rows == [
+        "index,parent,birth_time,depth,v,tree_id",
+        "0,-1,0,0,2,0",
+        "1,0,1.5,1,1.5,0",
+        "2,0,0.5,1,1,0",
+    ]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from chronoforest.forest import (
+    ContourPath,
     build_forest,
     contour_path,
     genealogical_map,
@@ -77,6 +78,24 @@ def test_contour_visit_times(reference_sticks):
     assert path.end_time == pytest.approx(34.0)
     # Total time equals twice the total life length.
     assert path.end_time == pytest.approx(2.0 * sum(s.v for s in reference_sticks))
+
+
+def test_contour_clock_exact_on_constant_v_forest():
+    # With v = 1 every partial sum of life lengths is an exact integer, so
+    # K(n) = 2n - H(n) has a single rounding; summing the per-stick
+    # increments 2v + H(n) - H(n+1) instead lets rounding accumulate.
+    law = GeometricUniformLaw(mean_offspring=1.0, v=1.0)
+    sticks = law.sample_batch(np.random.default_rng(1), 10_000).to_sticks()
+    forest = build_forest(sticks)
+    path = contour_path(forest)
+    heights = forest.birth_times()
+    assert np.array_equal(path.visit_times, 2.0 * np.arange(len(sticks) + 1) - heights)
+
+
+def test_contour_rejects_heights_above_a_peak():
+    # Individual 1 cannot be born at 3.0 when individual 0 dies at 1.0.
+    with pytest.raises(ValueError, match="descend above its peak"):
+        ContourPath.from_heights(np.array([0.0, 3.0, 0.0]), np.array([1.0, 3.0]))
 
 
 def test_contour_eval_at_visits_and_peaks(reference_sticks):

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from chronoforest.forest import build_forest
 from chronoforest.lukasiewicz import (
-    D_functional,
     ancestors_from_walk,
     chi,
     dual_passage_measure,
@@ -139,14 +138,14 @@ def test_dual_passage(reference_sticks):
 
 
 def test_drop_functional(reference_sticks):
-    assert D_functional(reference_sticks, 5, 0) == 0.0
-    assert D_functional(reference_sticks, 5, 1) == pytest.approx(0.5)
+    assert ladder_decomp(reference_sticks, 5).D(0, reference_sticks) == 0.0
+    assert ladder_decomp(reference_sticks, 5).D(1, reference_sticks) == pytest.approx(0.5)
     # Monotone in the level, bounded by the spine height.
     f = build_forest(reference_sticks)
     for n in range(1, 10):
         prev = 0.0
         for level in range(0, 4):
-            d = D_functional(reference_sticks, n, level)
+            d = ladder_decomp(reference_sticks, n).D(level, reference_sticks)
             assert d >= prev - 1e-12
             assert d <= f.birth_times()[n] + 1e-12
             prev = d

@@ -103,6 +103,14 @@ def test_stick_validation():
     assert s.births.mass == 1
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_nonfinite_values_rejected(bad):
+    with pytest.raises(ValueError, match="finite"):
+        Stick(bad)
+    with pytest.raises(ValueError, match="finite"):
+        PointMeasure([1.0, bad])
+
+
 def test_stick_json_round_trip(reference_sticks):
     text = sticks_to_json(reference_sticks)
     back = sticks_from_json(text)
