@@ -139,9 +139,6 @@ def test_parse_law_round_trips():
     ]:
         law = parse_law(spec_str)
         assert law.describe()["name"] == name
-    family2 = parse_law("family2(alpha=1.8)")
-    assert family2.alpha == 1.8
-    assert family2.describe()["mean_v"] == pytest.approx(2.0)
 
 
 def test_parse_law_rejects_junk():
@@ -157,6 +154,13 @@ def test_const_law_validation():
     rng = np.random.default_rng(1)
     s = law.sample_stick(rng)
     assert s.v == 2.0 and s.births.atoms == (0.7, 0.2)
+
+
+def test_example_family_aliases():
+    assert parse_law("family1").describe()["name"] == "family1"
+    family2 = parse_law("family2(alpha=1.8)")
+    assert family2.alpha == 1.8
+    assert family2.describe()["mean_v"] == pytest.approx(2.0)
 
 
 def test_random_verification_law_is_subcritical(rng):
