@@ -174,7 +174,10 @@ class StickBatch:
 
     ``ages[offsets[k]:offsets[k+1]]`` are stick k's birth ages in
     non-increasing order.  ``offsets`` (length n+1, starting at 0) is derived
-    from ``counts`` on construction.
+    from ``counts`` on construction, and the layout is checked once: one
+    life length per stick, non-negative counts, exactly ``sum(counts)``
+    ages, non-increasing within each stick (the height kernel relies on
+    it).  A violation raises ``ValueError``.
     """
 
     counts: np.ndarray
@@ -183,7 +186,26 @@ class StickBatch:
     offsets: np.ndarray = field(init=False)
 
     def __post_init__(self):
+        self.counts = np.asarray(self.counts, dtype=np.int64)
+        self.v = np.asarray(self.v, dtype=float)
+        self.ages = np.asarray(self.ages, dtype=float)
+        if len(self.v) != len(self.counts):
+            raise ValueError(
+                f"need one life length per stick: {len(self.v)} for {len(self.counts)} sticks"
+            )
+        if (self.counts < 0).any():
+            raise ValueError("child counts must be >= 0")
         self.offsets = self.offsets_for(self.counts)
+        total = int(self.offsets[-1])
+        if len(self.ages) != total:
+            raise ValueError(f"counts sum to {total} births but {len(self.ages)} ages given")
+        # rises[j]: ages[j] is above ages[j-1] without starting a new stick
+        rises = np.zeros(total + 1, dtype=bool)
+        np.greater(self.ages[1:], self.ages[:-1], out=rises[1:total])
+        rises[self.offsets] = False
+        if rises.any():
+            k = int(np.searchsorted(self.offsets, rises.argmax(), side="right")) - 1
+            raise ValueError(f"stick {k}: birth ages must be non-increasing")
 
     @staticmethod
     def offsets_for(counts: np.ndarray) -> np.ndarray:

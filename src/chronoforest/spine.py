@@ -12,7 +12,14 @@ move per stick:
   the branch just closed; the next largest is where the next stick grafts).
 
 The sequence's total of largest atoms is the birth time of n, its length the
-generation of n.  ``verify_identities`` cross-checks every walk/ladder
+generation of n.  ``phi``, ``spine_states`` and ``build_forest`` are the
+literal oracles.  ``height_profile_arrays`` is the array kernel the
+experiments run: it reads every birth time and generation off first passages
+of the Lukasiewicz walk, with no per-stick step at all (each birth age
+counts toward the individuals between its child and the end of that child's
+subtree, two first passages of the walk).
+
+``verify_identities`` cross-checks every walk/ladder
 formula in :mod:`chronoforest.lukasiewicz` against the literal forest
 construction of :mod:`chronoforest.forest` on a single stick sequence, and
 reports per-identity tallies with minimal reproducers instead of raising.
@@ -125,44 +132,59 @@ def height_profile_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Birth times and generations of individuals 0..n from flat arrays.
 
-    ``ages`` holds each stick's birth ages in non-increasing order,
-    stick k occupying ``ages[offsets[k]:offsets[k+1]]``.  This is the spine
-    recursion run with cursors into the flat array instead of measure
-    objects: O(n + total atoms), no allocation per step.
+    ``ages`` holds each stick's birth ages in non-increasing order, stick k
+    occupying ``ages[offsets[k]:offsets[k+1]]`` (``StickBatch`` checks this
+    layout).  The height of n is the sum of the ages on its ancestral line,
+    so each birth age counts toward exactly the individuals of the subtree
+    it roots, and that subtree lies between two first passages of the walk
+    S(k+1) = S(k) + counts[k] - 1, S(0) = 0.  Atom i (the (i+1)-th largest
+    age) of stick m has its child at the first k >= m+1 with
+    S(k) = S(m+1) - i, and its subtree ends at the first k >= m+1 with
+    S(k) = S(m+1) - i - 1, which is the child of atom i+1.  The walk steps
+    down by at most 1, so "first k with S(k) = L" is also "first k with
+    S(k) <= L", and one ``searchsorted`` on the (S(k), k) pairs in
+    lexicographic order finds every passage.  A passage beyond the horizon
+    is put past the terminal entry, so it adds nothing.
+
+    Heights and depths are cumulative sums of the ages (resp. ones) added
+    at each child and removed at each subtree end.  The value at the latest
+    root is subtracted, so every tree starts at exactly 0.0 and rounding
+    does not carry from one tree to the next.  O((n + atoms) log n).
     """
     n = len(counts)
-    heights = np.empty(n + 1)
-    depths = np.empty(n + 1, dtype=np.int64)
-    heights[0] = 0.0
-    depths[0] = 0
-    ages_l = ages.tolist()
-    counts_l = [int(c) for c in counts]
-    offsets_l = [int(o) for o in offsets]
-    cur: list[int] = []  # cursor at each ancestor's largest unexplored atom
-    end: list[int] = []
-    h = 0.0
-    for i in range(n):
-        c = counts_l[i]
-        if c:
-            s = offsets_l[i]
-            cur.append(s)
-            end.append(s + c)
-            h += ages_l[s]
-        else:
-            while cur and end[-1] - cur[-1] == 1:
-                h -= ages_l[cur[-1]]
-                cur.pop()
-                end.pop()
-            if cur:
-                j = cur[-1]
-                h -= ages_l[j]
-                cur[-1] = j + 1
-                h += ages_l[j + 1]
-            else:
-                h = 0.0  # keep tree roots exactly at height zero
-        heights[i + 1] = h
-        depths[i + 1] = len(cur)
-    return heights, depths
+    span = n + 1  # walk indices 0..n; index span means "never"
+    s = np.zeros(span, dtype=np.int64)
+    np.cumsum(counts - 1, out=s[1:])
+    lo = int(s.min())
+    # the pair (S(k), k) packed as one integer, in lexicographic order
+    keys = np.sort((s - lo) * span + np.arange(span))
+
+    stick = np.repeat(np.arange(n), counts)
+    start = stick + 1
+    rank = np.arange(len(stick)) - offsets[stick]
+    level = (s[start] - rank - 1 - lo) * span
+    # every target level lies below S(start), so some key is >= the query;
+    # it is the passage when it sits on the target level
+    hit = keys[np.searchsorted(keys, level + start)]
+    end = np.where(hit < level + span, hit - level, span)
+    child = np.empty_like(end)
+    child[1:] = end[:-1]
+    first = rank == 0
+    child[first] = start[first]
+
+    size = span + 1
+    depths = np.cumsum(
+        (np.bincount(child, minlength=size) - np.bincount(end, minlength=size))[:span]
+    )
+    raw = np.cumsum(
+        (
+            np.bincount(child, weights=ages, minlength=size)
+            - np.bincount(end, weights=ages, minlength=size)
+        )[:span],
+        dtype=float,  # bincount of no atoms is integer-typed
+    )
+    latest_root = np.maximum.accumulate(np.where(depths == 0, np.arange(span), 0))
+    return raw - raw[latest_root], depths
 
 
 def height_profile(sticks: Sequence[Stick]) -> tuple[np.ndarray, np.ndarray]:

@@ -233,7 +233,10 @@ def simulate_replicate(
         j = int(math.floor(s_raw))
         phi = int(np.searchsorted(path.visit_times, s_raw, side="left"))
         phibar = int(np.searchsorted(pop.vc2, s_raw, side="left"))
-        assert phi >= phibar
+        if phi < phibar:
+            raise RuntimeError(
+                f"contour time change {phi} ran ahead of the length one {phibar} at t={t}"
+            )
         hp = eps * pop.heights[j]
         hcalp = eps * pop.depths[j]
         cp = eps * path.eval(s_raw)
@@ -435,6 +438,7 @@ def max_rise_in_window(path: ContourPath, width: float) -> float:
     minima: deque[int] = deque()  # indices with increasing heights
     apex_times = k[:n] + v
     left_edges = np.clip(apex_times - width, 0.0, None)
+    edge_values = path.eval(left_edges)
     for i in range(n):
         # maintain deque of local-minimum indices in [left_edge, apex]
         while minima and heights[minima[-1]] >= heights[i]:
@@ -442,7 +446,7 @@ def max_rise_in_window(path: ContourPath, width: float) -> float:
         minima.append(i)
         while minima and k[minima[0]] < left_edges[i]:
             minima.popleft()
-        window_min = path.eval(float(left_edges[i]))
+        window_min = float(edge_values[i])
         if minima:
             window_min = min(window_min, float(heights[minima[0]]))
         rise = heights[i] + v[i] - window_min
@@ -479,7 +483,8 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
     decomp = ladder_decomp(sticks[:j0], j0)
     w = walk(sticks)
     overshoot = vc2[j0] - raw_time
-    assert overshoot >= 0.0
+    if overshoot < 0.0:
+        raise RuntimeError(f"length time change undershoots raw time by {-overshoot}")
     run_min = int(w.s[j0])
     formula = None
     for d in range(n - j0 + 1):
@@ -491,5 +496,6 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
         if doubled_extra - heights[j0] >= rhs - 1e-9:
             formula = d
             break
-    assert formula is not None, "gap formula found no admissible offset"
+    if formula is None:
+        raise RuntimeError("gap formula found no admissible offset")
     return direct, formula

@@ -167,7 +167,8 @@ def sample_ladder_stats(
             ai = active[rows]
             tau[ai] = done + fi + 1
             prev = np.where(fi > 0, cum[rows, np.maximum(fi - 1, 0)], s_active[rows])
-            assert np.all(prev <= 0)
+            if np.any(prev > 0):
+                raise RuntimeError("count walk ascended before its first weak ascent")
             zeta[ai] = -prev
             jump[ai] = counts[rows, fi]
         keep = ~any_hit
@@ -210,7 +211,10 @@ def sample_ladder_pair(
     v = np.asarray(law.sample_v_given_counts(rng, count), dtype=float)
     ages = law.sample_ages_flat(rng, count, v)
     measure = truncate_largest(PointMeasure(ages), int(stats.zeta[0]))
-    assert measure.mass >= 1
+    if measure.mass < 1:
+        raise RuntimeError(
+            f"undershoot {int(stats.zeta[0])} removed all {int(count[0])} atoms of the jump stick"
+        )
     return LadderPair(int(stats.tau[0]), int(stats.zeta[0]), measure, float(v[0]), True)
 
 
@@ -242,11 +246,11 @@ def sample_vhat(law: StickLaw, rng: np.random.Generator, size=None):
     v = np.asarray(law.sample_length_biased_v(rng, size), dtype=float)
     if law.arithmetic:
         h = law.span
-        assert h is not None and h > 0
+        if h is None or not h > 0:
+            raise ValueError(f"law {law.name} is arithmetic but has span {h!r}")
         steps = np.rint(v / h).astype(np.int64)
-        assert np.all(np.abs(steps * h - v) <= 1e-9 * np.maximum(v, 1.0)), (
-            "life lengths stray off the declared lattice"
-        )
+        if not np.all(np.abs(steps * h - v) <= 1e-9 * np.maximum(v, 1.0)):
+            raise ValueError(f"life lengths of law {law.name} stray off its span-{h} lattice")
         out = h * rng.integers(0, steps)
     else:
         out = rng.random(np.shape(v)) * v

@@ -91,6 +91,28 @@ def test_batch_layout(rng):
         assert batch.measure(i).mass == batch.counts[i]
 
 
+@pytest.mark.parametrize(
+    "counts, v, ages, message",
+    [
+        # ascending ages within stick 0 would give wrong heights silently
+        ([2, 0, 0], [2.0, 1.0, 1.0], [0.5, 1.5], "stick 0: birth ages must be non-increasing"),
+        ([0, 1, 2], [1.0, 1.0, 1.0], [0.5, 0.2, 0.3], "stick 2: birth ages"),
+        ([1, 0], [1.0], [0.5], "one life length per stick"),
+        ([1, -1, 1], [1.0, 1.0, 1.0], [0.5], "counts must be >= 0"),
+        ([2, 1], [1.0, 1.0], [0.5, 0.4], "counts sum to 3 births but 2 ages"),
+    ],
+)
+def test_batch_rejects_bad_layout(counts, v, ages, message):
+    with pytest.raises(ValueError, match=message):
+        StickBatch(counts, v, ages)
+
+
+def test_batch_layout_allows_ties_and_higher_next_stick():
+    batch = StickBatch([2, 0, 2, 1], [1.0, 1.0, 2.0, 2.0], [0.5, 0.5, 1.5, 0.2, 1.9])
+    assert np.array_equal(batch.offsets, [0, 2, 2, 4, 5])
+    assert batch.counts.dtype == np.int64 and batch.ages.dtype == float
+
+
 def test_batch_round_trip(rng):
     law = GeometricUniformLaw(mean_offspring=1.0, v=2.0, lattice=4)
     batch = law.sample_batch(rng, 40)

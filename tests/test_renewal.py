@@ -162,6 +162,22 @@ def test_vhat_degenerate_lattices(rng):
     assert sample_vhat(GaltonWatsonUnitLaw(1.0), rng) == 0.0  # scalar form
 
 
+class _OffLatticeLaw(ConstantStickLaw):
+    """Declares lattice span 0.75, but every life length is 2.0."""
+
+    def __init__(self):
+        super().__init__(2.0, [1.0])
+        self.span = 0.75
+
+
+def test_vhat_rejects_lengths_off_the_span(rng):
+    law = _OffLatticeLaw()
+    with pytest.raises(ValueError, match="lattice"):
+        sample_vhat(law, rng, size=10)
+    with pytest.raises(ValueError, match="lattice"):
+        sample_vhat(law, rng)
+
+
 def test_vhat_exponential_is_memoryless(rng):
     law = ExponentialUniformLaw(rate=2.0)
     draws = sample_vhat(law, rng, size=20_000)

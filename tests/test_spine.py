@@ -4,15 +4,18 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronoforest.forest import build_forest
+from chronoforest.lukasiewicz import ladder_decomp
 from chronoforest.measures import (
     EMPTY_SPINE,
     ZERO,
     PointMeasure,
     SpineSeq,
+    Stick,
+    StickBatch,
 )
 from chronoforest.spine import (
     height_profile,
@@ -23,7 +26,7 @@ from chronoforest.spine import (
     spine_states,
     verify_identities,
 )
-from chronoforest.stochastic import GeometricUniformLaw, random_verification_law
+from chronoforest.stochastic import GeometricUniformLaw, parse_law, random_verification_law
 
 IDENTITY_CHECKS = {
     "adjacent-shift-bound",
@@ -125,6 +128,59 @@ def test_height_profile_arrays_flat_layout():
     heights, depths = height_profile_arrays(counts, offsets, ages)
     assert heights == pytest.approx(np.array([0.0, 1.5, 0.5, 1.2, 0.0]))
     assert np.array_equal(depths, np.array([0, 1, 1, 2, 0]))
+
+
+def _kernel_tolerance(ages, n, max_height):
+    # Each height is a running sum of one +age per child and one -age per
+    # closed subtree (2 * atoms terms) plus n cumulative-sum steps, every
+    # partial sum bounded by the largest height.
+    return (2 * len(ages) + n + 2) * np.spacing(max(max_height, 1.0))
+
+
+# Ages on a 0.1-lattice: ties inside a stick and across sticks are common.
+lattice_stick = st.lists(st.integers(1, 6), max_size=3).map(
+    lambda ks: Stick(1.0, PointMeasure([0.1 * k for k in ks]))
+)
+
+
+@given(st.lists(lattice_stick, max_size=40), st.booleans())
+@example([], False)
+@settings(max_examples=150, deadline=None)
+def test_kernel_matches_forest_on_lattice_ties(sticks, all_leaves):
+    if all_leaves:
+        sticks = [Stick(s.v) for s in sticks]
+    # Any prefix is a valid input, so the final tree is often incomplete.
+    batch = StickBatch.from_sticks(sticks)
+    heights, depths = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
+    f = build_forest(sticks)
+    assert np.array_equal(depths, f.depths())
+    want = np.asarray(f.birth_times())
+    tol = _kernel_tolerance(batch.ages, batch.n, want.max())
+    assert np.abs(heights - want).max() <= tol
+    assert np.all(heights[depths == 0] == 0.0)
+    assert heights.dtype == float and len(heights) == len(sticks) + 1
+
+
+def test_kernel_matches_ladder_ages_at_scale():
+    # The kernel as the experiments run it: a critical forest of 2e5 sticks,
+    # checked at sampled indices against the ladder decomposition's exactly
+    # rounded sum of ladder ages.
+    n = 200_000
+    rng = np.random.default_rng(7)
+    batch = parse_law("geo-uniform").sample_batch(rng, n)
+    heights, depths = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
+    assert np.all(heights[depths == 0] == 0.0)
+    roots = np.flatnonzero(depths == 0)
+    assert len(roots) > 8
+    picks = set(rng.choice(roots, 6, replace=False).tolist()) | {0, n}
+    while len(picks) < 32:
+        picks.add(int(rng.integers(1, n)))
+    sticks = batch.to_sticks()
+    tol = _kernel_tolerance(batch.ages, n, heights.max())
+    for j in sorted(picks):
+        dec = ladder_decomp(sticks, j)
+        assert depths[j] == dec.height, j
+        assert abs(heights[j] - dec.height_sum()) <= tol, j
 
 
 def test_verify_identities_reference(reference_sticks):
