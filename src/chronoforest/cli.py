@@ -244,9 +244,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_couple.add_argument("--eps", type=float, required=True)
     p_couple.add_argument("--t", type=float, required=True)
     p_couple.add_argument("--m", type=int, default=3)
-    p_couple.add_argument("--replicas", type=int, default=100)
+    p_couple.add_argument("--replicas", type=nonnegative_int, default=100)
     p_couple.add_argument("--seed", type=int, required=True)
-    p_couple.add_argument("--budget", type=int, default=200_000)
+    p_couple.add_argument("--budget", type=nonnegative_int, default=200_000)
     p_couple.set_defaults(func=_cmd_couple)
 
     p_scale = sub.add_parser("scale", help="run a scaling experiment grid")

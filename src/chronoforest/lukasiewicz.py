@@ -211,9 +211,9 @@ class LadderDecomp:
 
 def ladder_decomp(sticks: Sequence[Stick], n: int) -> LadderDecomp:
     """Dual ladder decomposition at focal index n (uses sticks 0..n-1)."""
-    w = walk(sticks)
-    if not 0 <= n <= w.n:
-        raise ValueError(f"need 0 <= n <= {w.n}, got {n}")
+    if not 0 <= n <= len(sticks):
+        raise ValueError(f"need 0 <= n <= {len(sticks)}, got {n}")
+    w = walk(sticks[:n])
     dual_s = w.s[n] - w.s[n::-1]
     times: list[int] = []
     zetas: list[int] = []

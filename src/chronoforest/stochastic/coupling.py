@@ -13,7 +13,10 @@ steps only, and (ii) the second walk clears t + 2 eps at its crossing,
 the last m + 1 steps before the two crossings must agree exactly -- same
 step sizes, same marks -- because from the meeting time on the walks are
 parallel with offset inside [0, eps].  ``run_coupling`` replays one
-replica and checks that agreement literally, step by step.
+replica block by block: each block of the stream is one cumsum for the
+difference walk and one per walk, so the sums come out exactly as step by
+step.  The step/mark check stays literal: it compares the step sizes and
+the flat age slices of the stream elements behind the last m + 1 steps.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..measures import PointMeasure
 from .laws import StickLaw
 from .renewal import sample_vhat
 
@@ -38,7 +40,8 @@ class CouplingResult:
     status is "held" (event occurred, all m+1 step comparisons passed),
     "violated" (event occurred, some comparison failed), "no_event" (the
     qualifying event did not occur), or "undecided" (a budget ran out
-    before the event could be evaluated).
+    before the event could be evaluated).  undecided_reason names that
+    budget, "meet_budget" or "walk_budget", and is None otherwise.
     """
 
     status: str
@@ -57,6 +60,7 @@ class CouplingResult:
     first_step: float = math.nan
     first_step_prime: float = math.nan
     mismatches: list = field(default_factory=list)
+    undecided_reason: Optional[str] = None
 
     @property
     def event(self) -> Optional[bool]:
@@ -65,46 +69,71 @@ class CouplingResult:
         return self.status in ("held", "violated")
 
 
-class _Stream:
-    """Lazy i.i.d. stream of (sign, doubled life length, mark)."""
+_BLOCK = 256  # stream elements drawn at a time
 
-    def __init__(self, law: StickLaw, rng: np.random.Generator, block: int = 256):
+
+class _Blocks:
+    """The i.i.d. stream of (sign, doubled life length 2V, mark), drawn
+    lazily in blocks of ``_BLOCK`` elements: one ``sample_batch`` and then
+    one block of fair signs, each time an element beyond the drawn ones is
+    needed.  Element e is position e % _BLOCK of block e // _BLOCK; its mark
+    is the flat age slice of its stick in that block's batch."""
+
+    def __init__(self, law: StickLaw, rng: np.random.Generator):
         self.law = law
         self.rng = rng
-        self.block = block
-        self._batch = None
-        self._signs = None
-        self._pos = 0
+        self.batches: list = []
+        self.signs: list[np.ndarray] = []
+        self.steps: list[np.ndarray] = []
 
-    def next(self) -> tuple[int, float, PointMeasure]:
-        if self._batch is None or self._pos >= self._batch.n:
-            self._batch = self.law.sample_batch(self.rng, self.block)
-            self._signs = self.rng.integers(0, 2, self.block) * 2 - 1
-            self._pos = 0
-        i = self._pos
-        self._pos += 1
-        return int(self._signs[i]), 2.0 * float(self._batch.v[i]), self._batch.measure(i)
+    def segment(self, pos: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """Signs and steps of elements pos..stop-1, all inside one block;
+        draws that block if it is the next one."""
+        b = pos // _BLOCK
+        if b == len(self.batches):
+            batch = self.law.sample_batch(self.rng, _BLOCK)
+            self.batches.append(batch)
+            self.signs.append(self.rng.integers(0, 2, _BLOCK) * 2 - 1)
+            self.steps.append(2.0 * batch.v)
+        lo, hi = pos - b * _BLOCK, stop - b * _BLOCK
+        return self.signs[b][lo:hi], self.steps[b][lo:hi]
+
+    def block_end(self, pos: int) -> int:
+        return (pos // _BLOCK + 1) * _BLOCK
+
+    def step(self, e: int) -> float:
+        return float(self.steps[e // _BLOCK][e % _BLOCK])
+
+    def mark(self, e: int) -> np.ndarray:
+        batch, i = self.batches[e // _BLOCK], e % _BLOCK
+        return batch.ages[batch.offsets[i] : batch.offsets[i + 1]]
 
 
-class _Walk:
-    """One marked walk: values plus the (step, mark) history."""
+class _WalkState:
+    """Where one marked walk stands: its last value, its number of steps,
+    its running maximum and its first pushed index at or above t."""
 
     def __init__(self, start: float):
-        self.values = [start]
-        self.steps: list[float] = []
-        self.marks: list[PointMeasure] = []
+        self.last = start
+        self.n = 0
         self.running_max = start
-        self.crossing: Optional[int] = None  # first index with value >= t
+        self.crossing: Optional[int] = None
+        self.crossing_value = math.nan
 
-    def push(self, xi: float, mark: PointMeasure, t: float) -> None:
-        val = self.values[-1] + xi
-        self.values.append(val)
-        self.steps.append(xi)
-        self.marks.append(mark)
-        if val > self.running_max:
-            self.running_max = val
-        if self.crossing is None and val >= t:
-            self.crossing = len(self.values) - 1
+    def push(self, steps: np.ndarray, t: float) -> None:
+        """Take the steps in order; the start value is never a crossing."""
+        if not len(steps):
+            return
+        values = np.cumsum(np.concatenate(([self.last], steps)))[1:]
+        if self.crossing is None:
+            above = values >= t
+            if above.any():
+                hit = int(above.argmax())
+                self.crossing = self.n + hit + 1
+                self.crossing_value = float(values[hit])
+        self.running_max = max(self.running_max, float(values.max()))
+        self.last = float(values[-1])
+        self.n += len(steps)
 
 
 def run_coupling(
@@ -121,36 +150,22 @@ def run_coupling(
     eps = 0 demands an exact meeting of the difference walk and is only
     feasible when life lengths are arithmetic.
     """
+    if not math.isfinite(eps) or not math.isfinite(t):
+        raise ValueError(f"eps and t must be finite, got eps={eps!r}, t={t!r}")
     if eps < 0:
         raise ValueError("eps must be >= 0")
     if eps == 0 and not law.arithmetic:
         raise ValueError("eps = 0 requires an arithmetic life-length law")
     if m < 0 or t <= 0:
         raise ValueError("need m >= 0 and t > 0")
+    if meet_budget < 0 or walk_budget < 0:
+        raise ValueError(f"budgets must be >= 0, got {meet_budget} and {walk_budget}")
 
     alpha = 2.0 * float(law.sample_v(rng))
     alpha_prime = 2.0 * float(sample_vhat(law, rng))
-    walk = _Walk(alpha)
-    walk_prime = _Walk(alpha_prime)
-    stream = _Stream(law, rng)
-
-    # diff tracks (second walk) - (first walk) over the partial sums: a
-    # plus-signed element feeds the first walk, so it lowers the gap.
-    diff = alpha_prime - alpha
-    meet: Optional[int] = None
-    k = 0
-    if 0.0 <= diff <= eps:
-        meet = 0
-    while meet is None and k < meet_budget:
-        sign, xi, mark = stream.next()
-        k += 1
-        diff -= sign * xi
-        if sign > 0:
-            walk.push(xi, mark, t)
-        else:
-            walk_prime.push(xi, mark, t)
-        if 0.0 <= diff <= eps:
-            meet = k
+    walk = _WalkState(alpha)
+    walk_prime = _WalkState(alpha_prime)
+    stream = _Blocks(law, rng)
     result = CouplingResult(
         status="undecided",
         eps=eps,
@@ -159,44 +174,78 @@ def run_coupling(
         alpha=alpha,
         alpha_prime=alpha_prime,
     )
+
+    # diff tracks (second walk) - (first walk) over the partial sums: a
+    # plus-signed element feeds the first walk, so it lowers the gap.  Each
+    # block's gaps are one cumsum, in the same order as step-by-step sums.
+    diff = alpha_prime - alpha
+    meet: Optional[int] = 0 if 0.0 <= diff <= eps else None
+    pos = 0
+    while meet is None and pos < meet_budget:
+        stop = min(stream.block_end(pos), meet_budget)
+        signs, steps = stream.segment(pos, stop)
+        gaps = np.cumsum(np.concatenate(([diff], -signs * steps)))[1:]
+        inside = (gaps >= 0.0) & (gaps <= eps)
+        if inside.any():
+            stop = pos + int(inside.argmax()) + 1
+            meet = stop
+        signs, steps = signs[: stop - pos], steps[: stop - pos]
+        diff = float(gaps[stop - pos - 1])
+        walk.push(steps[signs > 0], t)
+        walk_prime.push(steps[signs < 0], t)
+        pos = stop
     if meet is None:
+        result.undecided_reason = "meet_budget"
         return result
 
     result.meet_time = meet
-    result.sigma = len(walk.steps)
-    result.sigma_prime = len(walk_prime.steps)
+    result.sigma = walk.n
+    result.sigma_prime = walk_prime.n
     result.offset = diff
     result.gamma = max(walk.running_max, walk_prime.running_max)
 
-    # After the meeting, plus-signed stream elements drive both walks.
-    k = 0
-    while (walk.crossing is None or walk_prime.crossing is None) and k < walk_budget:
-        sign, xi, mark = stream.next()
-        k += 1
-        if sign > 0:
-            walk.push(xi, mark, t)
-            walk_prime.push(xi, mark, t)
+    # After the meeting, plus-signed stream elements drive both walks.  A
+    # block is pushed whole: the steps after the later crossing are never
+    # read, and no further block is drawn once both walks have crossed.
+    end = pos + walk_budget
+    while (walk.crossing is None or walk_prime.crossing is None) and pos < end:
+        stop = min(stream.block_end(pos), end)
+        signs, steps = stream.segment(pos, stop)
+        walk.push(steps[signs > 0], t)
+        walk_prime.push(steps[signs > 0], t)
+        pos = stop
     if walk.crossing is None or walk_prime.crossing is None:
+        result.undecided_reason = "walk_budget"
         return result
+
+    # Step s of the first walk is the s-th plus-signed element; the second
+    # walk takes the minus-signed elements before the meeting, then the
+    # plus-signed ones from the meeting on.
+    signs = np.concatenate(stream.signs)
+    plus = np.flatnonzero(signs > 0)
+    minus = np.flatnonzero(signs[:meet] < 0)
+
+    def element_prime(s: int) -> int:
+        if s < result.sigma_prime:
+            return int(minus[s])
+        return int(plus[result.sigma + s - result.sigma_prime])
 
     result.psi = walk.crossing
     result.psi_prime = walk_prime.crossing
-    if walk.steps:
-        result.first_step = walk.steps[0]
-    if walk_prime.steps:
-        result.first_step_prime = walk_prime.steps[0]
+    result.first_step = stream.step(int(plus[0]))
+    result.first_step_prime = stream.step(element_prime(0))
 
     event = (
         result.gamma < t
         and result.psi > result.sigma + m
-        and walk_prime.values[result.psi_prime] >= t + 2.0 * eps
+        and walk_prime.crossing_value >= t + 2.0 * eps
     )
     if not event:
         result.status = "no_event"
         return result
 
     # The claim: counted back from the crossings, the last m+1 steps of the
-    # two walks are identical stream elements.
+    # two walks carry identical step sizes and marks.
     mismatches = []
     for back in range(m + 1):
         i = result.psi - 1 - back
@@ -204,13 +253,14 @@ def run_coupling(
         if j < 0:
             mismatches.append({"back": back, "reason": "second walk too short"})
             continue
-        ok_step = walk.steps[i] == walk_prime.steps[j]
-        ok_mark = walk.marks[i] == walk_prime.marks[j]
-        if not (ok_step and ok_mark):
+        e, e_prime = int(plus[i]), element_prime(j)
+        step, step_prime = stream.step(e), stream.step(e_prime)
+        ok_mark = bool(np.array_equal(stream.mark(e), stream.mark(e_prime)))
+        if not (step == step_prime and ok_mark):
             mismatches.append(
                 {
                     "back": back,
-                    "step": (walk.steps[i], walk_prime.steps[j]),
+                    "step": (step, step_prime),
                     "marks_equal": ok_mark,
                 }
             )
@@ -237,10 +287,15 @@ def run_coupling_many(
 
 def summarize_coupling(results: list[CouplingResult]) -> dict:
     counts = {"held": 0, "violated": 0, "no_event": 0, "undecided": 0}
+    reasons = {"meet_budget": 0, "walk_budget": 0}
     for r in results:
         counts[r.status] += 1
+        if r.undecided_reason is not None:
+            reasons[r.undecided_reason] += 1
     return {
         "replicas": len(results),
         **counts,
+        "undecided_meet_budget": reasons["meet_budget"],
+        "undecided_walk_budget": reasons["walk_budget"],
         "event_rate": (counts["held"] + counts["violated"]) / max(len(results), 1),
     }

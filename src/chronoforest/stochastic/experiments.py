@@ -480,7 +480,7 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
     # minus the length overshoot at j0.
     tail = StickBatch(batch.counts[j0:], batch.v[j0:], batch.ages[batch.offsets[j0] :])
     tail_heights, _ = height_profile_arrays(tail.counts, tail.offsets, tail.ages)
-    decomp = ladder_decomp(sticks[:j0], j0)
+    decomp = ladder_decomp(sticks, j0)
     w = walk(sticks)
     overshoot = vc2[j0] - raw_time
     if overshoot < 0.0:
@@ -492,7 +492,7 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
             run_min = min(run_min, int(w.s[j0 + d]))
         level = int(w.s[j0]) - run_min
         doubled_extra = (vc2[j0 + d - 1] - vc2[j0]) if d >= 1 else -2.0 * batch.v[j0]
-        rhs = tail_heights[d] - decomp.D(level, sticks[:j0]) - overshoot
+        rhs = tail_heights[d] - decomp.D(level, sticks) - overshoot
         if doubled_extra - heights[j0] >= rhs - 1e-9:
             formula = d
             break

@@ -20,7 +20,6 @@ import re
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-from scipy.special import zeta as _zeta
 
 from ..measures import PointMeasure, Stick, StickBatch
 
@@ -381,8 +380,10 @@ class StableFamilyLaw(StickLaw):
         self.alpha = float(alpha)
         self.age_map_name = age_map
         self.name = f"family{variant}" if variant != "generalized" else f"family-gen-{age_map}"
-        self.z_a = float(_zeta(alpha))
-        self.z_a1 = float(_zeta(alpha + 1.0))
+        from scipy.special import zeta
+
+        self.z_a = float(zeta(alpha))
+        self.z_a1 = float(zeta(alpha + 1.0))
         self.p0 = 1.0 - self.z_a1 / self.z_a
         self.mean_offspring = 1.0
         self.mean_v = 2.0

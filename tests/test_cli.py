@@ -2,14 +2,19 @@
 
 import io
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from chronoforest.cli import main
 from chronoforest.measures import sticks_from_json, sticks_to_json
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 GOLDEN_FOREST_ROWS = [
     "index,parent,birth_time,depth,v,tree_id",
@@ -215,3 +220,47 @@ def test_readme_build_example(monkeypatch, capsys):
         "1,0,1.5,1,1.5,0",
         "2,0,0.5,1,1,0",
     ]
+
+
+def test_readme_couple_example(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    m = re.search(r"^chronoforest (couple (?:.*\\\n)*.*)$", readme, re.MULTILINE)
+    assert m, "README has no literal 'chronoforest couple' example"
+    assert main(shlex.split(m.group(1).replace("\\\n", " "))) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["violated"] == 0
+    assert report["held"] > 0
+    assert report["undecided_meet_budget"] + report["undecided_walk_budget"] == report["undecided"]
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--replicas", "-3", "--replicas: must be >= 0, got -3"),
+        ("--budget", "-5", "--budget: must be >= 0, got -5"),
+    ],
+)
+def test_couple_negative_counts_are_usage_errors(capsys, flag, value, message):
+    argv = ["couple", "--law", "gw", "--eps", "0", "--t", "8", "--seed", "1", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("eps, t", [("nan", "8"), ("0.5", "inf"), ("inf", "8")])
+def test_couple_non_finite_levels_are_rejected(capsys, eps, t):
+    argv = ["couple", "--law", "exp-uniform", "--eps", eps, "--t", t, "--seed", "1", "--replicas", "3"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "eps and t must be finite" in captured.err
+
+
+def test_import_does_not_load_scipy_special():
+    code = "import sys, chronoforest.cli; print('scipy.special' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "False"

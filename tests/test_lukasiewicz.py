@@ -90,6 +90,18 @@ def test_ladder_decomp_reference_n9(reference_sticks):
     assert dec.first_epoch_at_or_after(10) is None
 
 
+def test_ladder_decomp_reads_only_the_first_n_sticks(reference_sticks):
+    # Sticks from index n on are never touched, so they need not be sticks.
+    padded = reference_sticks[:9] + [None, None]
+    dec = ladder_decomp(padded, 9)
+    assert dec.times == [1, 4, 9]
+    assert dec.zetas == [0, 2, 1]
+    assert ladder_decomp(padded, 0).times == []
+    for n in (-1, 12):
+        with pytest.raises(ValueError, match="need 0 <= n <= 11"):
+            ladder_decomp(padded, n)
+
+
 def test_ladder_matches_forest_everywhere(reference_sticks):
     f = build_forest(reference_sticks)
     for n in range(f.n_sticks + 1):
