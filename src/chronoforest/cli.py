@@ -54,11 +54,20 @@ def _read_text(path: str) -> str:
         return fh.read()
 
 
-def nonnegative_int(text: str) -> int:
-    n = int(text)
-    if n < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {n}")
-    return n
+def int_at_least(k: int):
+    """An argparse type: an integer that is at least ``k``."""
+
+    def parse(text: str) -> int:
+        n = int(text)
+        if n < k:
+            raise argparse.ArgumentTypeError(f"must be >= {k}, got {n}")
+        return n
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
+nonnegative_int = int_at_least(0)
 
 
 def _open_out(path: Optional[str]):
@@ -139,6 +148,8 @@ def _cmd_renewal(args) -> int:
             "acceptance_rate": stats.acceptance_rate(),
             "mean_tau_accepted": float(acc.mean()) if acc.size else None,
             "step_cap": args.step_cap,
+            "abandoned_envelope": int(stats.abandoned.sum()),
+            "rejected_step_cap": int((~stats.accepted & ~stats.abandoned).sum()),
         },
         "stationary_overshoot_mean": float(np.mean(vh)),
     }
@@ -227,16 +238,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="cross-check walk/spine/forest identities")
     p_verify.add_argument("--input", help="sticks JSON file to verify instead of random draws")
     p_verify.add_argument("--seed", type=int, default=0)
-    p_verify.add_argument("--forests", type=int, default=20)
-    p_verify.add_argument("--max-sticks", type=int, default=60)
-    p_verify.add_argument("--pairs", type=int, default=40, help="index pairs per forest")
+    p_verify.add_argument("--forests", type=nonnegative_int, default=20)
+    p_verify.add_argument("--max-sticks", type=int_at_least(3), default=60)
+    p_verify.add_argument("--pairs", type=nonnegative_int, default=40, help="index pairs per forest")
     p_verify.set_defaults(func=_cmd_verify)
 
     p_renewal = sub.add_parser("renewal", help="Monte Carlo renewal diagnostics for a law")
     p_renewal.add_argument("--law", required=True)
     p_renewal.add_argument("--seed", type=int, required=True)
-    p_renewal.add_argument("--draws", type=int, default=20000)
-    p_renewal.add_argument("--step-cap", type=int, default=1_000_000)
+    p_renewal.add_argument("--draws", type=int_at_least(2), default=20000)
+    p_renewal.add_argument("--step-cap", type=int_at_least(1), default=1_000_000)
     p_renewal.set_defaults(func=_cmd_renewal)
 
     p_couple = sub.add_parser("couple", help="replay the stationarity coupling")
@@ -256,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--times", default="0.5,1.0")
     p_scale.add_argument("--replicates", type=int, default=20)
     p_scale.add_argument("--seed", type=int, default=0)
-    p_scale.add_argument("--workers", type=int, default=1)
+    p_scale.add_argument("--workers", type=int_at_least(1), default=1)
     p_scale.add_argument("--out", help="rows CSV path (default stdout)")
     p_scale.add_argument("--summary-out", help="summary JSON path")
     p_scale.set_defaults(func=_cmd_scale)

@@ -270,8 +270,7 @@ def simulate_replicate(
 
 
 def _run_task(args) -> tuple[tuple[int, int], list[dict], dict]:
-    (law_spec, p, p_idx, rep, times, eps, epsbar, interval, seed) = args
-    law = parse_law(law_spec)
+    (law, p, p_idx, rep, times, eps, epsbar, interval, seed) = args
     seq = np.random.SeedSequence(seed, spawn_key=(p_idx, rep))
     rng = np.random.Generator(np.random.Philox(seq))
     rows, extras = simulate_replicate(law, p, times, eps, epsbar, interval, rng)
@@ -283,6 +282,7 @@ def _run_task(args) -> tuple[tuple[int, int], list[dict], dict]:
 @dataclass
 class ExperimentResult:
     config: ExperimentConfig
+    law: StickLaw  # parsed once from ``config.law``
     rows: list[dict]
     extras: dict[tuple[int, int], dict] = field(default_factory=dict)
 
@@ -305,9 +305,8 @@ class ExperimentResult:
         return buf.getvalue()
 
     def summary(self) -> dict:
-        law = parse_law(self.config.law)
         out: dict = {
-            "law": law.describe(),
+            "law": self.law.describe(),
             "config": {
                 "p": list(self.config.p_values),
                 "times": list(self.config.times),
@@ -319,20 +318,28 @@ class ExperimentResult:
             "interval_minima": [],
         }
         quantiles = [0.1, 0.25, 0.5, 0.75, 0.9]
+        columns = CSV_COLUMNS[3:]
+        by_cell: dict[tuple, list[dict]] = {}
+        for r in self.rows:
+            by_cell.setdefault((r["p"], r["t"]), []).append(r)
         for p in self.config.p_values:
             for t in self.config.times:
-                sel = [r for r in self.rows if r["p"] == p and r["t"] == t]
+                sel = by_cell.get((p, t))
                 if not sel:
                     continue
+                # one C-contiguous row per column: reducing along rows sums
+                # each row in the same pairwise order as a 1-d array would
+                vals = np.array([[r[col] for r in sel] for col in columns])
+                qs = np.quantile(vals, quantiles, axis=1)
+                means = vals.mean(axis=1)
+                abs_means = np.abs(vals).mean(axis=1)
                 cell: dict = {"p": p, "t": t, "n": len(sel)}
-                for col in CSV_COLUMNS[3:]:
-                    vals = np.array([r[col] for r in sel])
-                    qs = np.quantile(vals, quantiles)
+                for i, col in enumerate(columns):
                     cell[col] = {
-                        "mean": float(vals.mean()),
-                        "abs_mean": float(np.abs(vals).mean()),
+                        "mean": float(means[i]),
+                        "abs_mean": float(abs_means[i]),
                         "quantiles": {
-                            format(q, "g"): float(x) for q, x in zip(quantiles, qs)
+                            format(q, "g"): float(x) for q, x in zip(quantiles, qs[:, i])
                         },
                     }
                 out["cells"].append(cell)
@@ -346,7 +353,7 @@ class ExperimentResult:
                 continue
             mc = np.array([m["min_contour"] for m in mins])
             mg = np.array([m["min_gen_contour"] for m in mins])
-            target = (law.mean_ystar or 0.0) * mg
+            target = (self.law.mean_ystar or 0.0) * mg
             out["interval_minima"].append(
                 {
                     "p": p,
@@ -361,15 +368,14 @@ class ExperimentResult:
         return out
 
 
-def scaling_experiment(
-    config: ExperimentConfig, workers: int = 1, law: Optional[StickLaw] = None
-) -> ExperimentResult:
+def scaling_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run the full grid of (p, replicate) simulations.
 
     Each task gets a Philox generator keyed by (p index, replicate), so the
-    result is byte-identical for any worker count.
+    result is byte-identical for any worker count.  The law is parsed once
+    and handed to every task (pickled for the worker pool).
     """
-    law = law if law is not None else parse_law(config.law)
+    law = parse_law(config.law)
     if not 0.0 <= law.mean_offspring <= 1.0 + 1e-12:
         raise ValueError("scaling experiments need a (sub)critical law")
     eps_rule = config.eps_rule or law.eps_rule
@@ -381,7 +387,7 @@ def scaling_experiment(
         for rep in range(config.replicates):
             tasks.append(
                 (
-                    config.law,
+                    law,
                     p,
                     p_idx,
                     rep,
@@ -408,7 +414,7 @@ def scaling_experiment(
             rows, extras = results[(p_idx, rep)]
             all_rows.extend(rows)
             extras_map[(p_idx, rep)] = extras
-    return ExperimentResult(config, all_rows, extras_map)
+    return ExperimentResult(config, law, all_rows, extras_map)
 
 
 def simulate_contour(

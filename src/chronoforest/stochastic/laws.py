@@ -40,9 +40,17 @@ __all__ = [
 
 def _sort_ages_desc(ages: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sort a flat age array descending within each stick."""
-    ids = np.repeat(np.arange(len(counts)), counts)
-    order = np.lexsort((-ages, ids))
-    return ages[order]
+    # NumPy sorts complex numbers lexicographically, by real part and then by
+    # imaginary part, so one direct sort of (stick index) + 1j * (-age) orders
+    # by stick and then by descending age.  Stick indices are exact floats
+    # below 2**53.  Only the sorted values come back and tied ages are equal
+    # floats, so the unstable sort gives the stable lexsort's result bit for
+    # bit (ages are positive, so no -0.0 ties with 0.0 can be reordered).
+    keys = np.empty(len(ages), dtype=complex)
+    keys.real = np.repeat(np.arange(len(counts), dtype=float), counts)
+    np.negative(ages, out=keys.imag)
+    keys.sort()
+    return -keys.imag
 
 
 class StickLaw:

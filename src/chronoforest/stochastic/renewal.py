@@ -103,14 +103,17 @@ def ladder_trio_pmf(offspring_pmf, tmax: int) -> dict[tuple[int, int, int], floa
 class LadderStats:
     """Vectorized draws of the first weak ascent of the count walk.
 
-    ``accepted[i]`` is False when walk i never came back up within the step
-    budget; those rows hold -1 in tau/zeta/jump_count.
+    ``accepted[i]`` is False when walk i was rejected; those rows hold -1 in
+    tau/zeta/jump_count.  A rejected walk either fell below the envelope and
+    was abandoned early (``abandoned[i]``) or was still negative after
+    ``step_cap`` steps.
     """
 
     tau: np.ndarray
     zeta: np.ndarray
     jump_count: np.ndarray
     accepted: np.ndarray
+    abandoned: np.ndarray
     step_cap: int
 
     @property
@@ -150,6 +153,7 @@ def sample_ladder_stats(
     tau = np.full(n, -1, dtype=np.int64)
     zeta = np.full(n, -1, dtype=np.int64)
     jump = np.full(n, -1, dtype=np.int64)
+    abandoned = np.zeros(n, dtype=bool)
     active = np.arange(n)
     s_active = np.zeros(n, dtype=np.int64)
     done = 0
@@ -176,12 +180,13 @@ def sample_ladder_stats(
         s_active = cum[keep, -1]
         if envelope is not None and active.size:
             shallow = s_active > -envelope
+            abandoned[active[~shallow]] = True
             active = active[shallow]
             s_active = s_active[shallow]
         done += b
         block = min(block * 2, max_block)
     accepted = tau >= 0
-    return LadderStats(tau, zeta, jump, accepted, step_cap)
+    return LadderStats(tau, zeta, jump, accepted, abandoned, step_cap)
 
 
 @dataclass

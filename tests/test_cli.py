@@ -130,6 +130,9 @@ def test_renewal_diagnostics(capsys):
     assert report["uniform_atom_age"]["mc_mean"] == 1.0
     assert report["stationary_overshoot_mean"] == 0.0
     assert report["ladder"]["acceptance_rate"] == pytest.approx(1.0)
+    # a critical law has no envelope: every rejection is a step-cap one
+    assert report["ladder"]["abandoned_envelope"] == 0
+    assert report["ladder"]["rejected_step_cap"] == round(2000 * (1.0 - report["ladder"]["acceptance_rate"]))
 
 
 def test_couple_exit_codes(capsys):
@@ -233,6 +236,33 @@ def test_readme_couple_example(capsys):
     assert report["undecided_meet_budget"] + report["undecided_walk_budget"] == report["undecided"]
 
 
+def test_readme_examples_run(tmp_path, monkeypatch, capsys):
+    # every literal ``chronoforest`` line except ``couple``, which has its own
+    # test, run in README order: ``verify --input sticks.json`` reads the
+    # sticks that the ``build --law`` line saved
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    commands = [
+        shlex.split(m.group(1).replace("\\\n", " "))
+        for m in re.finditer(r"^chronoforest ((?:.*\\\n)*.*)$", readme, re.MULTILINE)
+    ]
+    commands = [argv for argv in commands if argv[0] != "couple"]
+    assert [argv[0] for argv in commands] == ["build", "verify", "verify", "renewal", "scale"]
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert main(argv) == 0, argv
+        out = capsys.readouterr().out
+        if argv[0] == "verify":
+            assert json.loads(out)["ok"] is True
+        elif argv[0] == "renewal":
+            ladder = json.loads(out)["ladder"]
+            rejected = ladder["abandoned_envelope"] + ladder["rejected_step_cap"]
+            assert rejected == round(10_000 * (1.0 - ladder["acceptance_rate"]))
+    assert (tmp_path / "forest.csv").is_file() and (tmp_path / "contour.csv").is_file()
+    assert len(sticks_from_json((tmp_path / "sticks.json").read_text())) == 200
+    assert json.loads((tmp_path / "summary.json").read_text())["config"]["replicates"] == 50
+    assert len((tmp_path / "rows.csv").read_text().splitlines()) == 1 + 2 * 50
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -246,6 +276,27 @@ def test_couple_negative_counts_are_usage_errors(capsys, flag, value, message):
         main(argv)
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["verify", "--forests", "-3"], "--forests: must be >= 0, got -3"),
+        (["verify", "--pairs", "-1"], "--pairs: must be >= 0, got -1"),
+        (["verify", "--max-sticks", "2"], "--max-sticks: must be >= 3, got 2"),
+        (["renewal", "--law", "gw", "--seed", "1", "--draws", "0"], "--draws: must be >= 2, got 0"),
+        (["renewal", "--law", "gw", "--seed", "1", "--draws", "-5"], "--draws: must be >= 2, got -5"),
+        (["renewal", "--law", "gw", "--seed", "1", "--step-cap", "-1"], "--step-cap: must be >= 1, got -1"),
+        (["scale", "--law", "gw", "--p", "10", "--workers", "-2"], "--workers: must be >= 1, got -2"),
+    ],
+)
+def test_counts_below_their_floor_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
 
 
 @pytest.mark.parametrize("eps, t", [("nan", "8"), ("0.5", "inf"), ("inf", "8")])

@@ -1,5 +1,8 @@
 """Scaling experiments: config plumbing, determinism and path functionals."""
 
+import json
+
+import numpy as np
 import pytest
 
 from chronoforest.forest import build_forest, contour_path
@@ -8,11 +11,13 @@ from chronoforest.stochastic import (
     GeometricUniformLaw,
     max_rise_in_window,
     parse_config,
+    parse_law,
     resolve_scale,
     scaling_experiment,
     simulate_contour,
     verify_time_change_gap,
 )
+from chronoforest.stochastic import experiments
 from chronoforest.stochastic.experiments import CSV_COLUMNS
 
 
@@ -119,6 +124,47 @@ def test_summary_shapes():
     assert cell["n"] == 4
     assert set(cell["deltaH"]) == {"mean", "abs_mean", "quantiles"}
     assert [m["p"] for m in s["interval_minima"]] == [50, 200]
+
+
+def summary_cells_per_column(res) -> list[dict]:
+    """Reference: the summary cells with one reduction call per column."""
+    quantiles = [0.1, 0.25, 0.5, 0.75, 0.9]
+    cells = []
+    for p in res.config.p_values:
+        for t in res.config.times:
+            sel = [r for r in res.rows if r["p"] == p and r["t"] == t]
+            cell: dict = {"p": p, "t": t, "n": len(sel)}
+            for col in CSV_COLUMNS[3:]:
+                vals = np.array([r[col] for r in sel])
+                qs = np.quantile(vals, quantiles)
+                cell[col] = {
+                    "mean": float(vals.mean()),
+                    "abs_mean": float(np.abs(vals).mean()),
+                    "quantiles": {format(q, "g"): float(x) for q, x in zip(quantiles, qs)},
+                }
+            cells.append(cell)
+    return cells
+
+
+@pytest.mark.parametrize("replicates", [1, 7, 200])
+def test_summary_cells_match_per_column_reduction(replicates):
+    cfg = small_config(law="geo-uniform(mean=1.0,v=1.0)", replicates=replicates)
+    res = scaling_experiment(cfg)
+    assert json.dumps(res.summary()["cells"]) == json.dumps(summary_cells_per_column(res))
+
+
+def test_law_is_parsed_once(monkeypatch):
+    calls = []
+
+    def counting_parse_law(spec):
+        calls.append(spec)
+        return parse_law(spec)
+
+    monkeypatch.setattr(experiments, "parse_law", counting_parse_law)
+    res = scaling_experiment(small_config(replicates=3))
+    res.summary()
+    assert calls == ["gw(mean=1.0)"]
+    assert res.law.describe()["name"] == "gw"
 
 
 def test_simulate_contour_covers_requested_time(rng):

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 from chronoforest.stochastic import (
@@ -15,6 +17,7 @@ from chronoforest.stochastic import (
     parse_law,
     random_verification_law,
 )
+from chronoforest.stochastic.laws import _sort_ages_desc
 
 DESCRIBE_KEYS = {"name", "mean_offspring", "mean_v", "mean_ystar", "arithmetic", "span"}
 
@@ -202,3 +205,59 @@ def test_stable_family_counts_are_heavy_tailed(rng):
     assert np.mean(counts == 1) == pytest.approx(p1, abs=0.01)
     assert np.mean(counts == 0) == pytest.approx(1.0 - zeta(2.5) / zeta(1.5), abs=0.01)
     assert counts.max() > 100  # the tail really is polynomial
+
+
+def lexsort_ages_desc(ages, counts):
+    """Reference sort: stable by stick, then by descending age."""
+    ids = np.repeat(np.arange(len(counts)), counts)
+    return ages[np.lexsort((-ages, ids))]
+
+
+def assert_sorts_like_lexsort(ages, counts):
+    ages = np.asarray(ages, dtype=float)
+    counts = np.asarray(counts, dtype=np.int64)
+    got = _sort_ages_desc(ages, counts)
+    want = lexsort_ages_desc(ages, counts)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@st.composite
+def flat_sticks(draw):
+    counts = draw(st.lists(st.integers(0, 6), max_size=40))
+    if draw(st.booleans()):
+        age = st.integers(1, 10).map(lambda k: k / 10)  # lattice: many ties
+    else:
+        age = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+    ages = draw(st.lists(age, min_size=sum(counts), max_size=sum(counts)))
+    return ages, counts
+
+
+@given(flat_sticks())
+def test_sort_ages_desc_matches_lexsort(case):
+    assert_sorts_like_lexsort(*case)
+
+
+def test_sort_ages_desc_seeded_cases(rng):
+    assert_sorts_like_lexsort([], [])
+    assert_sorts_like_lexsort([], [0, 0, 0])
+    assert_sorts_like_lexsort(rng.random(50), np.ones(50, dtype=np.int64))
+    # 0.1-lattice ties within a stick and across sticks
+    counts = rng.integers(0, 8, 300)
+    assert_sorts_like_lexsort(rng.integers(1, 11, counts.sum()) / 10, counts)
+    assert_sorts_like_lexsort([0.3, 0.3, 0.7, 0.3, 0.7, 0.7, 0.3], [3, 4])
+    # one stick with 1e4 atoms
+    assert_sorts_like_lexsort(rng.random(10_000), [10_000])
+    assert_sorts_like_lexsort(rng.integers(1, 11, 10_000) / 10, [10_000])
+
+
+def test_sort_ages_desc_family_gen_layout(rng):
+    # family-gen lays out log1p(count) first and age-1 atoms after it
+    law = StableFamilyLaw("generalized", alpha=1.5, age_map="log1p")
+    counts = law.sample_counts(rng, 2000)
+    offsets = StickBatch.offsets_for(counts)
+    ages = np.ones(counts.sum())
+    ages[offsets[:-1][counts > 0]] = np.log1p(counts[counts > 0])
+    assert_sorts_like_lexsort(ages, counts)
+    batch = law.sample_batch(rng, 2000)
+    assert np.all(batch.ages[batch.offsets[:-1][batch.counts > 0]] == np.log1p(batch.counts[batch.counts > 0]))

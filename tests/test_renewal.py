@@ -120,6 +120,19 @@ def test_ladder_acceptance_probability_subcritical(rng):
     assert abs(frac - 0.6) < 4 * se + 1e-3
 
 
+def test_ladder_rejections_split_by_cause(rng):
+    law = GeometricUniformLaw(mean_offspring=0.6, v=1.0)
+    # a tiny envelope abandons every walk still below 0 after the first block
+    stats = sample_ladder_stats(law, rng, 2000, envelope=0.5)
+    assert np.array_equal(stats.abandoned, ~stats.accepted)
+    assert stats.abandoned.any()
+    # a tiny step cap rejects before the default envelope is ever reached
+    stats = sample_ladder_stats(law, rng, 2000, step_cap=2)
+    assert not stats.abandoned.any()
+    assert (~stats.accepted).any()
+    assert np.all(stats.tau[stats.accepted] <= 2)
+
+
 def test_ystar_single_atom_law(rng):
     law = ConstantStickLaw(1.0, [0.7])
     ys = sample_ystars(law, rng, 1000)
