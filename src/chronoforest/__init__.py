@@ -14,12 +14,8 @@ from .measures import (
     PointMeasure,
     SpineSeq,
     Stick,
-    concat,
-    mass,
     sticks_from_json,
     sticks_to_json,
-    sup_support,
-    truncate_largest,
 )
 from .forest import (
     ChronForest,
@@ -48,7 +44,6 @@ from .lukasiewicz import (
 )
 from .spine import (
     IdentityReport,
-    SpineState,
     height_profile,
     height_profile_arrays,
     phi,
@@ -66,12 +61,8 @@ __all__ = [
     "PointMeasure",
     "SpineSeq",
     "Stick",
-    "concat",
-    "mass",
     "sticks_from_json",
     "sticks_to_json",
-    "sup_support",
-    "truncate_largest",
     "ChronForest",
     "ContourPath",
     "ForestNode",
@@ -94,7 +85,6 @@ __all__ = [
     "mrca",
     "walk",
     "IdentityReport",
-    "SpineState",
     "height_profile",
     "height_profile_arrays",
     "phi",

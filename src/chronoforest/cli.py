@@ -228,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--input", help="sticks JSON file ('-' for stdin)")
     p_build.add_argument("--law", help="law spec to sample sticks from")
     p_build.add_argument("--n", type=nonnegative_int, default=100, help="sticks to sample with --law")
-    p_build.add_argument("--seed", type=int, help="seed for --law sampling")
+    p_build.add_argument("--seed", type=nonnegative_int, help="seed for --law sampling")
     p_build.add_argument("--forest-out", help="forest CSV path (default stdout)")
     p_build.add_argument("--contour-out", help="contour polyline CSV path")
     p_build.add_argument("--sticks-out", help="write the (possibly sampled) sticks as JSON")
@@ -237,7 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="cross-check walk/spine/forest identities")
     p_verify.add_argument("--input", help="sticks JSON file to verify instead of random draws")
-    p_verify.add_argument("--seed", type=int, default=0)
+    p_verify.add_argument("--seed", type=nonnegative_int, default=0)
     p_verify.add_argument("--forests", type=nonnegative_int, default=20)
     p_verify.add_argument("--max-sticks", type=int_at_least(3), default=60)
     p_verify.add_argument("--pairs", type=nonnegative_int, default=40, help="index pairs per forest")
@@ -245,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_renewal = sub.add_parser("renewal", help="Monte Carlo renewal diagnostics for a law")
     p_renewal.add_argument("--law", required=True)
-    p_renewal.add_argument("--seed", type=int, required=True)
+    p_renewal.add_argument("--seed", type=nonnegative_int, required=True)
     p_renewal.add_argument("--draws", type=int_at_least(2), default=20000)
     p_renewal.add_argument("--step-cap", type=int_at_least(1), default=1_000_000)
     p_renewal.set_defaults(func=_cmd_renewal)
@@ -256,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_couple.add_argument("--t", type=float, required=True)
     p_couple.add_argument("--m", type=int, default=3)
     p_couple.add_argument("--replicas", type=nonnegative_int, default=100)
-    p_couple.add_argument("--seed", type=int, required=True)
+    p_couple.add_argument("--seed", type=nonnegative_int, required=True)
     p_couple.add_argument("--budget", type=nonnegative_int, default=200_000)
     p_couple.set_defaults(func=_cmd_couple)
 
@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--p", help="comma-separated population sizes")
     p_scale.add_argument("--times", default="0.5,1.0")
     p_scale.add_argument("--replicates", type=int, default=20)
-    p_scale.add_argument("--seed", type=int, default=0)
+    p_scale.add_argument("--seed", type=nonnegative_int, default=0)
     p_scale.add_argument("--workers", type=int_at_least(1), default=1)
     p_scale.add_argument("--out", help="rows CSV path (default stdout)")
     p_scale.add_argument("--summary-out", help="summary JSON path")

@@ -3,8 +3,8 @@
 The elementary datum of the whole package is a *stick*: a life length ``v``
 together with a finite point measure of birth ages supported on ``(0, v]``.
 A forest is grown from a sequence of sticks, and every functional downstream
-(spines, ladder decompositions, contours) is built out of three measure
-operations:
+(spines, ladder decompositions, contours) is built out of three
+``PointMeasure`` operations:
 
 * ``mass`` -- number of atoms, counted with multiplicity;
 * ``sup_support`` -- the largest atom (0 for the zero measure);
@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -40,11 +40,6 @@ __all__ = [
     "StickBatch",
     "SpineSeq",
     "EMPTY_SPINE",
-    "mass",
-    "sup_support",
-    "truncate_largest",
-    "concat",
-    "as_spine_seq",
     "sticks_to_json",
     "sticks_from_json",
 ]
@@ -286,38 +281,6 @@ class SpineSeq:
 
 #: The empty spine sequence.
 EMPTY_SPINE = SpineSeq()
-
-MeasureLike = Union[PointMeasure, SpineSeq]
-
-
-def as_spine_seq(x: MeasureLike) -> SpineSeq:
-    """Lift a point measure to a sequence; the zero measure lifts to empty."""
-    if isinstance(x, SpineSeq):
-        return x
-    if isinstance(x, PointMeasure):
-        return EMPTY_SPINE if x.is_zero else SpineSeq((x,))
-    raise TypeError(f"expected PointMeasure or SpineSeq, got {type(x).__name__}")
-
-
-def mass(m: PointMeasure) -> int:
-    return m.mass
-
-
-def sup_support(m: MeasureLike) -> float:
-    return m.sup_support
-
-
-def truncate_largest(m: PointMeasure, k: int) -> PointMeasure:
-    return m.truncate_largest(k)
-
-
-def concat(a: MeasureLike, b: MeasureLike) -> SpineSeq:
-    """Concatenate, treating zero measures / empty sequences as neutral.
-
-    Both ``length`` and ``sup_support`` are additive under concatenation.
-    """
-    return SpineSeq(as_spine_seq(a).elements + as_spine_seq(b).elements)
-
 
 def sticks_to_json(sticks: Sequence[Stick]) -> str:
     return json.dumps([s.to_json() for s in sticks])

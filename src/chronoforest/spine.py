@@ -48,7 +48,6 @@ from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick, StickBatch
 
 __all__ = [
     "phi",
-    "SpineState",
     "spine_process",
     "spine_states",
     "shifted_spine",
@@ -73,25 +72,11 @@ def phi(y: SpineSeq, births: PointMeasure) -> SpineSeq:
     return SpineSeq(elems[: k - 1] + (elems[k - 1].truncate_largest(1),))
 
 
-@dataclass(frozen=True)
-class SpineState:
-    """Spine sequence of a focal individual, with its derived chronology."""
+def spine_process(sticks: Sequence[Stick], n: Optional[int] = None) -> SpineSeq:
+    """Spine sequence of individual n (default: one past the last stick).
 
-    spine: SpineSeq
-
-    @property
-    def height(self) -> float:
-        """Birth time of the focal individual."""
-        return self.spine.sup_support
-
-    @property
-    def depth(self) -> int:
-        """Generation (number of ancestors)."""
-        return self.spine.length
-
-
-def spine_process(sticks: Sequence[Stick], n: Optional[int] = None) -> SpineState:
-    """Spine state of individual n (default: one past the last stick)."""
+    Its ``sup_support`` is n's birth time and its ``length`` n's generation.
+    """
     if n is None:
         n = len(sticks)
     if not 0 <= n <= len(sticks):
@@ -99,7 +84,7 @@ def spine_process(sticks: Sequence[Stick], n: Optional[int] = None) -> SpineStat
     y = EMPTY_SPINE
     for i in range(n):
         y = phi(y, sticks[i].births)
-    return SpineState(y)
+    return y
 
 
 def spine_states(sticks: Sequence[Stick]) -> list[SpineSeq]:

@@ -161,7 +161,7 @@ def run_coupling(
     if meet_budget < 0 or walk_budget < 0:
         raise ValueError(f"budgets must be >= 0, got {meet_budget} and {walk_budget}")
 
-    alpha = 2.0 * float(law.sample_v(rng))
+    alpha = 2.0 * float(law.life.sample(rng))
     alpha_prime = 2.0 * float(sample_vhat(law, rng))
     walk = _WalkState(alpha)
     walk_prime = _WalkState(alpha_prime)

@@ -1,23 +1,33 @@
 """Stick laws: samplers for (life length, birth-age measure) pairs.
 
-A law provides vectorized draws of child counts, life lengths and birth
-ages, plus the biased variants the renewal theory needs:
+An individual lives for an arbitrary duration and gives birth at arbitrary
+times during its life, so a stick law is three parts, each owning its
+draws, its means and its parameter checks:
 
-* counts biased by their own size (for the uniformly-picked-atom age);
-* life lengths biased by their length (the stick covering a stationary
-  inspection time).
+* a count part (geometric, fixed or two-point, stable family): child
+  counts, their pmf and the counts biased by their own size (for the
+  uniformly-picked-atom age);
+* a life part (constant, exponential, 1 + count): life lengths given the
+  counts, and lengths biased by their length (the stick covering a
+  stationary inspection time);
+* an age part (uniform or lattice on (0, v], fixed atoms, one first atom
+  then ones): birth ages given counts and lives, non-increasing within
+  each stick.
 
-Descriptor attributes expose the means that the scaling limits are built
-from: ``mean_offspring``, ``mean_v`` and ``mean_ystar`` (the expected total
-of birth ages per stick, which for a critical law equals the mean age of a
-uniformly chosen atom of the size-biased stick).  ``arithmetic`` says
-whether life lengths live on a lattice (with ``span`` the mesh).
+``StickLaw(name, counts, life, ages)`` assembles the draws and derives the
+descriptors the scaling limits are built from: ``mean_offspring``,
+``mean_v`` and ``mean_ystar`` (the expected total of birth ages per stick,
+which for a critical law equals the mean age of a uniformly chosen atom of
+the size-biased stick).  ``arithmetic`` says whether life lengths live on a
+lattice (with ``span`` the mesh).  The named laws only choose their parts.
 """
 
 from __future__ import annotations
 
+import inspect
+import math
 import re
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,7 +42,6 @@ __all__ = [
     "GaltonWatsonUnitLaw",
     "ExponentialUniformLaw",
     "StableFamilyLaw",
-    "AGE_MAPS",
     "parse_law",
     "random_verification_law",
 ]
@@ -53,365 +62,119 @@ def _sort_ages_desc(ages: np.ndarray, counts: np.ndarray) -> np.ndarray:
     return -keys.imag
 
 
-class StickLaw:
-    """Base class; subclasses fill in the samplers and descriptors."""
-
-    name: str = "stick-law"
-    mean_offspring: float
-    mean_v: float
-    mean_ystar: Optional[float]  # E of the total of birth ages per stick
-    arithmetic: bool
-    span: Optional[float]
-    eps_rule: str = "invsqrt"
-
-    # -- core samplers -------------------------------------------------
-    def sample_counts(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample_v(self, rng: np.random.Generator, size=None):
-        """Life lengths, marginally (independent of counts by default)."""
-        raise NotImplementedError
-
-    def sample_v_given_counts(self, rng: np.random.Generator, counts: np.ndarray):
-        return self.sample_v(rng, np.shape(counts) if np.ndim(counts) else None)
-
-    def sample_ages_flat(
-        self, rng: np.random.Generator, counts: np.ndarray, v: np.ndarray
-    ) -> np.ndarray:
-        """Flat array of birth ages, non-increasing within each stick."""
-        raise NotImplementedError
-
-    # -- biased variants ------------------------------------------------
-    def sample_sizebiased_counts(self, rng: np.random.Generator, size=None) -> np.ndarray:
-        raise NotImplementedError
-
-    def sample_length_biased_v(self, rng: np.random.Generator, size=None):
-        raise NotImplementedError
-
-    def count_pmf(self, kmax: int) -> Optional[np.ndarray]:
-        """Offspring pmf on 0..kmax, or None when not available in closed form."""
-        return None
-
-    # -- assembled draws -------------------------------------------------
-    def sample_batch(self, rng: np.random.Generator, n: int) -> StickBatch:
-        counts = self.sample_counts(rng, n)
-        v = np.asarray(self.sample_v_given_counts(rng, counts), dtype=float)
-        ages = self.sample_ages_flat(rng, counts, v)
-        return StickBatch(counts, v, ages)
-
-    def sample_stick(self, rng: np.random.Generator) -> Stick:
-        return self.sample_batch(rng, 1).stick(0)
-
-    def sample_ystars(self, rng: np.random.Generator, n: int) -> np.ndarray:
-        """Ages of a uniformly chosen atom of size-biased sticks.
-
-        Default: materialize the size-biased sticks and pick one atom each.
-        Laws with heavy-tailed size-biased counts override this with an
-        equivalent draw that avoids materializing huge sticks.
-        """
-        counts = self.sample_sizebiased_counts(rng, n)
-        if np.any(counts < 1):
-            raise ValueError("size-biased counts must be >= 1")
-        v = np.asarray(self.sample_v_given_counts(rng, counts), dtype=float)
-        ages = self.sample_ages_flat(rng, counts, v)
-        offsets = StickBatch.offsets_for(counts)
-        picks = offsets[:-1] + rng.integers(0, counts)
-        return ages[picks]
-
-    def describe(self) -> dict:
-        return {
-            "name": self.name,
-            "mean_offspring": self.mean_offspring,
-            "mean_v": self.mean_v,
-            "mean_ystar": self.mean_ystar,
-            "arithmetic": self.arithmetic,
-            "span": self.span,
-        }
+def _positive_finite(what: str, x: float) -> float:
+    x = float(x)
+    if not 0.0 < x < math.inf:
+        raise ValueError(f"{what} must be positive and finite, got {x!r}")
+    return x
 
 
-def _uniform_ages(rng, counts, v) -> np.ndarray:
-    """I.i.d. ages uniform on (0, v], flattened and sorted descending."""
-    reps = np.repeat(np.asarray(v, dtype=float), counts)
-    ages = reps * (1.0 - rng.random(reps.shape))
-    return _sort_ages_desc(ages, counts)
+def _no_children() -> ValueError:
+    return ValueError("size-biased count undefined: offspring is always 0")
 
 
-class ConstantStickLaw(StickLaw):
-    """Every stick identical: fixed life length and fixed birth ages."""
-
-    def __init__(self, v: float = 1.0, ages: Sequence[float] = (), arithmetic: bool = True):
-        self.fixed = Stick(float(v), PointMeasure(ages))
-        self.name = "const"
-        self.mean_offspring = float(self.fixed.births.mass)
-        self.mean_v = float(v)
-        self.mean_ystar = self.fixed.births.age_integral()
-        self.arithmetic = bool(arithmetic)
-        self.span = float(v) if arithmetic else None
-
-    def sample_counts(self, rng, size=None):
-        return np.full(size if size is not None else (), self.fixed.births.mass, dtype=np.int64)
-
-    def sample_v(self, rng, size=None):
-        return np.full(size, self.fixed.v) if size is not None else self.fixed.v
-
-    def sample_ages_flat(self, rng, counts, v):
-        return np.tile(np.asarray(self.fixed.births.atoms), int(np.size(counts)))
-
-    def sample_sizebiased_counts(self, rng, size=None):
-        if self.fixed.births.mass == 0:
-            raise ValueError("size-biased count undefined: offspring is always 0")
-        return self.sample_counts(rng, size)
-
-    def sample_length_biased_v(self, rng, size=None):
-        return self.sample_v(rng, size)
-
-    def count_pmf(self, kmax):
-        pmf = np.zeros(kmax + 1)
-        if self.fixed.births.mass <= kmax:
-            pmf[self.fixed.births.mass] = 1.0
-        return pmf
+# -- count parts ---------------------------------------------------------
 
 
-class _GeometricCountLaw(StickLaw):
-    """Shared offspring part of the geometric laws.
+class GeometricCounts:
+    """Counts with pmf q(1-q)^k on k >= 0, where q = 1/(1+mean)."""
 
-    Counts have pmf q(1-q)^k on k >= 0 with q = 1/(1+mean); subclasses
-    supply the life lengths and birth ages.
-    """
+    eps_rule = "invsqrt"
 
-    def __init__(self, mean_offspring: float):
-        if mean_offspring < 0:
-            raise ValueError("mean offspring must be >= 0")
-        self.mean_offspring = float(mean_offspring)
-        self.q = 1.0 / (1.0 + self.mean_offspring)
+    def __init__(self, mean: float):
+        if not 0.0 <= mean < math.inf:
+            raise ValueError(f"mean offspring must be >= 0 and finite, got {mean!r}")
+        self.mean = float(mean)
+        self.q = 1.0 / (1.0 + self.mean)
 
-    def sample_counts(self, rng, size=None):
+    def sample(self, rng, size=None):
         return rng.geometric(self.q, size=size) - 1
 
-    def sample_sizebiased_counts(self, rng, size=None):
+    def sizebiased(self, rng, size=None):
         # k * q(1-q)^k / mean == (j+1) q^2 (1-q)^j at k = j+1: negative
         # binomial with 2 successes, shifted by one.
-        if self.mean_offspring == 0:
-            raise ValueError("size-biased count undefined: offspring is always 0")
+        if self.mean == 0:
+            raise _no_children()
         return 1 + rng.negative_binomial(2, self.q, size=size)
 
-    def count_pmf(self, kmax):
-        k = np.arange(kmax + 1)
-        return self.q * (1.0 - self.q) ** k
+    def pmf(self, kmax: int) -> np.ndarray:
+        return self.q * (1.0 - self.q) ** np.arange(kmax + 1)
 
 
-class GeometricUniformLaw(_GeometricCountLaw):
-    """Geometric offspring counts, constant life length v, uniform ages.
+class FixedCounts:
+    """Always k children; given ``p``, k children with probability p and
+    none otherwise (one uniform draw per stick)."""
 
-    Ages are i.i.d. uniform on (0, v]; with ``lattice=L`` they are instead
-    uniform on {v/L, 2v/L, ..., v}, which creates plenty of ties.
-    """
+    eps_rule = "invsqrt"
 
-    def __init__(self, mean_offspring: float = 1.0, v: float = 1.0, lattice: Optional[int] = None):
-        super().__init__(mean_offspring)
-        self.name = "geo-uniform" if lattice is None else "geo-lattice"
-        self.vconst = float(v)
-        self.lattice = lattice
-        self.mean_v = float(v)
-        if lattice is None:
-            mean_age = v / 2.0
-        else:
-            mean_age = v * (lattice + 1) / (2.0 * lattice)
-        self.mean_ystar = self.mean_offspring * mean_age
-        self.arithmetic = True  # V is constant
-        self.span = float(v)
+    def __init__(self, k: int, p: Optional[float] = None):
+        if p is not None and not 0 <= p <= 1:
+            raise ValueError(f"p must be in [0, 1], got {p!r}")
+        self.k = int(k)
+        self.coin = p is not None
+        self.p = float(p) if self.coin else 1.0
+        self.mean = self.k * self.p
 
-    def sample_v(self, rng, size=None):
-        return np.full(size, self.vconst) if size is not None else self.vconst
+    def sample(self, rng, size=None):
+        if self.coin:
+            return self.k * (rng.random(size) < self.p).astype(np.int64)
+        return np.full(size if size is not None else (), self.k, dtype=np.int64)
 
-    def sample_ages_flat(self, rng, counts, v):
-        if self.lattice is None:
-            return _uniform_ages(rng, counts, v)
-        total = int(np.sum(counts))
-        ages = self.vconst * rng.integers(1, self.lattice + 1, size=total) / self.lattice
-        return _sort_ages_desc(ages, counts)
+    def sizebiased(self, rng, size=None):
+        # biased by its size, a count of k or 0 is always k
+        if self.mean == 0:
+            raise _no_children()
+        return FixedCounts(self.k).sample(rng, size)
 
-    def sample_length_biased_v(self, rng, size=None):
-        return self.sample_v(rng, size)
-
-
-class TwoPointAgesLaw(StickLaw):
-    """Either no children, or exactly two at fixed ages.
-
-    The classical binary-splitting example: counts are 0 or 2, the two birth
-    ages are deterministic.
-    """
-
-    def __init__(self, ages: tuple[float, float] = (1.0, 0.5), p2: float = 0.5, v: Optional[float] = None):
-        if not 0 <= p2 <= 1:
-            raise ValueError("p2 must be in [0, 1]")
-        self.pair = tuple(sorted((float(ages[0]), float(ages[1])), reverse=True))
-        self.p2 = float(p2)
-        self.vconst = float(v) if v is not None else max(self.pair)
-        if self.pair[0] > self.vconst:
-            raise ValueError("ages must fit inside the life length")
-        self.name = "two-point"
-        self.mean_offspring = 2.0 * p2
-        self.mean_v = self.vconst
-        self.mean_ystar = p2 * (self.pair[0] + self.pair[1])
-        self.arithmetic = True
-        self.span = self.vconst
-
-    def sample_counts(self, rng, size=None):
-        return 2 * (rng.random(size) < self.p2).astype(np.int64)
-
-    def sample_v(self, rng, size=None):
-        return np.full(size, self.vconst) if size is not None else self.vconst
-
-    def sample_ages_flat(self, rng, counts, v):
-        n2 = int(np.sum(np.asarray(counts) == 2))
-        return np.tile(np.asarray(self.pair), n2)
-
-    def sample_sizebiased_counts(self, rng, size=None):
-        if self.p2 == 0:
-            raise ValueError("size-biased count undefined: offspring is always 0")
-        return np.full(size if size is not None else (), 2, dtype=np.int64)
-
-    def sample_length_biased_v(self, rng, size=None):
-        return self.sample_v(rng, size)
-
-    def count_pmf(self, kmax):
+    def pmf(self, kmax: int) -> np.ndarray:
         pmf = np.zeros(kmax + 1)
-        pmf[0] = 1.0 - self.p2
-        if kmax >= 2:
-            pmf[2] = self.p2
+        pmf[0] = 1.0 - self.p
+        if self.k <= kmax:
+            pmf[self.k] = self.p
         return pmf
 
 
-class GaltonWatsonUnitLaw(_GeometricCountLaw):
-    """Unit life lengths, all births at age 1: the image of the
-    genealogical collapse.  Offspring counts are geometric with the given
-    mean.  Chronological height and generation coincide exactly on these
-    forests."""
+class StableCounts:
+    """Counts with pmf k^-(alpha+1) / zeta(alpha) on k >= 1 and the
+    complementary mass ``p0`` at 0; the mean is exactly 1 for every alpha
+    in (1, 2]."""
 
-    def __init__(self, mean_offspring: float = 1.0):
-        super().__init__(mean_offspring)
-        self.name = "gw"
-        self.mean_v = 1.0
-        self.mean_ystar = self.mean_offspring
-        self.arithmetic = True
-        self.span = 1.0
+    mean = 1.0
 
-    def sample_v(self, rng, size=None):
-        return np.ones(size) if size is not None else 1.0
-
-    def sample_ages_flat(self, rng, counts, v):
-        return np.ones(int(np.sum(counts)))
-
-    def sample_length_biased_v(self, rng, size=None):
-        return self.sample_v(rng, size)
-
-
-class ExponentialUniformLaw(_GeometricCountLaw):
-    """Exponential life lengths, geometric counts, uniform ages.
-
-    The non-arithmetic workhorse: the stationary overshoot of an
-    exponential life length is again exponential.
-    """
-
-    def __init__(self, rate: float = 1.0, mean_offspring: float = 1.0):
-        if rate <= 0:
-            raise ValueError("rate must be positive")
-        super().__init__(mean_offspring)
-        self.name = "exp-uniform"
-        self.rate = float(rate)
-        self.mean_v = 1.0 / rate
-        self.mean_ystar = self.mean_offspring * self.mean_v / 2.0
-        self.arithmetic = False
-        self.span = None
-
-    def sample_v(self, rng, size=None):
-        return rng.exponential(1.0 / self.rate, size=size)
-
-    def sample_ages_flat(self, rng, counts, v):
-        return _uniform_ages(rng, counts, v)
-
-    def sample_length_biased_v(self, rng, size=None):
-        # density v * rate * exp(-rate v) / E V = Gamma(2, 1/rate)
-        return rng.gamma(2.0, 1.0 / self.rate, size=size)
-
-
-def _age_map_identity(k: np.ndarray) -> np.ndarray:
-    return k.astype(float)
-
-
-def _age_map_sqrt(k: np.ndarray) -> np.ndarray:
-    return np.sqrt(k)
-
-
-def _age_map_log1p(k: np.ndarray) -> np.ndarray:
-    return np.log1p(k)
-
-
-AGE_MAPS: dict[str, Callable[[np.ndarray], np.ndarray]] = {
-    "identity": _age_map_identity,
-    "sqrt": _age_map_sqrt,
-    "log1p": _age_map_log1p,
-}
-
-
-class StableFamilyLaw(StickLaw):
-    """Critical heavy-tailed examples with life length 1 + count.
-
-    Offspring counts have pmf k^-(alpha+1) / zeta(alpha) on k >= 1 and the
-    complementary mass at 0; the count mean is exactly 1 for every alpha in
-    (1, 2].  Three variants share the counts and life lengths and differ in
-    the ages:
-
-    * variant 1 -- all births at age 1;
-    * variant 2 -- one birth at age = count, the rest at age 1;
-    * variant "generalized" -- one birth at age ``age_map(count)``, the rest
-      at age 1.
-
-    A childless stick carries the zero measure (variant 2's formal "atom at
-    age 0" is not realizable, which shifts the mean total age to
-    1 + P(count = 0) instead of the idealized 1).
-    """
-
-    def __init__(self, variant: str = "1", alpha: float = 1.5, age_map: Optional[str] = None):
+    def __init__(self, alpha: float):
         if not 1.0 < alpha <= 2.0:
-            raise ValueError("alpha must be in (1, 2]")
-        variant = str(variant)
-        if variant not in {"1", "2", "generalized"}:
-            raise ValueError(f"unknown variant {variant!r}")
-        if variant == "generalized":
-            if age_map is None:
-                age_map = "sqrt"
-            if age_map not in AGE_MAPS:
-                raise ValueError(f"unknown age map {age_map!r}; options: {sorted(AGE_MAPS)}")
-        self.variant = variant
-        self.alpha = float(alpha)
-        self.age_map_name = age_map
-        self.name = f"family{variant}" if variant != "generalized" else f"family-gen-{age_map}"
+            raise ValueError(f"alpha must be in (1, 2], got {alpha!r}")
         from scipy.special import zeta
 
+        self.alpha = float(alpha)
+        self.eps_rule = f"stable:{alpha}"
         self.z_a = float(zeta(alpha))
         self.z_a1 = float(zeta(alpha + 1.0))
         self.p0 = 1.0 - self.z_a1 / self.z_a
-        self.mean_offspring = 1.0
-        self.mean_v = 2.0
-        if variant == "1":
-            self.mean_ystar = 1.0
-        elif variant == "2":
-            self.mean_ystar = 1.0 + self.p0
-        else:
-            self.mean_ystar = self.p0 + self._series_mean_mapped_age()
-        self.arithmetic = True
-        self.span = 1.0
-        self.eps_rule = f"stable:{alpha}"
 
-    def _series_mean_mapped_age(self) -> float:
-        # sum f(k) k^-(alpha+1) / zeta(alpha) over k >= 1: explicit terms up
-        # to a cutoff, then an integral tail (the summand is decreasing out
-        # there, so the swap error is below the last term, ~ cutoff^-2).
+    def sample(self, rng, size=None):
+        nonzero = rng.random(size) < self.z_a1 / self.z_a
+        z = rng.zipf(self.alpha + 1.0, size=size)
+        return np.where(nonzero, z, 0).astype(np.int64)
+
+    def sizebiased(self, rng, size=None):
+        # k * p_k has pmf k^-alpha / zeta(alpha): a plain Zipf(alpha) draw.
+        return rng.zipf(self.alpha, size=size)
+
+    def pmf(self, kmax: int) -> np.ndarray:
+        k = np.arange(1, kmax + 1, dtype=float)
+        pmf = np.zeros(kmax + 1)
+        pmf[0] = self.p0
+        pmf[1:] = k ** -(self.alpha + 1.0) / self.z_a
+        return pmf
+
+    def mean_of(self, f) -> float:
+        """E f(count); f(0) does not count (childless sticks carry no atom)."""
+        # explicit terms up to a cutoff, then an integral tail (the summand
+        # is decreasing out there, so the swap error is below the last term,
+        # ~ cutoff^-2)
         from scipy.integrate import quad
 
-        f = AGE_MAPS[self.age_map_name]
         cutoff = 1 << 22
         total = 0.0
         for k0 in range(1, cutoff, 1 << 20):
@@ -424,71 +187,337 @@ class StableFamilyLaw(StickLaw):
         )
         return (total + tail) / self.z_a
 
-    def sample_counts(self, rng, size=None):
-        nonzero = rng.random(size) < self.z_a1 / self.z_a
-        z = rng.zipf(self.alpha + 1.0, size=size)
-        return np.where(nonzero, z, 0).astype(np.int64)
 
-    def sample_v(self, rng, size=None):
-        return 1.0 + self.sample_counts(rng, size)
+# -- life parts ----------------------------------------------------------
 
-    def sample_v_given_counts(self, rng, counts):
+
+class _Life:
+    def given(self, rng, counts):
+        """Life lengths given the counts (independent of them here)."""
+        return self.sample(rng, np.shape(counts) if np.ndim(counts) else None)
+
+
+class ConstantLife(_Life):
+    """Every life has length v."""
+
+    def __init__(self, v: float, arithmetic: bool = True):
+        self.v = self.mean = _positive_finite("life length v", v)
+        self.arithmetic = bool(arithmetic)
+        self.span = self.v if arithmetic else None
+
+    def sample(self, rng, size=None):
+        return np.full(size, self.v) if size is not None else self.v
+
+    length_biased = sample
+
+
+class ExponentialLife(_Life):
+    """Exponential lives: the stationary overshoot is again exponential."""
+
+    arithmetic = False
+    span = None
+
+    def __init__(self, rate: float):
+        self.rate = _positive_finite("rate", rate)
+        self.mean = 1.0 / self.rate
+
+    def sample(self, rng, size=None):
+        return rng.exponential(1.0 / self.rate, size=size)
+
+    def length_biased(self, rng, size=None):
+        # density v * rate * exp(-rate v) / E V = Gamma(2, 1/rate)
+        return rng.gamma(2.0, 1.0 / self.rate, size=size)
+
+
+class OnePlusCountLife(_Life):
+    """Life length 1 + count, for stable-family counts."""
+
+    arithmetic = True
+    span = 1.0
+
+    def __init__(self, counts: StableCounts):
+        self.counts = counts
+        self.mean = 1.0 + counts.mean
+
+    def sample(self, rng, size=None):
+        return 1.0 + self.counts.sample(rng, size)
+
+    def given(self, rng, counts):
         return 1.0 + np.asarray(counts, dtype=float)
 
-    def _first_atom(self, counts: np.ndarray) -> np.ndarray:
-        k = np.asarray(counts, dtype=float)
-        if self.variant == "1":
-            return np.ones_like(k)
-        if self.variant == "2":
-            return k
-        return AGE_MAPS[self.age_map_name](k)
-
-    def sample_ages_flat(self, rng, counts, v):
-        counts = np.asarray(counts)
-        total = int(counts.sum())
-        ages = np.ones(total)
-        nz = counts > 0
-        first_idx = StickBatch.offsets_for(counts)[:-1][nz]
-        ages[first_idx] = self._first_atom(counts[nz])
-        if self.variant == "generalized":
-            ages = _sort_ages_desc(ages, counts)
-        return ages
-
-    def sample_sizebiased_counts(self, rng, size=None):
-        # k * p_k has pmf k^-alpha / zeta(alpha): a plain Zipf(alpha) draw.
-        return rng.zipf(self.alpha, size=size)
-
-    def sample_length_biased_v(self, rng, size=None):
+    def length_biased(self, rng, size=None):
         # (1+k) p_k / 2 splits into thirds: zero counts, a Zipf(alpha+1)
         # part, and a Zipf(alpha) part.
-        scalar = size is None
+        c = self.counts
         u = rng.random(size if size is not None else 1)
-        za, za1 = self.z_a, self.z_a1
-        w_zero = self.p0 / 2.0
-        w_z1 = za1 / (2.0 * za)
+        w_zero = c.p0 / 2.0
+        w_z1 = c.z_a1 / (2.0 * c.z_a)
         k = np.where(
             u < w_zero,
             0,
-            np.where(u < w_zero + w_z1, rng.zipf(self.alpha + 1.0, np.shape(u)), rng.zipf(self.alpha, np.shape(u))),
+            np.where(u < w_zero + w_z1, rng.zipf(c.alpha + 1.0, np.shape(u)), rng.zipf(c.alpha, np.shape(u))),
         )
         out = 1.0 + k
-        return float(out[0]) if scalar else out
+        return float(out[0]) if size is None else out
 
-    def sample_ystars(self, rng, n):
-        # A uniformly chosen atom of the size-biased stick is the special
-        # first atom with probability 1/count, else an age-1 atom; no need
-        # to materialize heavy-tailed sticks.
-        k = self.sample_sizebiased_counts(rng, n)
-        picked_first = rng.integers(0, k) == 0
-        return np.where(picked_first, self._first_atom(k), 1.0)
 
-    def count_pmf(self, kmax):
-        k = np.arange(1, kmax + 1, dtype=float)
-        pmf = np.zeros(kmax + 1)
-        pmf[0] = self.p0
-        pmf[1:] = k ** -(self.alpha + 1.0) / self.z_a
-        return pmf
+# -- age parts -----------------------------------------------------------
 
+
+class _Ages:
+    def pick(self, rng, counts, v):
+        """Age of one uniformly chosen atom per stick (counts >= 1)."""
+        ages = self.sample(rng, counts, v)
+        return ages[StickBatch.offsets_for(counts)[:-1] + rng.integers(0, counts)]
+
+
+class UniformAges(_Ages):
+    """I.i.d. ages uniform on (0, v]; with ``lattice=L`` uniform on
+    {v/L, 2v/L, ..., v} instead, which creates plenty of ties."""
+
+    def __init__(self, lattice: Optional[int] = None):
+        if lattice is not None and not (float(lattice).is_integer() and lattice >= 1):
+            raise ValueError(f"lattice must be an integer >= 1, got {lattice!r}")
+        self.lattice = None if lattice is None else int(lattice)
+
+    def sample(self, rng, counts, v):
+        reps = np.repeat(np.asarray(v, dtype=float), counts)
+        if self.lattice is None:
+            ages = reps * (1.0 - rng.random(reps.shape))
+        else:
+            ages = reps * rng.integers(1, self.lattice + 1, size=len(reps)) / self.lattice
+        return _sort_ages_desc(ages, counts)
+
+    def mean_total(self, counts, life) -> float:
+        if self.lattice is None:
+            return counts.mean * (life.mean / 2.0)
+        return counts.mean * (life.mean * (self.lattice + 1) / (2.0 * self.lattice))
+
+
+class FixedAges(_Ages):
+    """The same atoms on every stick with children; they must lie in (0, v]."""
+
+    def __init__(self, atoms: Sequence[float], v: float):
+        self.atoms = np.asarray(Stick(float(v), PointMeasure(atoms)).births.atoms, dtype=float)
+
+    def sample(self, rng, counts, v):
+        return np.tile(self.atoms, np.count_nonzero(counts))
+
+    def mean_total(self, counts: FixedCounts, life) -> float:
+        return counts.p * math.fsum(self.atoms)
+
+
+def _age_is_count(k: np.ndarray) -> np.ndarray:
+    return k
+
+
+# module-level maps (not lambdas), so that laws pickle for the worker pool
+_AGE_MAPS = {"identity": _age_is_count, "sqrt": np.sqrt, "log1p": np.log1p}
+
+
+class FirstAtomAges(_Ages):
+    """One atom at age ``first(count)`` and the others at age 1 (every atom
+    at age 1 when ``first`` is None).
+
+    Every map here keeps the first atom on top (``first(k) >= 1`` for
+    k >= 2), so the ages come out non-increasing without a sort.
+    ``first_mean`` is E first(count) over counts >= 1; with a mean-one
+    count law the expected total age is then P(count = 0) + first_mean.
+    """
+
+    def __init__(self, first=None, first_mean: float = 0.0):
+        self.first = first
+        self.first_mean = first_mean
+
+    def sample(self, rng, counts, v):
+        ages = np.ones(int(np.sum(counts)))
+        if self.first is not None:
+            nz = counts > 0
+            ages[StickBatch.offsets_for(counts)[:-1][nz]] = self.first(counts[nz].astype(float))
+        return ages
+
+    def pick(self, rng, counts, v):
+        # A uniformly chosen atom is the first one with probability 1/count,
+        # else an age-1 atom; no need to materialize heavy-tailed sticks.
+        picked_first = rng.integers(0, counts) == 0
+        first = 1.0 if self.first is None else self.first(np.asarray(counts, dtype=float))
+        return np.where(picked_first, first, 1.0)
+
+    def mean_total(self, counts, life) -> float:
+        if self.first is None:
+            return counts.mean
+        return counts.p0 + self.first_mean
+
+
+# -- assembled laws ------------------------------------------------------
+
+
+class StickLaw:
+    """A count, a life and an age part, and the draws assembled from them."""
+
+    def __init__(self, name: str, counts, life, ages):
+        self.name = name
+        self.counts = counts
+        self.life = life
+        self.ages = ages
+        self.mean_offspring = counts.mean
+        self.mean_v = life.mean
+        self.mean_ystar = ages.mean_total(counts, life)
+        self.arithmetic = life.arithmetic
+        self.span = life.span
+        self.eps_rule = counts.eps_rule
+
+    def sample_batch(self, rng: np.random.Generator, n: int) -> StickBatch:
+        counts = self.counts.sample(rng, n)
+        v = np.asarray(self.life.given(rng, counts), dtype=float)
+        return StickBatch(counts, v, self.ages.sample(rng, counts, v))
+
+    def sample_stick(self, rng: np.random.Generator) -> Stick:
+        return self.sample_batch(rng, 1).stick(0)
+
+    def sample_ystars(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """Ages of a uniformly chosen atom of n size-biased sticks."""
+        counts = self.counts.sizebiased(rng, n)
+        if np.any(counts < 1):
+            raise ValueError("size-biased counts must be >= 1")
+        v = np.asarray(self.life.given(rng, counts), dtype=float)
+        return self.ages.pick(rng, counts, v)
+
+    def describe(self) -> dict:
+        return {
+            "name": self.name,
+            "mean_offspring": self.mean_offspring,
+            "mean_v": self.mean_v,
+            "mean_ystar": self.mean_ystar,
+            "arithmetic": self.arithmetic,
+            "span": self.span,
+        }
+
+
+class ConstantStickLaw(StickLaw):
+    """Every stick identical: fixed life length and fixed birth ages."""
+
+    def __init__(self, v: float = 1.0, ages: Sequence[float] = (), arithmetic: bool = True):
+        life = ConstantLife(v, arithmetic)
+        fixed = FixedAges(ages, v)
+        super().__init__("const", FixedCounts(len(fixed.atoms)), life, fixed)
+
+
+class GeometricUniformLaw(StickLaw):
+    """Geometric offspring counts, constant life length v, uniform ages
+    (on a lattice of ``lattice`` steps when given)."""
+
+    def __init__(self, mean_offspring: float = 1.0, v: float = 1.0, lattice: Optional[int] = None):
+        super().__init__(
+            "geo-uniform" if lattice is None else "geo-lattice",
+            GeometricCounts(mean_offspring),
+            ConstantLife(v),
+            UniformAges(lattice),
+        )
+
+
+class TwoPointAgesLaw(StickLaw):
+    """Either no children, or exactly two at fixed ages.
+
+    The classical binary-splitting example: counts are 0 or 2, the two birth
+    ages are deterministic; the life length defaults to the older age.
+    """
+
+    def __init__(self, ages: tuple[float, float] = (1.0, 0.5), p2: float = 0.5, v: Optional[float] = None):
+        counts = FixedCounts(len(ages), p2)
+        life = ConstantLife(max(ages) if v is None else v)
+        super().__init__("two-point", counts, life, FixedAges(ages, life.v))
+
+
+class GaltonWatsonUnitLaw(StickLaw):
+    """Unit life lengths, all births at age 1: the image of the
+    genealogical collapse.  Offspring counts are geometric with the given
+    mean.  Chronological height and generation coincide exactly on these
+    forests."""
+
+    def __init__(self, mean_offspring: float = 1.0):
+        super().__init__("gw", GeometricCounts(mean_offspring), ConstantLife(1.0), FirstAtomAges())
+
+
+class ExponentialUniformLaw(StickLaw):
+    """Exponential life lengths, geometric counts, uniform ages: the
+    non-arithmetic workhorse."""
+
+    def __init__(self, rate: float = 1.0, mean_offspring: float = 1.0):
+        life = ExponentialLife(rate)
+        super().__init__("exp-uniform", GeometricCounts(mean_offspring), life, UniformAges())
+
+
+class StableFamilyLaw(StickLaw):
+    """Critical heavy-tailed examples: stable counts, life length 1 + count.
+
+    Three variants differ in the ages:
+
+    * variant 1 -- all births at age 1;
+    * variant 2 -- one birth at age = count, the rest at age 1;
+    * variant "generalized" -- one birth at age ``age_map(count)``
+      (identity, sqrt or log1p), the rest at age 1.
+
+    A childless stick carries the zero measure (variant 2's formal "atom at
+    age 0" is not realizable, which shifts the mean total age to
+    1 + P(count = 0) instead of the idealized 1).
+    """
+
+    def __init__(self, variant: str = "1", alpha: float = 1.5, age_map: Optional[str] = None):
+        counts = StableCounts(alpha)
+        variant = str(variant)
+        if variant == "1":
+            ages = FirstAtomAges()
+        elif variant == "2":
+            ages = FirstAtomAges(_age_is_count, counts.mean)
+        elif variant == "generalized":
+            age_map = "sqrt" if age_map is None else age_map
+            if age_map not in _AGE_MAPS:
+                raise ValueError(f"unknown age map {age_map!r}; options: {sorted(_AGE_MAPS)}")
+            f = _AGE_MAPS[age_map]
+            ages = FirstAtomAges(f, counts.mean_of(f))
+        else:
+            raise ValueError(f"unknown variant {variant!r}")
+        name = f"family-gen-{age_map}" if variant == "generalized" else f"family{variant}"
+        super().__init__(name, counts, OnePlusCountLife(counts), ages)
+        self.variant = variant
+        self.alpha = counts.alpha
+
+
+def _floats(text: str) -> list[float]:
+    return [float(a) for a in text.split(":") if a]
+
+
+def _flag(text: str) -> bool:
+    return float(text) != 0.0
+
+
+_MEAN = {"mean": ("mean_offspring", float)}
+_ALPHA = {"alpha": ("alpha", float)}
+_GENERALIZED = (StableFamilyLaw, {"variant": "generalized"}, {**_ALPHA, "f": ("age_map", str)})
+
+# spec name -> (constructor, fixed arguments, {key: (argument, parser)}); an
+# argument ("ages", i) sets item i of a tuple argument, the other items
+# keeping the constructor's default
+_LAWS = {
+    "gw": (GaltonWatsonUnitLaw, {}, _MEAN),
+    "geo-uniform": (GeometricUniformLaw, {}, {**_MEAN, "v": ("v", float), "lattice": ("lattice", int)}),
+    "two-point": (
+        TwoPointAgesLaw,
+        {},
+        {"a1": (("ages", 0), float), "a2": (("ages", 1), float), "p": ("p2", float), "v": ("v", float)},
+    ),
+    "const": (
+        ConstantStickLaw,
+        {},
+        {"v": ("v", float), "ages": ("ages", _floats), "arithmetic": ("arithmetic", _flag)},
+    ),
+    "exp-uniform": (ExponentialUniformLaw, {}, {"rate": ("rate", float), **_MEAN}),
+    "family1": (StableFamilyLaw, {"variant": "1"}, _ALPHA),
+    "family2": (StableFamilyLaw, {"variant": "2"}, _ALPHA),
+    "family-gen": _GENERALIZED,
+    "generalized": _GENERALIZED,
+}
 
 _LAW_RE = re.compile(r"^([a-z0-9_-]+)(?:\((.*)\))?$")
 
@@ -500,48 +529,32 @@ def parse_law(spec: str) -> StickLaw:
     if not m:
         raise ValueError(f"cannot parse law spec {spec!r}")
     name, argstr = m.group(1), m.group(2) or ""
-    kwargs: dict[str, str] = {}
+    if name not in _LAWS:
+        raise ValueError(f"unknown law {name!r}")
+    make, fixed, keys = _LAWS[name]
+    kwargs = dict(fixed)
+    unknown = []
     for part in filter(None, (p.strip() for p in argstr.split(","))):
         if "=" not in part:
             raise ValueError(f"law argument {part!r} is not key=value")
-        key, val = part.split("=", 1)
-        kwargs[key.strip()] = val.strip()
-
-    def fnum(key: str, default: float) -> float:
-        return float(kwargs.pop(key)) if key in kwargs else default
-
-    try:
-        if name == "gw":
-            law: StickLaw = GaltonWatsonUnitLaw(fnum("mean", 1.0))
-        elif name == "geo-uniform":
-            lattice = kwargs.pop("lattice", None)
-            law = GeometricUniformLaw(
-                fnum("mean", 1.0), fnum("v", 1.0), int(lattice) if lattice else None
-            )
-        elif name == "two-point":
-            law = TwoPointAgesLaw(
-                (fnum("a1", 1.0), fnum("a2", 0.5)), fnum("p", 0.5),
-                fnum("v", 0.0) or None,
-            )
-        elif name == "const":
-            ages = kwargs.pop("ages", "")
-            age_list = [float(a) for a in ages.split(":") if a]
-            law = ConstantStickLaw(
-                fnum("v", 1.0), age_list, arithmetic=fnum("arithmetic", 1.0) != 0.0
-            )
-        elif name == "exp-uniform":
-            law = ExponentialUniformLaw(fnum("rate", 1.0), fnum("mean", 1.0))
-        elif name in {"family1", "family2"}:
-            law = StableFamilyLaw(name[-1], fnum("alpha", 1.5))
-        elif name in {"family-gen", "generalized"}:
-            law = StableFamilyLaw("generalized", fnum("alpha", 1.5), kwargs.pop("f", "sqrt"))
-        else:
-            raise ValueError(f"unknown law {name!r}")
-    except TypeError as exc:
-        raise ValueError(f"bad arguments for law {name!r}: {exc}") from exc
-    if kwargs:
-        raise ValueError(f"unknown arguments for law {name!r}: {sorted(kwargs)}")
-    return law
+        key, text = (s.strip() for s in part.split("=", 1))
+        if key not in keys:
+            unknown.append(key)
+            continue
+        arg, parse = keys[key]
+        try:
+            value = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"law {name!r}: bad value for {key}: {exc}") from exc
+        if isinstance(arg, tuple):
+            arg, i = arg
+            items = list(kwargs.get(arg, inspect.signature(make).parameters[arg].default))
+            items[i] = value
+            value = tuple(items)
+        kwargs[arg] = value
+    if unknown:
+        raise ValueError(f"unknown arguments for law {name!r}: {sorted(unknown)}")
+    return make(**kwargs)
 
 
 def random_verification_law(rng: np.random.Generator) -> StickLaw:

@@ -18,7 +18,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..measures import PointMeasure, truncate_largest
+from ..measures import PointMeasure
 from .laws import StickLaw
 
 __all__ = [
@@ -160,7 +160,7 @@ def sample_ladder_stats(
     block = first_block
     while active.size and done < step_cap:
         b = min(block, step_cap - done, max(max_slots // active.size, 1))
-        counts = np.asarray(law.sample_counts(rng, (active.size, b)), dtype=np.int64)
+        counts = np.asarray(law.counts.sample(rng, (active.size, b)), dtype=np.int64)
         cum = np.cumsum(counts - 1, axis=1)
         cum += s_active[:, None]
         hit = cum >= 0
@@ -213,9 +213,9 @@ def sample_ladder_pair(
     if not stats.accepted[0]:
         return LadderPair(-1, -1, PointMeasure(), math.nan, False)
     count = np.array([stats.jump_count[0]], dtype=np.int64)
-    v = np.asarray(law.sample_v_given_counts(rng, count), dtype=float)
-    ages = law.sample_ages_flat(rng, count, v)
-    measure = truncate_largest(PointMeasure(ages), int(stats.zeta[0]))
+    v = np.asarray(law.life.given(rng, count), dtype=float)
+    ages = law.ages.sample(rng, count, v)
+    measure = PointMeasure(ages).truncate_largest(int(stats.zeta[0]))
     if measure.mass < 1:
         raise RuntimeError(
             f"undershoot {int(stats.zeta[0])} removed all {int(count[0])} atoms of the jump stick"
@@ -248,7 +248,7 @@ def sample_vhat(law: StickLaw, rng: np.random.Generator, size=None):
     uniform on the lattice {0, h, ..., v - h} when lengths live on a span-h
     lattice.
     """
-    v = np.asarray(law.sample_length_biased_v(rng, size), dtype=float)
+    v = np.asarray(law.life.length_biased(rng, size), dtype=float)
     if law.arithmetic:
         h = law.span
         if h is None or not h > 0:
@@ -277,7 +277,7 @@ def sample_covering_v(
     out = np.empty(n)
     pending = np.arange(n)
     while pending.size:
-        v = np.asarray(law.sample_v(rng, (pending.size, cols)), dtype=float)
+        v = np.asarray(law.life.sample(rng, (pending.size, cols)), dtype=float)
         cs = np.cumsum(v, axis=1)
         covered = cs[:, -1] > t
         idx = (cs <= t).sum(axis=1)

@@ -13,6 +13,7 @@ import pytest
 
 from chronoforest.cli import main
 from chronoforest.measures import sticks_from_json, sticks_to_json
+from chronoforest.stochastic.laws import _LAWS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -288,6 +289,11 @@ def test_couple_negative_counts_are_usage_errors(capsys, flag, value, message):
         (["renewal", "--law", "gw", "--seed", "1", "--draws", "-5"], "--draws: must be >= 2, got -5"),
         (["renewal", "--law", "gw", "--seed", "1", "--step-cap", "-1"], "--step-cap: must be >= 1, got -1"),
         (["scale", "--law", "gw", "--p", "10", "--workers", "-2"], "--workers: must be >= 1, got -2"),
+        (["build", "--law", "gw", "--seed", "-4"], "--seed: must be >= 0, got -4"),
+        (["verify", "--seed", "-4"], "--seed: must be >= 0, got -4"),
+        (["renewal", "--law", "gw", "--seed", "-4"], "--seed: must be >= 0, got -4"),
+        (["couple", "--law", "gw", "--eps", "0", "--t", "8", "--seed", "-4"], "--seed: must be >= 0, got -4"),
+        (["scale", "--law", "gw", "--p", "10", "--seed", "-4"], "--seed: must be >= 0, got -4"),
     ],
 )
 def test_counts_below_their_floor_are_usage_errors(capsys, argv, message):
@@ -315,3 +321,43 @@ def test_import_does_not_load_scipy_special():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert out.stdout.strip() == "False"
+
+
+BAD_LAWS = [
+    ("geo-uniform(v=inf)", "life length v must be positive and finite, got inf"),
+    ("geo-uniform(v=0)", "life length v must be positive and finite, got 0.0"),
+    ("geo-uniform(lattice=0)", "lattice must be an integer >= 1, got 0"),
+    ("geo-uniform(lattice=1.5)", "bad value for lattice"),
+    ("exp-uniform(rate=inf)", "rate must be positive and finite, got inf"),
+    ("exp-uniform(rate=0)", "rate must be positive and finite, got 0.0"),
+    ("two-point(v=0)", "life length v must be positive and finite, got 0.0"),
+    ("two-point(p=2)", "p must be in [0, 1], got 2.0"),
+    ("family2(alpha=1)", "alpha must be in (1, 2], got 1.0"),
+    ("gw(mean=inf)", "mean offspring must be >= 0 and finite, got inf"),
+    ("gw(mean=nan)", "mean offspring must be >= 0 and finite, got nan"),
+]
+LAW_COMMANDS = {
+    "scale": ["--p", "10", "--replicates", "1"],
+    "build": ["--n", "5", "--seed", "1"],
+    "couple": ["--eps", "0.5", "--t", "4", "--seed", "1", "--replicas", "2"],
+    "renewal": ["--seed", "1", "--draws", "10"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(LAW_COMMANDS))
+@pytest.mark.parametrize("spec, message", BAD_LAWS)
+def test_bad_law_parameters_are_usage_errors(capsys, command, spec, message):
+    assert main([command, "--law", spec, *LAW_COMMANDS[command]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_readme_law_specs_match_the_table():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    m = re.search(r"^Law specs accepted everywhere.*?(?=\n\n|\Z)", readme, re.MULTILINE | re.DOTALL)
+    assert m, "README has no law spec paragraph"
+    listed = {}
+    for name, args in re.findall(r"`([a-z0-9-]+)\(([^)`]*)\)`", m.group(0)):
+        listed[name] = {part.split("=")[0] for part in args.split(",")}
+    assert listed == {name: set(keys) for name, (_, _, keys) in _LAWS.items()}

@@ -70,7 +70,7 @@ class _Walk:
 def literal_coupling(law, eps, t, m, rng, meet_budget, walk_budget):
     """Reference replica, element by element; returns the result and the
     number of stream elements it read."""
-    alpha = 2.0 * float(law.sample_v(rng))
+    alpha = 2.0 * float(law.life.sample(rng))
     alpha_prime = 2.0 * float(sample_vhat(law, rng))
     walk = _Walk(alpha)
     walk_prime = _Walk(alpha_prime)

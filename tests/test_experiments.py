@@ -19,6 +19,7 @@ from chronoforest.stochastic import (
 )
 from chronoforest.stochastic import experiments
 from chronoforest.stochastic.experiments import CSV_COLUMNS
+from chronoforest.stochastic.laws import _LAWS
 
 
 def small_config(**overrides) -> ExperimentConfig:
@@ -99,11 +100,14 @@ def test_experiment_is_deterministic():
 
 
 def test_workers_do_not_change_output():
-    cfg = small_config(replicates=6)
-    seq = scaling_experiment(cfg, workers=1)
-    par = scaling_experiment(cfg, workers=2)
-    assert seq.csv_text() == par.csv_text()
-    assert seq.extras == par.extras
+    # every spec name parse_law accepts: the worker pool pickles the law
+    for spec in sorted(_LAWS):
+        cfg = small_config(law=spec, p_values=(30, 80), replicates=6)
+        seq = scaling_experiment(cfg, workers=1)
+        par = scaling_experiment(cfg, workers=2)
+        assert seq.csv_text() == par.csv_text(), spec
+        assert json.dumps(seq.summary(), indent=2) == json.dumps(par.summary(), indent=2), spec
+        assert seq.extras == par.extras, spec
 
 
 def test_extras_structure():

@@ -29,7 +29,7 @@ def test_geometric_uniform_describe_and_pmf():
     assert d["mean_offspring"] == pytest.approx(1.0)
     assert d["mean_v"] == pytest.approx(1.0)
     assert d["mean_ystar"] == pytest.approx(0.5)  # E|P| * E(uniform age)
-    assert law.count_pmf(5) == pytest.approx([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
+    assert law.counts.pmf(5) == pytest.approx([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.015625])
 
 
 def test_two_point_law():
@@ -37,12 +37,12 @@ def test_two_point_law():
     d = law.describe()
     assert d["mean_offspring"] == pytest.approx(1.0)
     assert d["mean_ystar"] == pytest.approx(0.75)
-    assert law.count_pmf(3) == pytest.approx([0.5, 0.0, 0.5, 0.0])
+    assert law.counts.pmf(3) == pytest.approx([0.5, 0.0, 0.5, 0.0])
 
 
 def test_gw_unit_law_is_geometric():
     law = GaltonWatsonUnitLaw(1.0)
-    assert law.count_pmf(4) == pytest.approx([0.5, 0.25, 0.125, 0.0625, 0.03125])
+    assert law.counts.pmf(4) == pytest.approx([0.5, 0.25, 0.125, 0.0625, 0.03125])
     d = law.describe()
     assert d["mean_v"] == 1.0 and d["span"] == 1.0 and d["arithmetic"]
 
@@ -139,7 +139,7 @@ def test_sample_stick_agrees_with_batch(rng):
 def test_sizebiased_counts_mean(rng):
     # Size-biasing a mean-1 geometric count gives mean E(c^2)/E(c) = 3.
     law = GeometricUniformLaw(mean_offspring=1.0, v=1.0)
-    draws = law.sample_sizebiased_counts(rng, 200_000)
+    draws = law.counts.sizebiased(rng, 200_000)
     assert draws.min() >= 1
     assert draws.mean() == pytest.approx(3.0, abs=0.05)
 
@@ -148,7 +148,7 @@ def test_length_biased_v_exponential(rng):
     from scipy.stats import gamma, kstest
 
     law = ExponentialUniformLaw(rate=2.0)
-    draws = law.sample_length_biased_v(rng, 20_000)
+    draws = law.life.length_biased(rng, 20_000)
     # Length-biasing an Exp(rate) gives a Gamma(2, scale=1/rate).
     assert kstest(draws, gamma(a=2, scale=0.5).cdf).pvalue > 0.01
 
@@ -199,7 +199,7 @@ def test_random_verification_law_is_subcritical(rng):
 
 def test_stable_family_counts_are_heavy_tailed(rng):
     law = StableFamilyLaw("2", alpha=1.5)
-    counts = law.sample_counts(rng, 100_000)
+    counts = law.counts.sample(rng, 100_000)
     # P(count = k) = k^-(alpha+1)/zeta(alpha) for k >= 1.
     p1 = 1.0 / zeta(1.5)
     assert np.mean(counts == 1) == pytest.approx(p1, abs=0.01)
@@ -254,7 +254,7 @@ def test_sort_ages_desc_seeded_cases(rng):
 def test_sort_ages_desc_family_gen_layout(rng):
     # family-gen lays out log1p(count) first and age-1 atoms after it
     law = StableFamilyLaw("generalized", alpha=1.5, age_map="log1p")
-    counts = law.sample_counts(rng, 2000)
+    counts = law.counts.sample(rng, 2000)
     offsets = StickBatch.offsets_for(counts)
     ages = np.ones(counts.sum())
     ages[offsets[:-1][counts > 0]] = np.log1p(counts[counts > 0])

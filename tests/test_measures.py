@@ -14,10 +14,8 @@ from chronoforest.measures import (
     PointMeasure,
     SpineSeq,
     Stick,
-    concat,
     sticks_from_json,
     sticks_to_json,
-    truncate_largest,
 )
 
 atoms_strategy = st.lists(
@@ -67,13 +65,13 @@ def test_truncate_ties_remove_from_the_top():
 @given(atoms_strategy, st.integers(0, 6), st.integers(0, 6))
 def test_truncation_composes_additively(atoms, j, k):
     m = PointMeasure(atoms)
-    assert truncate_largest(truncate_largest(m, k), j) == truncate_largest(m, j + k)
+    assert m.truncate_largest(k).truncate_largest(j) == m.truncate_largest(j + k)
 
 
 @given(atoms_strategy, st.integers(0, 6))
 def test_truncation_mass_arithmetic(atoms, k):
     m = PointMeasure(atoms)
-    t = truncate_largest(m, k)
+    t = m.truncate_largest(k)
     assert t.mass == max(m.mass - k, 0)
     if t:
         # Whatever survives sits strictly below the removed atoms.
@@ -130,10 +128,10 @@ def test_spine_seq_rejects_zero_measure():
 def test_spine_seq_concat_and_mass():
     a = SpineSeq((PointMeasure([1.0]),))
     b = SpineSeq((PointMeasure([2.0, 0.5]),))
-    joined = concat(a, b)
+    joined = SpineSeq(a.elements + b.elements)
     assert len(joined) == 2
     assert joined.elements[0].atoms == (1.0,)
-    assert concat(EMPTY_SPINE, a) == a
+    assert SpineSeq(EMPTY_SPINE.elements + a.elements) == a
     assert joined.sup_support == pytest.approx(3.0)
     assert joined.length == 2
 

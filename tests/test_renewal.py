@@ -203,7 +203,7 @@ def test_vhat_lattice_stationary_identity(rng):
     law = StableFamilyLaw("2", alpha=1.5)
     draws = sample_vhat(law, rng, size=40_000)
     assert np.all(draws == np.rint(draws))
-    counts = law.count_pmf(4000)
+    counts = law.counts.pmf(4000)
     v_pmf = np.concatenate([[0.0], counts])  # V = 1 + count
     surv = np.concatenate([[1.0], 1.0 - np.cumsum(v_pmf)])  # surv[j] = P(V >= j)
     jmax = 25
@@ -219,7 +219,7 @@ def test_covering_stick_tends_to_length_biased(rng):
     # The interval covering time t is length-biased in the limit; the
     # total-variation gap to that limit shrinks as t grows.
     law = StableFamilyLaw("2", alpha=1.5)
-    counts = law.count_pmf(4000)
+    counts = law.counts.pmf(4000)
     v_pmf = np.concatenate([[0.0], counts])
     lb = v_pmf * np.arange(len(v_pmf)) / 2.0  # length-biased target
     jmax = 60

@@ -24,3 +24,32 @@ def test_no_assert_guards_results():
             if isinstance(node, ast.Assert)
         ]
     assert not found, "assert statements outside the oracles: " + ", ".join(found)
+
+
+def test_stick_laws_only_choose_parts():
+    # A named law may only pick a count, a life and an age part in its
+    # __init__: the draws and descriptors live on StickLaw and the parts, so
+    # every law shares them (and the traced ``laws.sample_batch`` span).
+    root = Path(chronoforest.__file__).resolve().parent
+    classes = [
+        node
+        for path in sorted(root.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(node, ast.ClassDef)
+    ]
+    laws = {"StickLaw"}
+    grew = True
+    while grew:
+        found = {c.name for c in classes if any(getattr(b, "id", None) in laws for b in c.bases)}
+        grew = not found <= laws
+        laws |= found
+    extra = [
+        f"{c.name}.{getattr(stmt, 'name', type(stmt).__name__)}"
+        for c in classes
+        if c.name in laws - {"StickLaw"}
+        for stmt in c.body
+        if not (isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__")
+        and not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
+    ]
+    assert len(laws) >= 7
+    assert not extra, "StickLaw subclasses define more than __init__: " + ", ".join(extra)

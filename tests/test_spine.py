@@ -90,10 +90,10 @@ def test_spine_process_reference_values(reference_sticks):
     for n, want in enumerate(expected):
         assert [m.atoms for m in states[n]] == want
         st_n = spine_process(reference_sticks, n)
-        assert st_n.spine == states[n]
-    assert spine_process(reference_sticks, 5).height == pytest.approx(0.5)
-    assert spine_process(reference_sticks, 9).height == pytest.approx(2.5)
-    assert spine_process(reference_sticks, 9).depth == 3
+        assert st_n == states[n]
+    assert spine_process(reference_sticks, 5).sup_support == pytest.approx(0.5)
+    assert spine_process(reference_sticks, 9).sup_support == pytest.approx(2.5)
+    assert spine_process(reference_sticks, 9).length == 3
 
 
 def test_spine_matches_forest_chronology(reference_sticks):
@@ -109,7 +109,7 @@ def test_shifted_spine_reference_values(reference_sticks):
     assert shifted_spine(reference_sticks, 5, 5) == EMPTY_SPINE
     # Shift by the root: the whole spine of n.
     full = shifted_spine(reference_sticks, 0, 9)
-    assert full == spine_process(reference_sticks, 9).spine
+    assert full == spine_process(reference_sticks, 9)
 
 
 def test_height_profile_equals_forest(reference_sticks):
