@@ -2,8 +2,8 @@
 
 Subcommands:
 
-* ``build``   -- graft sticks (from JSON or a sampled law) and write the
-  forest table and contour polyline as CSV;
+* ``build``   -- grow the forest of sticks (from JSON or a sampled law) and
+  write the forest table and contour polyline as CSV;
 * ``verify``  -- run the walk/spine/forest cross-checks on random forests
   and report any counterexamples as JSON;
 * ``renewal`` -- Monte Carlo diagnostics for a law's renewal quantities;
@@ -81,17 +81,16 @@ def _cmd_build(args) -> int:
         print("build: need exactly one of --input or --law", file=sys.stderr)
         return 2
     if args.input is not None:
-        sticks = sticks_from_json(_read_text(args.input))
+        forest = build_forest(sticks_from_json(_read_text(args.input)))
     else:
         law = parse_law(args.law)
         if args.seed is None:
             print("build: --law needs --seed", file=sys.stderr)
             return 2
-        sticks = law.sample_batch(_rng(args.seed), args.n).to_sticks()
-    forest = build_forest(sticks)
+        forest = build_forest(law.sample_batch(_rng(args.seed), args.n))
     if args.sticks_out:
         with open(args.sticks_out, "w", encoding="utf-8") as fh:
-            fh.write(sticks_to_json(sticks) + "\n")
+            fh.write(sticks_to_json(forest.batch.to_sticks()) + "\n")
     out, close = _open_out(args.forest_out)
     try:
         write_forest_csv(forest, out)

@@ -1,4 +1,5 @@
-"""Sequential construction of chronological forests and their contours.
+"""Chronological forests: the first-passage construction, the literal
+grafting oracle, and contours.
 
 A forest is grown from a sequence of sticks by two rules applied stick by
 stick.  Each grafted stick leaves one *stub* per birth age: a point on the
@@ -11,10 +12,16 @@ child will be attached.
 * Rule 2: if no stub is pending anywhere, the next stick starts a new tree,
   rooted at chronological height 0.
 
-This module is deliberately literal: ``build_forest`` searches every open
-node for the highest stub instead of trusting the stack discipline, and
-asserts that the two agree.  It is the ground-truth oracle against which the
-walk/ladder/spine formulas elsewhere in the package are tested.
+``build_forest`` does not apply the rules stick by stick.  The stub of
+atom i of stick m receives the individual at a first passage of the
+Lukasiewicz walk (``first_passage_profile``), so ``forest_arrays`` reads
+every parent, birth age, birth time, generation and tree id off flat
+arrays; this is what the ``build`` command and the experiments run.
+``graft_forest`` is the literal construction: it searches every open node
+for the highest stub instead of trusting the stack discipline, and asserts
+that the two agree.  It is the ground-truth oracle against which the
+kernel and the walk/ladder/spine formulas elsewhere in the package are
+tested.
 
 The *contour* of the forest is the piecewise-linear excursion traced by
 exploring sticks depth-first at slope +-1: it climbs from the n-th
@@ -26,18 +33,22 @@ is the one place that clock is computed.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from typing import IO, Optional, Sequence
+from itertools import chain
+from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from .measures import PointMeasure, Stick
+from .measures import PointMeasure, Stick, StickBatch
 
 __all__ = [
+    "first_passage_profile",
+    "ForestArrays",
+    "forest_arrays",
     "ForestNode",
     "ChronForest",
     "build_forest",
+    "graft_forest",
     "genealogical_map",
     "ContourPath",
     "contour_path",
@@ -45,6 +56,103 @@ __all__ = [
     "write_forest_csv",
     "write_contour_csv",
 ]
+
+
+def first_passage_profile(
+    counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Birth times and generations of individuals 0..n, and where each atom's
+    child sits, from flat arrays.
+
+    ``ages`` holds each stick's birth ages in non-increasing order, stick k
+    occupying ``ages[offsets[k]:offsets[k+1]]`` (``StickBatch`` checks this
+    layout).  The height of n is the sum of the ages on its ancestral line,
+    so each birth age counts toward exactly the individuals of the subtree
+    it roots, and that subtree lies between two first passages of the walk
+    S(k+1) = S(k) + counts[k] - 1, S(0) = 0.  Atom i (the (i+1)-th largest
+    age) of stick m has its child at the first k >= m+1 with
+    S(k) = S(m+1) - i, and its subtree ends at the first k >= m+1 with
+    S(k) = S(m+1) - i - 1, which is the child of atom i+1.  The walk steps
+    down by at most 1, so "first k with S(k) = L" is also "first k with
+    S(k) <= L", and one ``searchsorted`` on the (S(k), k) pairs in
+    lexicographic order finds every passage.  A passage beyond the horizon
+    is put past the terminal entry, so it adds nothing.
+
+    Heights and depths are cumulative sums of the ages (resp. ones) added
+    at each child and removed at each subtree end.  The value at the latest
+    root is subtracted, so every tree starts at exactly 0.0 and rounding
+    does not carry from one tree to the next.  O((n + atoms) log n).
+
+    Returns ``(heights, depths, stick, child)``: heights and depths have
+    n + 1 entries, entry n being where stick n would be grafted; per atom,
+    ``stick`` is the stick it sits on and ``child`` the individual born at
+    it, n for the terminal graft and n + 1 when that child lies further out.
+    """
+    n = len(counts)
+    span = n + 1  # walk indices 0..n; index span means "never"
+    s = np.zeros(span, dtype=np.int64)
+    np.cumsum(counts - 1, out=s[1:])
+    lo = int(s.min())
+    # the pair (S(k), k) packed as one integer, in lexicographic order
+    keys = np.sort((s - lo) * span + np.arange(span))
+
+    stick = np.repeat(np.arange(n), counts)
+    start = stick + 1
+    rank = np.arange(len(stick)) - offsets[stick]
+    level = (s[start] - rank - 1 - lo) * span
+    # every target level lies below S(start), so some key is >= the query;
+    # it is the passage when it sits on the target level
+    hit = keys[np.searchsorted(keys, level + start)]
+    end = np.where(hit < level + span, hit - level, span)
+    child = np.empty_like(end)
+    child[1:] = end[:-1]
+    first = rank == 0
+    child[first] = start[first]
+
+    size = span + 1
+    depths = np.cumsum(
+        (np.bincount(child, minlength=size) - np.bincount(end, minlength=size))[:span]
+    )
+    raw = np.cumsum(
+        (
+            np.bincount(child, weights=ages, minlength=size)
+            - np.bincount(end, weights=ages, minlength=size)
+        )[:span],
+        dtype=float,  # bincount of no atoms is integer-typed
+    )
+    latest_root = np.maximum.accumulate(np.where(depths == 0, np.arange(span), 0))
+    return raw - raw[latest_root], depths, stick, child
+
+
+class ForestArrays(NamedTuple):
+    """A forest of n individuals as flat arrays."""
+
+    heights: np.ndarray  # birth times, n + 1 entries (entry n: terminal graft height)
+    depths: np.ndarray  # generations, n + 1 entries (entry n: terminal depth)
+    parent: np.ndarray  # parent index, -1 for roots
+    birth_age: np.ndarray  # age on the parent's stick, 0.0 for roots
+    tree_id: np.ndarray
+    pending_stubs: int  # stubs still waiting for a child after the last stick
+
+
+def forest_arrays(counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray) -> ForestArrays:
+    """The whole forest of a flat stick layout, read off first passages.
+
+    Atom a's child ``child[a]``, when it is one of the n individuals, has
+    parent ``stick[a]`` and birth age ``ages[a]``; a tree starts at every
+    individual of depth 0; an atom whose child lies at n or beyond is a
+    pending stub.
+    """
+    heights, depths, stick, child = first_passage_profile(counts, offsets, ages)
+    n = len(counts)
+    born = child < n
+    parent = np.full(n, -1, dtype=np.int64)
+    parent[child[born]] = stick[born]
+    birth_age = np.zeros(n)
+    birth_age[child[born]] = ages[born]
+    tree_id = np.cumsum(depths[:n] == 0) - 1
+    pending = len(child) - int(np.count_nonzero(born))
+    return ForestArrays(heights, depths, parent, birth_age, tree_id, pending)
 
 
 @dataclass(frozen=True)
@@ -61,27 +169,36 @@ class ForestNode:
 
 
 class ChronForest:
-    """A chronological forest, with per-node chronology and genealogy."""
+    """A chronological forest held as arrays, with its stick batch.
+
+    ``arrays`` carries every individual's parent, birth age, birth time,
+    generation and tree id (read-only).  ``birth_times()`` and ``depths()``
+    return the cached arrays; ``nodes`` builds ``ForestNode``s only when
+    asked for.
+    """
 
     def __init__(
         self,
-        nodes: list[ForestNode],
-        pending_stubs: int,
-        terminal_height: float,
-        terminal_depth: int = 0,
+        batch: StickBatch,
+        arrays: ForestArrays,
+        nodes: Optional[list[ForestNode]] = None,
     ):
-        self.nodes = nodes
+        for a in arrays[:-1]:
+            a.flags.writeable = False
+        self.batch = batch
+        self.arrays = arrays
+        self._nodes = nodes
         #: number of stubs still waiting for a child after the last stick
-        self.pending_stubs = pending_stubs
+        self.pending_stubs = arrays.pending_stubs
         #: height at which stick ``n_sticks`` would be grafted (0.0 if the
         #: last tree is complete and the next stick starts a new tree)
-        self.terminal_height = terminal_height
+        self.terminal_height = float(arrays.heights[-1])
         #: depth at which stick ``n_sticks`` would sit
-        self.terminal_depth = terminal_depth
+        self.terminal_depth = int(arrays.depths[-1])
 
     @property
     def n_sticks(self) -> int:
-        return len(self.nodes)
+        return len(self.arrays.parent)
 
     @property
     def final_tree_incomplete(self) -> bool:
@@ -90,7 +207,24 @@ class ChronForest:
 
     @property
     def tree_count(self) -> int:
-        return self.nodes[-1].tree_id + 1 if self.nodes else 0
+        return int(self.arrays.tree_id[-1]) + 1 if self.n_sticks else 0
+
+    @property
+    def nodes(self) -> list[ForestNode]:
+        if self._nodes is None:
+            a = self.arrays
+            rows = zip(
+                a.parent.tolist(),
+                a.birth_age.tolist(),
+                a.heights.tolist(),
+                a.depths.tolist(),
+                a.tree_id.tolist(),
+            )
+            self._nodes = [
+                ForestNode(i, self.batch.stick(i), None if p < 0 else p, age, h, d, t)
+                for i, (p, age, h, d, t) in enumerate(rows)
+            ]
+        return self._nodes
 
     def birth_times(self) -> np.ndarray:
         """Birth times of individuals 0..n-1 plus the terminal graft height.
@@ -98,47 +232,52 @@ class ChronForest:
         Entry ``n`` (the last) is where the *next* stick would be born, so
         the array has length ``n_sticks + 1`` and entry 0 is 0.0.
         """
-        out = np.empty(self.n_sticks + 1)
-        for i, node in enumerate(self.nodes):
-            out[i] = node.birth_time
-        out[self.n_sticks] = self.terminal_height
-        return out
+        return self.arrays.heights
 
     def depths(self) -> np.ndarray:
-        out = np.empty(self.n_sticks + 1, dtype=np.int64)
-        for i, node in enumerate(self.nodes):
-            out[i] = node.depth
-        out[self.n_sticks] = self.terminal_depth
-        return out
+        return self.arrays.depths
 
     def ancestors(self, n: int) -> list[int]:
         """Ancestor line of individual ``n``: [n, parent, ..., root]."""
+        parent = self.arrays.parent
         line = [n]
-        while self.nodes[line[-1]].parent is not None:
-            line.append(self.nodes[line[-1]].parent)
+        while parent[line[-1]] >= 0:
+            line.append(int(parent[line[-1]]))
         return line
 
     def mrca(self, m: int, n: int) -> Optional[int]:
         """Most recent common ancestor, or None when in different trees."""
-        a, b = self.nodes[m], self.nodes[n]
-        if a.tree_id != b.tree_id:
+        parent, depth = self.arrays.parent, self.arrays.depths
+        if self.arrays.tree_id[m] != self.arrays.tree_id[n]:
             return None
         i, j = m, n
-        while self.nodes[i].depth > self.nodes[j].depth:
-            i = self.nodes[i].parent
-        while self.nodes[j].depth > self.nodes[i].depth:
-            j = self.nodes[j].parent
+        while depth[i] > depth[j]:
+            i = int(parent[i])
+        while depth[j] > depth[i]:
+            j = int(parent[j])
         while i != j:
-            i, j = self.nodes[i].parent, self.nodes[j].parent
+            i, j = int(parent[i]), int(parent[j])
         return i
 
 
-def build_forest(sticks: Sequence[Stick]) -> ChronForest:
-    """Grow a forest by grafting each stick at the highest pending stub.
+def build_forest(sticks: Union[StickBatch, Sequence[Stick]]) -> ChronForest:
+    """The forest of a stick batch (or stick sequence), from first passages.
 
     Works on incomplete inputs: the returned forest flags whether the final
-    tree still has pending stubs.
+    tree still has pending stubs.  ``graft_forest`` grows the same forest
+    stick by stick.
     """
+    batch = sticks if isinstance(sticks, StickBatch) else StickBatch.from_sticks(sticks)
+    return ChronForest(batch, forest_arrays(batch.counts, batch.offsets, batch.ages))
+
+
+def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
+    """Grow a forest by grafting each stick at the highest pending stub.
+
+    The literal oracle of ``build_forest``.  Works on incomplete inputs: the
+    returned forest flags whether the final tree still has pending stubs.
+    """
+    sticks = list(sticks)
     nodes: list[ForestNode] = []
     # Open nodes along the right-most path.  Each entry is
     # [node index, atom tuple (ages, largest first), cursor of next stub].
@@ -189,7 +328,15 @@ def build_forest(sticks: Sequence[Stick]) -> ChronForest:
                 terminal_height = nodes[entry[0]].birth_time + entry[1][entry[2]]
                 terminal_depth = nodes[entry[0]].depth + 1
                 break
-    return ChronForest(nodes, pending, terminal_height, terminal_depth)
+    arrays = ForestArrays(
+        np.array([node.birth_time for node in nodes] + [terminal_height]),
+        np.array([node.depth for node in nodes] + [terminal_depth], dtype=np.int64),
+        np.array([-1 if node.parent is None else node.parent for node in nodes], dtype=np.int64),
+        np.array([node.birth_age for node in nodes], dtype=float),
+        np.array([node.tree_id for node in nodes], dtype=np.int64),
+        pending,
+    )
+    return ChronForest(StickBatch.from_sticks(sticks), arrays, nodes)
 
 
 def genealogical_map(sticks: Sequence[Stick]) -> list[Stick]:
@@ -296,8 +443,7 @@ def contour_path(forest: ChronForest) -> ContourPath:
     The forest may be incomplete (pending stubs); the path then ends at the
     terminal graft height instead of 0.
     """
-    v = np.array([node.stick.v for node in forest.nodes])
-    return ContourPath.from_heights(forest.birth_times(), v)
+    return ContourPath.from_heights(forest.birth_times(), forest.batch.v)
 
 
 def min_contour(forest: ChronForest, m: int, n: int) -> float:
@@ -312,29 +458,36 @@ def min_contour(forest: ChronForest, m: int, n: int) -> float:
     return float(heights[m : n + 1].min())
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".12g")
+# rows formatted into one string per write, which bounds its memory
+_CSV_BLOCK = 1 << 16
+
+
+def _write_rows(fp: IO[str], header: Sequence[str], row: str, columns: Sequence[np.ndarray]):
+    """A header line, then one line per entry of the columns, formatted by
+    the %-format ``row``.
+
+    The bytes are those of ``csv.writer``'s default dialect: no field here
+    ever needs quoting, every line ends in "\r\n", and ``"%.12g" % x``
+    equals ``format(x, ".12g")``.  Each block of rows is one ``%`` over a
+    flat tuple of its fields, with no Python step per row.
+    """
+    fp.write(",".join(header) + "\r\n")
+    line = row + "\r\n"
+    n = len(columns[0])
+    for lo in range(0, n, _CSV_BLOCK):
+        fields = zip(*(c[lo : lo + _CSV_BLOCK].tolist() for c in columns))
+        fp.write((line * min(_CSV_BLOCK, n - lo)) % tuple(chain.from_iterable(fields)))
 
 
 def write_forest_csv(forest: ChronForest, fp: IO[str]) -> None:
-    w = csv.writer(fp)
-    w.writerow(["index", "parent", "birth_time", "depth", "v", "tree_id"])
-    for node in forest.nodes:
-        w.writerow(
-            [
-                node.index,
-                -1 if node.parent is None else node.parent,
-                _fmt(node.birth_time),
-                node.depth,
-                _fmt(node.stick.v),
-                node.tree_id,
-            ]
-        )
+    a, n = forest.arrays, forest.n_sticks
+    _write_rows(
+        fp,
+        ["index", "parent", "birth_time", "depth", "v", "tree_id"],
+        "%d,%d,%.12g,%d,%.12g,%d",
+        [np.arange(n), a.parent, a.heights[:n], a.depths[:n], forest.batch.v, a.tree_id],
+    )
 
 
 def write_contour_csv(path: ContourPath, fp: IO[str]) -> None:
-    w = csv.writer(fp)
-    w.writerow(["time", "value"])
-    times, values = path.vertices()
-    for t, x in zip(times, values):
-        w.writerow([_fmt(t), _fmt(x)])
+    _write_rows(fp, ["time", "value"], "%.12g,%.12g", path.vertices())

@@ -12,17 +12,19 @@ move per stick:
   the branch just closed; the next largest is where the next stick grafts).
 
 The sequence's total of largest atoms is the birth time of n, its length the
-generation of n.  ``phi``, ``spine_states`` and ``build_forest`` are the
-literal oracles.  ``height_profile_arrays`` is the array kernel the
+generation of n.  ``phi``, ``spine_states`` and ``forest.graft_forest`` are
+the literal oracles.  ``height_profile_arrays`` is the array kernel the
 experiments run: it reads every birth time and generation off first passages
 of the Lukasiewicz walk, with no per-stick step at all (each birth age
 counts toward the individuals between its child and the end of that child's
-subtree, two first passages of the walk).
+subtree, two first passages of the walk).  It shares that computation,
+``forest.first_passage_profile``, with ``forest.build_forest``.
 
 ``verify_identities`` cross-checks every walk/ladder
-formula in :mod:`chronoforest.lukasiewicz` against the literal forest
-construction of :mod:`chronoforest.forest` on a single stick sequence, and
-reports per-identity tallies with minimal reproducers instead of raising.
+formula in :mod:`chronoforest.lukasiewicz`, and the kernel's forest, against
+the literal grafting of :mod:`chronoforest.forest` on a single stick
+sequence, and reports per-identity tallies with minimal reproducers instead
+of raising.
 """
 
 from __future__ import annotations
@@ -33,7 +35,13 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from .forest import build_forest, genealogical_map, min_contour
+from .forest import (
+    build_forest,
+    first_passage_profile,
+    genealogical_map,
+    graft_forest,
+    min_contour,
+)
 from .lukasiewicz import (
     chi,
     dual_passage_measure,
@@ -118,58 +126,13 @@ def height_profile_arrays(
     """Birth times and generations of individuals 0..n from flat arrays.
 
     ``ages`` holds each stick's birth ages in non-increasing order, stick k
-    occupying ``ages[offsets[k]:offsets[k+1]]`` (``StickBatch`` checks this
-    layout).  The height of n is the sum of the ages on its ancestral line,
-    so each birth age counts toward exactly the individuals of the subtree
-    it roots, and that subtree lies between two first passages of the walk
-    S(k+1) = S(k) + counts[k] - 1, S(0) = 0.  Atom i (the (i+1)-th largest
-    age) of stick m has its child at the first k >= m+1 with
-    S(k) = S(m+1) - i, and its subtree ends at the first k >= m+1 with
-    S(k) = S(m+1) - i - 1, which is the child of atom i+1.  The walk steps
-    down by at most 1, so "first k with S(k) = L" is also "first k with
-    S(k) <= L", and one ``searchsorted`` on the (S(k), k) pairs in
-    lexicographic order finds every passage.  A passage beyond the horizon
-    is put past the terminal entry, so it adds nothing.
-
-    Heights and depths are cumulative sums of the ages (resp. ones) added
-    at each child and removed at each subtree end.  The value at the latest
-    root is subtracted, so every tree starts at exactly 0.0 and rounding
-    does not carry from one tree to the next.  O((n + atoms) log n).
+    occupying ``ages[offsets[k]:offsets[k+1]]``; every birth time and
+    generation is read off first passages of the walk (see
+    ``forest.first_passage_profile``).  Entry n is where stick n would be
+    grafted, and every tree root is exactly 0.0.  O((n + atoms) log n).
     """
-    n = len(counts)
-    span = n + 1  # walk indices 0..n; index span means "never"
-    s = np.zeros(span, dtype=np.int64)
-    np.cumsum(counts - 1, out=s[1:])
-    lo = int(s.min())
-    # the pair (S(k), k) packed as one integer, in lexicographic order
-    keys = np.sort((s - lo) * span + np.arange(span))
-
-    stick = np.repeat(np.arange(n), counts)
-    start = stick + 1
-    rank = np.arange(len(stick)) - offsets[stick]
-    level = (s[start] - rank - 1 - lo) * span
-    # every target level lies below S(start), so some key is >= the query;
-    # it is the passage when it sits on the target level
-    hit = keys[np.searchsorted(keys, level + start)]
-    end = np.where(hit < level + span, hit - level, span)
-    child = np.empty_like(end)
-    child[1:] = end[:-1]
-    first = rank == 0
-    child[first] = start[first]
-
-    size = span + 1
-    depths = np.cumsum(
-        (np.bincount(child, minlength=size) - np.bincount(end, minlength=size))[:span]
-    )
-    raw = np.cumsum(
-        (
-            np.bincount(child, weights=ages, minlength=size)
-            - np.bincount(end, weights=ages, minlength=size)
-        )[:span],
-        dtype=float,  # bincount of no atoms is integer-typed
-    )
-    latest_root = np.maximum.accumulate(np.where(depths == 0, np.arange(span), 0))
-    return raw - raw[latest_root], depths
+    heights, depths, _, _ = first_passage_profile(counts, offsets, ages)
+    return heights, depths
 
 
 def height_profile(sticks: Sequence[Stick]) -> tuple[np.ndarray, np.ndarray]:
@@ -245,7 +208,8 @@ class _Context:
         self.sticks = list(sticks)
         self.n_sticks = len(self.sticks)
         self.tol = tol
-        self.forest = build_forest(self.sticks)
+        self.forest = graft_forest(self.sticks)
+        self.batch = self.forest.batch
         self.w = walk(self.sticks)
         self.spines = spine_states(self.sticks)
         self.heights = self.forest.birth_times()
@@ -456,7 +420,8 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
 
 
 def _profile_checks(ctx: _Context, report: IdentityReport) -> None:
-    h_fast, d_fast = height_profile(ctx.sticks)
+    batch = ctx.batch
+    h_fast, d_fast = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
     ok = bool(
         np.allclose(h_fast, ctx.heights, atol=ctx.tol, rtol=0.0)
         and np.array_equal(d_fast, ctx.depths)
@@ -465,6 +430,20 @@ def _profile_checks(ctx: _Context, report: IdentityReport) -> None:
         "kernel-profile-matches-forest",
         ok,
         None if ok else ctx.reproducer(check="kernel-profile-matches-forest"),
+    )
+    kernel, graft = build_forest(batch).arrays, ctx.forest.arrays
+    ok = bool(
+        np.array_equal(kernel.parent, graft.parent)
+        and np.array_equal(kernel.birth_age, graft.birth_age)
+        and np.array_equal(kernel.depths, graft.depths)
+        and np.array_equal(kernel.tree_id, graft.tree_id)
+        and kernel.pending_stubs == graft.pending_stubs
+        and np.allclose(kernel.heights, graft.heights, atol=ctx.tol, rtol=0.0)
+    )
+    report.record(
+        "kernel-forest-matches-graft",
+        ok,
+        None if ok else ctx.reproducer(check="kernel-forest-matches-graft"),
     )
     h_gen, d_gen = height_profile(genealogical_map(ctx.sticks))
     ok = bool(

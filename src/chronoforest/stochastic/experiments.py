@@ -24,7 +24,6 @@ import csv
 import io
 import math
 import multiprocessing
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -425,40 +424,50 @@ def simulate_contour(
     return _simulate_population(law, rng, min_sticks, p * t_max, 0.0).path
 
 
+def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """``values[lo[q]:hi[q] + 1].min()`` for every query q (lo <= hi).
+
+    A sparse table: level j holds the minima of all runs of 2^j values, and
+    a run of length L is covered by two runs of the largest 2^j <= L.
+    O((n + queries) log n).
+    """
+    level = np.frexp(hi - lo + 1)[1] - 1  # floor(log2(length))
+    out = np.empty(len(lo))
+    table = values
+    for j in range(int(level.max(initial=0)) + 1):
+        if j:
+            half = 1 << (j - 1)
+            table = np.minimum(table[:-half], table[half:])
+        q = level == j
+        out[q] = np.minimum(table[lo[q]], table[hi[q] - (1 << j) + 1])
+    return out
+
+
 def max_rise_in_window(path: ContourPath, width: float) -> float:
     """Largest rise of the contour over any window of the given width.
 
     The optimal window ends at a peak apex (on a climb the value gains at
     unit rate while the trailing minimum cannot gain faster).  For each
     stick's apex the window minimum combines the contour value at the left
-    edge with the local minima whose visit times fall inside the window;
-    the latter are tracked with a monotone deque as the apex advances.
+    edge with the local minima (visited birth times) whose visit times fall
+    inside the window, found by one range-minimum query per apex.
     """
     if width <= 0:
         raise ValueError("width must be positive")
-    k = path.visit_times
     heights = path.heights
     v = path.v
     n = len(v)
-    best = 0.0
-    minima: deque[int] = deque()  # indices with increasing heights
-    apex_times = k[:n] + v
+    apex_times = path.visit_times[:n] + v
     left_edges = np.clip(apex_times - width, 0.0, None)
-    edge_values = path.eval(left_edges)
-    for i in range(n):
-        # maintain deque of local-minimum indices in [left_edge, apex]
-        while minima and heights[minima[-1]] >= heights[i]:
-            minima.pop()
-        minima.append(i)
-        while minima and k[minima[0]] < left_edges[i]:
-            minima.popleft()
-        window_min = float(edge_values[i])
-        if minima:
-            window_min = min(window_min, float(heights[minima[0]]))
-        rise = heights[i] + v[i] - window_min
-        if rise > best:
-            best = rise
-    return float(best)
+    window_min = path.eval(left_edges)
+    lo = np.searchsorted(path.visit_times, left_edges, side="left")
+    hi = np.arange(n)
+    inside = lo <= hi  # else the window holds no visit, only its left edge
+    window_min[inside] = np.minimum(
+        window_min[inside], _range_min(heights, lo[inside], hi[inside])
+    )
+    rise = heights[:n] + v - window_min
+    return float(rise.max(initial=0.0))
 
 
 def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[int, int]:

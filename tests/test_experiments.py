@@ -1,14 +1,18 @@
 """Scaling experiments: config plumbing, determinism and path functionals."""
 
 import json
+from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chronoforest.forest import build_forest, contour_path
 from chronoforest.stochastic import (
     ExperimentConfig,
     GeometricUniformLaw,
+    StableFamilyLaw,
     max_rise_in_window,
     parse_config,
     parse_law,
@@ -18,7 +22,7 @@ from chronoforest.stochastic import (
     verify_time_change_gap,
 )
 from chronoforest.stochastic import experiments
-from chronoforest.stochastic.experiments import CSV_COLUMNS
+from chronoforest.stochastic.experiments import CSV_COLUMNS, _range_min
 from chronoforest.stochastic.laws import _LAWS
 
 
@@ -204,3 +208,66 @@ def test_max_rise_matches_apex_scan(rng):
         assert max_rise_in_window(path, width) == pytest.approx(best, abs=1e-9)
     with pytest.raises(ValueError):
         max_rise_in_window(path, 0.0)
+
+
+def _max_rise_deque(path, width):
+    # the per-apex monotone-deque scan that the range-minimum version replaced
+    k, heights, v = path.visit_times, path.heights, path.v
+    n = len(v)
+    best = 0.0
+    minima = deque()
+    left_edges = np.clip(k[:n] + v - width, 0.0, None)
+    edge_values = path.eval(left_edges)
+    for i in range(n):
+        while minima and heights[minima[-1]] >= heights[i]:
+            minima.pop()
+        minima.append(i)
+        while minima and k[minima[0]] < left_edges[i]:
+            minima.popleft()
+        window_min = float(edge_values[i])
+        if minima:
+            window_min = min(window_min, float(heights[minima[0]]))
+        rise = heights[i] + v[i] - window_min
+        if rise > best:
+            best = rise
+    return float(best)
+
+
+def test_max_rise_matches_deque_scan_on_family_paths():
+    # criterion 7's shape: family sticks, n = p/4 + 200, width p * eps_p
+    for fam in ("1", "2"):
+        law = StableFamilyLaw(fam)
+        for p in (1_000, 10_000):
+            rng = np.random.default_rng(np.random.SeedSequence((7, int(fam), p)))
+            path = contour_path(build_forest(law.sample_batch(rng, p // 4 + 200)))
+            for width in (p * p ** (1.0 / law.alpha - 1.0), 0.5, 3.0):
+                assert max_rise_in_window(path, width) == _max_rise_deque(path, width)
+
+
+@given(
+    st.integers(0, 2**32 - 1),
+    st.integers(0, 150),
+    st.floats(min_value=1e-3, max_value=60.0),
+    st.sampled_from(["geo-uniform", "exp-uniform", "family2", "gw"]),
+)
+@settings(max_examples=120, deadline=None)
+def test_max_rise_matches_deque_scan(seed, n, width, spec):
+    # widths below one stick's life leave windows that hold no visit at all
+    batch = parse_law(spec).sample_batch(np.random.default_rng(seed), n)
+    path = contour_path(build_forest(batch))
+    assert max_rise_in_window(path, width) == _max_rise_deque(path, width)
+
+
+@given(
+    st.lists(st.integers(-5, 5).map(float), min_size=1, max_size=80),
+    st.lists(st.tuples(st.integers(0, 79), st.integers(0, 79)), max_size=40),
+)
+@settings(max_examples=150, deadline=None)
+def test_range_min_matches_slices(values, pairs):
+    values = np.array(values)
+    n = len(values)
+    ranges = [sorted((a % n, b % n)) for a, b in pairs]
+    lo = np.array([a for a, _ in ranges], dtype=np.int64)
+    hi = np.array([b for _, b in ranges], dtype=np.int64)
+    want = [values[a : b + 1].min() for a, b in ranges]
+    assert _range_min(values, lo, hi).tolist() == want

@@ -1,20 +1,23 @@
 """Forest construction, genealogy and contour paths."""
 
+import csv
 import io
 
 import numpy as np
 import pytest
 
+from chronoforest import forest as forest_module
 from chronoforest.forest import (
     ContourPath,
     build_forest,
     contour_path,
     genealogical_map,
+    graft_forest,
     min_contour,
     write_contour_csv,
     write_forest_csv,
 )
-from chronoforest.measures import PointMeasure, Stick
+from chronoforest.measures import PointMeasure, Stick, StickBatch
 from chronoforest.stochastic import GeometricUniformLaw
 
 from conftest import (
@@ -182,3 +185,82 @@ def test_empty_forest():
     assert f.n_sticks == 0
     assert f.birth_times().shape == (1,)
     assert not f.final_tree_incomplete
+
+
+def test_graft_forest_reference_forest(reference_sticks):
+    # The literal grafting oracle on the hand-worked forest.
+    f = graft_forest(reference_sticks)
+    assert tuple(f.birth_times()[:-1]) == pytest.approx(REFERENCE_BIRTH_TIMES)
+    assert tuple(f.depths()[:-1]) == REFERENCE_DEPTHS
+    assert tuple(n.parent for n in f.nodes) == REFERENCE_PARENTS
+    assert [n.stick for n in f.nodes] == reference_sticks
+    assert f.pending_stubs == 0 and f.tree_count == 1
+    prefix = graft_forest(reference_sticks[:-1])
+    assert prefix.terminal_height == pytest.approx(2.5) and prefix.terminal_depth == 3
+
+
+def test_build_forest_takes_a_batch_or_sticks(reference_sticks):
+    from_batch = build_forest(StickBatch.from_sticks(reference_sticks))
+    from_sticks = build_forest(reference_sticks)
+    for a, b in zip(from_batch.arrays, from_sticks.arrays):
+        assert np.array_equal(a, b)
+    assert [n.stick for n in from_batch.nodes] == reference_sticks
+    assert tuple(n.birth_age for n in from_batch.nodes) == pytest.approx(
+        (0.0, 1.5, 1.2, 0.9, 0.5, 0.5, 3.5, 2.5, 1.0, 1.0)
+    )
+
+
+def test_forest_arrays_are_cached_and_read_only(reference_sticks):
+    f = build_forest(reference_sticks)
+    assert f.birth_times() is f.birth_times() and f.depths() is f.depths()
+    assert f.nodes is f.nodes
+    with pytest.raises(ValueError):
+        f.birth_times()[1] = 9.0
+    with pytest.raises(ValueError):
+        f.arrays.parent[1] = 3
+
+
+def _csv_writer_forest(forest, fp):
+    # the row-by-row csv.writer the array writers replace
+    w = csv.writer(fp)
+    w.writerow(["index", "parent", "birth_time", "depth", "v", "tree_id"])
+    for node in forest.nodes:
+        parent = -1 if node.parent is None else node.parent
+        w.writerow(
+            [
+                node.index,
+                parent,
+                format(node.birth_time, ".12g"),
+                node.depth,
+                format(node.stick.v, ".12g"),
+                node.tree_id,
+            ]
+        )
+
+
+def _csv_writer_contour(path, fp):
+    w = csv.writer(fp)
+    w.writerow(["time", "value"])
+    for t, x in zip(*path.vertices()):
+        w.writerow([format(float(t), ".12g"), format(float(x), ".12g")])
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_csv_writers_match_csv_writer_bytes(reference_sticks, monkeypatch, block):
+    if block is not None:  # many blocks, and a partial last one
+        monkeypatch.setattr(forest_module, "_CSV_BLOCK", block)
+    big = GeometricUniformLaw(mean_offspring=1.0, v=1.0).sample_batch(
+        np.random.default_rng(5), 10_000
+    )
+    for forest in (build_forest(reference_sticks), build_forest(big), build_forest([])):
+        path = contour_path(forest)
+        for write, oracle, arg in (
+            (write_forest_csv, _csv_writer_forest, forest),
+            (write_contour_csv, _csv_writer_contour, path),
+        ):
+            got, want = io.StringIO(), io.StringIO()
+            write(arg, got)
+            oracle(arg, want)
+            assert got.getvalue() == want.getvalue()
+            assert got.getvalue().endswith("\r\n")
+            assert got.getvalue().count("\n") == got.getvalue().count("\r\n")

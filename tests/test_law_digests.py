@@ -131,7 +131,7 @@ def test_golden_specs_use_every_name_and_key():
     assert used >= set(_LAWS) | {(name, key) for name, (_, _, keys) in _LAWS.items() for key in keys}
 
 
-@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
 @pytest.mark.parametrize("spec", list(GOLDEN["digests"]))
 def test_law_draws_match_golden_digests(spec):
     assert law_digests(spec) == GOLDEN["digests"][spec]

@@ -17,7 +17,7 @@ from chronoforest.stochastic import (
     parse_law,
     random_verification_law,
 )
-from chronoforest.stochastic.laws import _sort_ages_desc
+from chronoforest.stochastic.laws import StableCounts, _sort_ages_desc
 
 DESCRIBE_KEYS = {"name", "mean_offspring", "mean_v", "mean_ystar", "arithmetic", "span"}
 
@@ -261,3 +261,23 @@ def test_sort_ages_desc_family_gen_layout(rng):
     assert_sorts_like_lexsort(ages, counts)
     batch = law.sample_batch(rng, 2000)
     assert np.all(batch.ages[batch.offsets[:-1][batch.counts > 0]] == np.log1p(batch.counts[batch.counts > 0]))
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
+def test_stable_mean_of_exact_series(alpha):
+    # sum k * k^-(alpha+1) / zeta(alpha) = 1, and with sqrt(k) the ratio
+    # zeta(alpha + 1/2) / zeta(alpha); the first decays too slowly for an
+    # integral tail that drops the half term or stops at a fixed x
+    counts = StableCounts(alpha)
+    assert abs(counts.mean_of(lambda k: k) - 1.0) <= 1e-12
+    assert abs(counts.mean_of(np.sqrt) - zeta(alpha + 0.5) / zeta(alpha)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def test_family_gen_identity_is_family2():
+    # one birth at age = count and the rest at age 1 is family 2
+    for alpha in (1.2, 1.5):
+        gen = parse_law(f"family-gen(alpha={alpha},f=identity)").describe()["mean_ystar"]
+        fam2 = parse_law(f"family2(alpha={alpha})").describe()["mean_ystar"]
+        assert abs(gen - fam2) <= 1e-12

@@ -53,3 +53,27 @@ def test_stick_laws_only_choose_parts():
     ]
     assert len(laws) >= 7
     assert not extra, "StickLaw subclasses define more than __init__: " + ", ".join(extra)
+
+
+def test_grafting_oracle_stays_out_of_hot_paths():
+    # ``forest.graft_forest`` is the literal oracle: only its own module and
+    # the identity suite in ``spine`` may name it, so no command or
+    # experiment can come to run the stick-by-stick loop.
+    root = Path(chronoforest.__file__).resolve().parent
+    allowed = {root / "forest.py", root / "spine.py"}
+    found = []
+    for path in sorted(root.rglob("*.py")):
+        if path in allowed:
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = {
+                getattr(node, "id", None),
+                getattr(node, "attr", None),
+                getattr(node, "name", None),
+                getattr(node, "asname", None),
+                getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
+            }
+            if "graft_forest" in names:
+                found.append(f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')}")
+    assert not found, "graft_forest referenced outside forest.py and spine.py: " + ", ".join(found)

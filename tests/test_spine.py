@@ -7,8 +7,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from chronoforest.forest import build_forest
-from chronoforest.lukasiewicz import ladder_decomp
+from chronoforest.forest import build_forest, forest_arrays, graft_forest
+from chronoforest.lukasiewicz import ancestors_from_walk, ladder_decomp, walk
 from chronoforest.measures import (
     EMPTY_SPINE,
     ZERO,
@@ -39,6 +39,7 @@ IDENTITY_CHECKS = {
     "genealogical-collapse-depth",
     "height-difference-drop",
     "height-is-ladder-age-sum",
+    "kernel-forest-matches-graft",
     "kernel-profile-matches-forest",
     "mrca-at-m-iff-no-drop",
     "mrca-from-ladder-epochs",
@@ -161,6 +162,30 @@ def test_kernel_matches_forest_on_lattice_ties(sticks, all_leaves):
     assert heights.dtype == float and len(heights) == len(sticks) + 1
 
 
+@given(st.lists(lattice_stick, max_size=40), st.booleans())
+@example([], False)
+@example([Stick(1.0), Stick(1.0)], True)
+@settings(max_examples=150, deadline=None)
+def test_build_forest_matches_graft_forest_on_lattice_ties(sticks, all_leaves):
+    if all_leaves:
+        sticks = [Stick(s.v) for s in sticks]
+    # Any prefix is a valid input, so the final tree is often incomplete.
+    kernel = build_forest(StickBatch.from_sticks(sticks))
+    graft = graft_forest(sticks)
+    k, g = kernel.arrays, graft.arrays
+    assert np.array_equal(k.parent, g.parent)
+    assert np.array_equal(k.birth_age, g.birth_age)
+    assert np.array_equal(k.depths, g.depths)
+    assert np.array_equal(k.tree_id, g.tree_id)
+    assert k.pending_stubs == g.pending_stubs
+    assert kernel.terminal_depth == graft.terminal_depth
+    assert kernel.tree_count == graft.tree_count
+    tol = _kernel_tolerance(kernel.batch.ages, len(sticks), g.heights.max())
+    assert np.abs(k.heights - g.heights).max() <= tol
+    assert [n.parent for n in kernel.nodes] == [n.parent for n in graft.nodes]
+    assert [n.stick for n in kernel.nodes] == sticks
+
+
 def test_kernel_matches_ladder_ages_at_scale():
     # The kernel as the experiments run it: a critical forest of 2e5 sticks,
     # checked at sampled indices against the ladder decomposition's exactly
@@ -177,10 +202,18 @@ def test_kernel_matches_ladder_ages_at_scale():
         picks.add(int(rng.integers(1, n)))
     sticks = batch.to_sticks()
     tol = _kernel_tolerance(batch.ages, n, heights.max())
+    # the forest reads its parents and tree ids off the same first passages
+    forest = forest_arrays(batch.counts, batch.offsets, batch.ages)
+    assert np.array_equal(forest.heights, heights) and np.array_equal(forest.depths, depths)
+    w = walk(batch.counts)
     for j in sorted(picks):
         dec = ladder_decomp(sticks, j)
         assert depths[j] == dec.height, j
         assert abs(heights[j] - dec.height_sum()) <= tol, j
+        if j < n:
+            line = ancestors_from_walk(w, j)
+            assert forest.parent[j] == (line[1] if len(line) > 1 else -1), j
+            assert forest.tree_id[j] == np.count_nonzero(roots <= j) - 1, j
 
 
 def test_verify_identities_reference(reference_sticks):
@@ -192,6 +225,20 @@ def test_verify_identities_reference(reference_sticks):
     for name, tally in report.tallies.items():
         assert tally.failures == 0, name
         assert tally.passes > 0, name
+
+
+def test_kernel_forest_identity_catches_a_wrong_kernel(reference_sticks, monkeypatch):
+    import chronoforest.spine as spine_module
+    from chronoforest.forest import ChronForest
+
+    def off_by_one(sticks):
+        good = build_forest(sticks)
+        return ChronForest(good.batch, good.arrays._replace(pending_stubs=1))
+
+    monkeypatch.setattr(spine_module, "build_forest", off_by_one)
+    report = verify_identities(reference_sticks, max_pairs=5, rng=np.random.default_rng(0))
+    assert report.tallies["kernel-forest-matches-graft"].failures == 1
+    assert [n for n, t in report.tallies.items() if t.failures] == ["kernel-forest-matches-graft"]
 
 
 def test_verify_identities_random_forests(rng):
