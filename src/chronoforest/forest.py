@@ -214,6 +214,7 @@ class ChronForest:
         if self._nodes is None:
             a = self.arrays
             rows = zip(
+                self.batch.to_sticks(),
                 a.parent.tolist(),
                 a.birth_age.tolist(),
                 a.heights.tolist(),
@@ -221,8 +222,8 @@ class ChronForest:
                 a.tree_id.tolist(),
             )
             self._nodes = [
-                ForestNode(i, self.batch.stick(i), None if p < 0 else p, age, h, d, t)
-                for i, (p, age, h, d, t) in enumerate(rows)
+                ForestNode(i, stick, None if p < 0 else p, age, h, d, t)
+                for i, (stick, p, age, h, d, t) in enumerate(rows)
             ]
         return self._nodes
 
@@ -400,11 +401,14 @@ class ContourPath:
             raise ValueError(
                 f"time out of range [0, {self.end_time}]: {t_arr.min()}..{t_arr.max()}"
             )
-        n = np.searchsorted(self.visit_times, t_arr, side="right") - 1
-        n = np.minimum(np.maximum(n, 0), len(self.v) - 1)
-        k, h, v = self.visit_times[n], self.heights[n], self.v[n]
-        rise = t_arr - k
-        out = np.where(rise <= v, h + rise, h + 2.0 * v - rise)
+        if not len(self.v):  # no sticks: the path is the one point (0, heights[0])
+            out = np.full(t_arr.shape, self.heights[0])
+        else:
+            n = np.searchsorted(self.visit_times, t_arr, side="right") - 1
+            n = np.minimum(np.maximum(n, 0), len(self.v) - 1)
+            k, h, v = self.visit_times[n], self.heights[n], self.v[n]
+            rise = t_arr - k
+            out = np.where(rise <= v, h + rise, h + 2.0 * v - rise)
         return float(out) if np.isscalar(t) or out.ndim == 0 else out
 
     def min_on(self, a: float, b: float) -> float:

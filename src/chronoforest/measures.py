@@ -22,6 +22,9 @@ and the ``sup_support`` functional extends additively to sequences.
 
 A *stick batch* is the flat-array form of a stick sequence that the samplers
 and the height kernel work on; ``StickBatch`` owns its layout.
+``StickBatch.to_sticks`` checks a whole batch once, in arrays, and reports
+the first bad stick through the checking constructors, so its error is the
+one ``Stick`` and ``PointMeasure`` raise.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -64,7 +68,8 @@ class PointMeasure:
 
     @classmethod
     def _from_sorted(cls, atoms: tuple[float, ...]) -> "PointMeasure":
-        # Internal fast path: ``atoms`` is already non-increasing and positive.
+        # Internal fast path: ``atoms`` is already non-increasing, finite and
+        # positive.  Only this module, which checked them, may call it.
         m = cls.__new__(cls)
         m._atoms = atoms
         return m
@@ -220,13 +225,35 @@ class StickBatch:
         return Stick(float(self.v[i]), self.measure(i))
 
     def to_sticks(self) -> list[Stick]:
-        return [self.stick(i) for i in range(self.n)]
+        """``[self.stick(k) for k in range(self.n)]``, checked once in arrays.
+
+        The array tests are exactly those of ``PointMeasure`` and ``Stick``:
+        ages finite and positive, ``0 < v < inf``, each stick's first
+        (largest) age at most its ``v``.  The first stick failing one is
+        rebuilt by ``stick(k)``, so the constructors raise their own error.
+        The layout is already non-increasing, so each atom tuple is a slice.
+        """
+        v, ages, offsets = self.v, self.ages, self.offsets
+        bad = ~((v > 0.0) & (v < math.inf))
+        full = self.counts > 0
+        bad[full] |= ages[offsets[:-1][full]] > v[full]
+        bad_ages = np.flatnonzero(~(np.isfinite(ages) & (ages > 0.0)))
+        bad[np.searchsorted(offsets, bad_ages, side="right") - 1] = True
+        if bad.any():
+            self.stick(int(bad.argmax()))  # raises the constructors' error
+        flat, bounds = ages.tolist(), offsets.tolist()
+        measure = PointMeasure._from_sorted
+        return [
+            Stick(life, measure(tuple(flat[a:b])))
+            for life, a, b in zip(v.tolist(), bounds, bounds[1:])
+        ]
 
     @classmethod
     def from_sticks(cls, sticks: Sequence[Stick]) -> "StickBatch":
-        counts = np.array([s.births.mass for s in sticks], dtype=np.int64)
+        atoms = [s.births.atoms for s in sticks]
+        counts = np.fromiter(map(len, atoms), dtype=np.int64, count=len(atoms))
         v = np.array([s.v for s in sticks], dtype=float)
-        ages = np.array([a for s in sticks for a in s.births.atoms], dtype=float)
+        ages = np.array(list(chain.from_iterable(atoms)), dtype=float)
         return cls(counts, v, ages)
 
 

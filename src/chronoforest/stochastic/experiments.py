@@ -78,13 +78,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.p_values or any(p <= 0 for p in self.p_values):
             raise ValueError("p values must be positive")
-        if not self.times or any(t <= 0 for t in self.times):
-            raise ValueError("times must be positive")
+        if not self.times or not all(0.0 < t < math.inf for t in self.times):
+            raise ValueError(f"times must be positive and finite, got {self.times!r}")
         if self.replicates <= 0:
             raise ValueError("replicates must be positive")
         u, v = self.interval
-        if not 0 <= u < v:
-            raise ValueError("interval must satisfy 0 <= u < v")
+        if not 0 <= u < v < math.inf:
+            raise ValueError(f"interval must satisfy 0 <= u < v < inf, got {self.interval!r}")
 
     def to_text(self) -> str:
         lines = [

@@ -314,6 +314,28 @@ def test_couple_non_finite_levels_are_rejected(capsys, eps, t):
     assert "eps and t must be finite" in captured.err
 
 
+@pytest.mark.parametrize(
+    "times, interval, message",
+    [
+        ("inf", None, "times must be positive and finite, got (inf,)"),
+        ("0.5,nan", None, "times must be positive and finite, got (0.5, nan)"),
+        ("1", "0.5,inf", "interval must satisfy 0 <= u < v < inf, got (0.5, inf)"),
+        ("1", "nan,1", "interval must satisfy 0 <= u < v < inf, got (nan, 1.0)"),
+    ],
+)
+def test_scale_non_finite_times_are_rejected(tmp_path, capsys, times, interval, message):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"law = gw\np = 100\ntimes = {times}\n" + (f"interval = {interval}\n" if interval else ""))
+    runs = [["scale", "--config", str(cfg)]]
+    if interval is None:
+        runs.append(["scale", "--law", "gw", "--p", "100", "--times", times])
+    for argv in runs:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_import_does_not_load_scipy_special():
     code = "import sys, chronoforest.cli; print('scipy.special' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}

@@ -185,6 +185,17 @@ def test_empty_forest():
     assert f.n_sticks == 0
     assert f.birth_times().shape == (1,)
     assert not f.final_tree_incomplete
+    assert f.nodes == []
+
+
+def test_empty_forest_contour_is_one_point():
+    path = contour_path(build_forest(StickBatch([], [], [])))
+    assert path.end_time == 0.0
+    assert path.eval(0.0) == 0.0 and isinstance(path.eval(0.0), float)
+    assert np.array_equal(path.eval(np.zeros(3)), np.zeros(3))
+    assert path.min_on(0.0, 0.0) == 0.0
+    with pytest.raises(ValueError, match="out of range"):
+        path.eval(0.5)
 
 
 def test_graft_forest_reference_forest(reference_sticks):

@@ -1,11 +1,14 @@
 """Stick laws: samplers, descriptors, parsing and batch layout."""
 
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from chronoforest.measures import PointMeasure, Stick
 from chronoforest.stochastic import (
     ConstantStickLaw,
     ExponentialUniformLaw,
@@ -125,6 +128,97 @@ def test_batch_round_trip(rng):
     assert again.v == pytest.approx(batch.v)
     assert again.ages == pytest.approx(batch.ages)
     assert again.to_sticks() == sticks
+
+
+def literal_sticks(batch: StickBatch) -> list[Stick]:
+    """The stick-by-stick construction that ``to_sticks`` must equal."""
+    o = batch.offsets
+    return [Stick(float(batch.v[i]), PointMeasure(batch.ages[o[i] : o[i + 1]])) for i in range(batch.n)]
+
+
+def _bits(xs) -> list[int]:
+    return np.array(xs, dtype=float).view(np.uint64).tolist()
+
+
+ROUND_TRIP_LAWS = [
+    "geo-uniform(mean=1.0,v=2.0,lattice=4)",  # ties within and across sticks
+    "geo-uniform(mean=0)",  # every stick a leaf
+    "exp-uniform(rate=0.5)",
+    "gw(mean=1.2)",
+    "two-point",
+    "const(v=1,ages=0.7:0.7)",
+    "family1(alpha=1.5)",
+    "family2(alpha=1.2)",
+]
+LATTICE = [0.25, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def law_batches(draw):
+    law = parse_law(draw(st.sampled_from(ROUND_TRIP_LAWS)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return law.sample_batch(rng, draw(st.integers(0, 60)))
+
+
+@st.composite
+def lattice_batches(draw):
+    counts = draw(st.lists(st.integers(0, 3), max_size=12))
+    v = [draw(st.sampled_from(LATTICE)) for _ in counts]
+    ages = []
+    for c, life in zip(counts, v):
+        atoms = st.sampled_from([a for a in LATTICE if a <= life])
+        ages += sorted(draw(st.lists(atoms, min_size=c, max_size=c)), reverse=True)
+    return StickBatch(counts, v, ages)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(law_batches(), lattice_batches()))
+def test_to_sticks_equals_literal_construction(batch):
+    sticks = batch.to_sticks()
+    expected = literal_sticks(batch)
+    assert len(sticks) == len(expected) == batch.n
+    for s, e in zip(sticks, expected):
+        assert type(s.v) is float and _bits([s.v]) == _bits([e.v])
+        assert all(type(a) is float for a in s.births.atoms)
+        assert _bits(s.births.atoms) == _bits(e.births.atoms)
+    again = StickBatch.from_sticks(sticks)
+    for name in ("counts", "v", "ages", "offsets"):
+        a, b = getattr(again, name), getattr(batch, name)
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+nan, inf = math.nan, math.inf
+
+
+@pytest.mark.parametrize(
+    "counts, v, ages",
+    [
+        ([1, 2], [1.0, 1.0], [0.5, 0.3, nan]),
+        ([3], [1.0], [0.3, nan, 0.5]),  # NaN hides the order from the layout check
+        ([0, 2], [1.0, 1.0], [inf, 0.5]),
+        ([2], [1.0], [0.5, 0.0]),
+        ([2], [1.0], [0.5, -0.0]),
+        ([1, 1], [1.0, 1.0], [0.5, -0.5]),
+        ([0, 0], [1.0, 0.0], []),
+        ([1], [inf], [0.5]),
+        ([0], [nan], []),
+        ([1], [-1.0], [0.5]),
+        ([0, 1], [1.0, 1.0], [1.5]),
+        ([0, 1, 1], [1.0, 1.0, 2.0], [1.0, 2.5]),
+        ([0, 1], [0.0, 1.0], [nan]),  # early bad life, later bad atom
+        ([0, 1], [inf, 1.0], [-0.5]),
+        ([1, 0], [1.0, nan], [-0.5]),  # early bad atom, later bad life
+        ([1, 0, 1], [1.0, 1.0, 1.0], [1.5, -1.0]),  # early age > v, later bad atom
+    ],
+)
+def test_to_sticks_raises_the_literal_error(counts, v, ages):
+    batch = StickBatch(counts, v, ages)
+    with pytest.raises(ValueError) as want:
+        literal_sticks(batch)
+    with pytest.raises(ValueError) as got:
+        batch.to_sticks()
+    assert type(got.value) is type(want.value)
+    assert str(got.value) == str(want.value)
 
 
 def test_sample_stick_agrees_with_batch(rng):

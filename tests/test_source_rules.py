@@ -55,15 +55,13 @@ def test_stick_laws_only_choose_parts():
     assert not extra, "StickLaw subclasses define more than __init__: " + ", ".join(extra)
 
 
-def test_grafting_oracle_stays_out_of_hot_paths():
-    # ``forest.graft_forest`` is the literal oracle: only its own module and
-    # the identity suite in ``spine`` may name it, so no command or
-    # experiment can come to run the stick-by-stick loop.
+def _named_outside(name: str, allowed: set[str]) -> list[str]:
+    """Where a package source other than ``allowed`` names ``name``: as an
+    identifier, attribute, definition, import alias or string constant."""
     root = Path(chronoforest.__file__).resolve().parent
-    allowed = {root / "forest.py", root / "spine.py"}
     found = []
     for path in sorted(root.rglob("*.py")):
-        if path in allowed:
+        if path.relative_to(root).as_posix() in allowed:
             continue
         tree = ast.parse(path.read_text(), filename=str(path))
         for node in ast.walk(tree):
@@ -74,6 +72,21 @@ def test_grafting_oracle_stays_out_of_hot_paths():
                 getattr(node, "asname", None),
                 getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
             }
-            if "graft_forest" in names:
+            if name in names:
                 found.append(f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')}")
+    return found
+
+
+def test_grafting_oracle_stays_out_of_hot_paths():
+    # ``forest.graft_forest`` is the literal oracle: only its own module and
+    # the identity suite in ``spine`` may name it, so no command or
+    # experiment can come to run the stick-by-stick loop.
+    found = _named_outside("graft_forest", {"forest.py", "spine.py"})
     assert not found, "graft_forest referenced outside forest.py and spine.py: " + ", ".join(found)
+
+
+def test_unchecked_measure_constructor_stays_in_measures():
+    # ``PointMeasure._from_sorted`` skips the sort and the checks; only
+    # ``measures``, which checks the parts first, may name it.
+    found = _named_outside("_from_sorted", {"measures.py"})
+    assert not found, "_from_sorted referenced outside measures.py: " + ", ".join(found)
