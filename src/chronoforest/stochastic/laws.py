@@ -27,6 +27,7 @@ from __future__ import annotations
 import inspect
 import math
 import re
+import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -134,22 +135,68 @@ class FixedCounts:
         return pmf
 
 
+# B_2, B_4, ..., B_28 as (numerator, denominator)
+_BERNOULLI = (
+    (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66), (-691, 2730), (7, 6),
+    (-3617, 510), (43867, 798), (-174611, 330), (854513, 138),
+    (-236364091, 2730), (8553103, 6), (-23749461029, 870),
+)
+
+
+def _zeta_digits(s: float):
+    """zeta(s) for real s > 1 as a 40-digit ``Decimal``.
+
+    The first 19 terms of the series, then the Euler-Maclaurin tail at n = 20:
+    n^(1-s) / (s-1) + n^-s / 2 + the sum over j = 1..14 of
+    B_2j / (2j)! * s (s+1) ... (s+2j-2) * n^(-s-2j+1).  For real s the
+    remainder is smaller than the first omitted (B_30) term, which stays
+    below 2e-32 of zeta(s) for every s > 1.
+    """
+    s = float(s)
+    if not 1.0 < s < math.inf:
+        raise ValueError(f"zeta(s) needs a real s > 1, got {s!r}")
+    from decimal import Context, Decimal, localcontext
+
+    with localcontext(Context(prec=40)):
+        s = Decimal(s)
+        n = Decimal(20)
+        n_s = n ** -s
+        total = sum(Decimal(k) ** -s for k in range(1, 20)) + n * n_s / (s - 1) + n_s / 2
+        rising, power = s, n_s / n  # s (s+1) ... (s+2j-2) and n^(-s-2j+1)
+        for j, (num, den) in enumerate(_BERNOULLI, start=1):
+            total += Decimal(num) / (den * math.factorial(2 * j)) * rising * power
+            rising *= (s + 2 * j - 1) * (s + 2 * j)
+            power /= n * n
+        return +total
+
+
+def _zeta(s: float) -> float:
+    """zeta(s) for real s > 1, correctly rounded to a float: the one rounding
+    of a value within 2e-32 relative of zeta(s) (see ``_zeta_digits``) gives
+    the nearest float unless zeta(s) lies that close to a midpoint between
+    two floats."""
+    return float(_zeta_digits(s))
+
+
 class StableCounts:
     """Counts with pmf k^-(alpha+1) / zeta(alpha) on k >= 1 and the
     complementary mass ``p0`` at 0; the mean is exactly 1 for every alpha
-    in (1, 2]."""
+    in (1, 2].
+
+    zeta(alpha) and zeta(alpha + 1) come from ``_zeta``: an Euler-Maclaurin
+    sum in 40-digit decimal arithmetic, correctly rounded to floats, so the
+    laws need no special-function library.
+    """
 
     mean = 1.0
 
     def __init__(self, alpha: float):
         if not 1.0 < alpha <= 2.0:
             raise ValueError(f"alpha must be in (1, 2], got {alpha!r}")
-        from scipy.special import zeta
-
         self.alpha = float(alpha)
         self.eps_rule = f"stable:{alpha}"
-        self.z_a = float(zeta(alpha))
-        self.z_a1 = float(zeta(alpha + 1.0))
+        self.z_a = _zeta(self.alpha)
+        self.z_a1 = _zeta(self.alpha + 1.0)
         self.p0 = 1.0 - self.z_a1 / self.z_a
 
     def sample(self, rng, size=None):
@@ -175,9 +222,10 @@ class StableCounts:
         # g(x) = f(x) x^-(alpha+1); the next term, g'(c) / 12, is below
         # c^-(alpha+1) < 4e-15 for f growing at most linearly).  The integral
         # is taken in u = log(x / c), where even f(x) = x decays like
-        # e^-(alpha-1)u, over u in [0, 600]: enough from alpha = 1.1 on, while
-        # nearer 1 a linearly growing f loses the part beyond u = 600.
-        from scipy.integrate import quad
+        # e^-(alpha-1)u, over u in [0, 600]: enough from alpha = 1.1 on.  Nearer
+        # 1 a linearly growing f has a tail beyond u = 600 that the quadrature
+        # cannot reach; it warns, and the warning becomes a ValueError here.
+        from scipy.integrate import IntegrationWarning, quad
 
         def g(x):
             return f(x) * x ** -(self.alpha + 1.0)
@@ -187,13 +235,22 @@ class StableCounts:
         for k0 in range(1, cutoff, 1 << 20):
             k = np.arange(k0, min(k0 + (1 << 20), cutoff), dtype=float)
             total += float(np.sum(g(k)))
-        tail, _ = quad(
-            lambda u: float(g(np.array([cutoff * math.exp(u)]))[0]) * cutoff * math.exp(u),
-            0.0,
-            600.0,
-            epsabs=0.0,  # the tail is tiny: only a relative target means anything
-            epsrel=1e-12,
-        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                tail, _ = quad(
+                    lambda u: float(g(np.array([cutoff * math.exp(u)]))[0]) * cutoff * math.exp(u),
+                    0.0,
+                    600.0,
+                    epsabs=0.0,  # the tail is tiny: only a relative target means anything
+                    epsrel=1e-12,
+                )
+            except IntegrationWarning as exc:
+                name = getattr(f, "__name__", repr(f))
+                raise ValueError(
+                    f"E f(count) with f={name} at alpha={self.alpha} does not converge numerically: "
+                    + str(exc).strip().splitlines()[0]
+                ) from None
         return (total + 0.5 * float(g(np.array([float(cutoff)]))[0]) + tail) / self.z_a
 
 
@@ -316,12 +373,12 @@ class FixedAges(_Ages):
         return counts.p * math.fsum(self.atoms)
 
 
-def _age_is_count(k: np.ndarray) -> np.ndarray:
+def identity(k: np.ndarray) -> np.ndarray:
     return k
 
 
 # module-level maps (not lambdas), so that laws pickle for the worker pool
-_AGE_MAPS = {"identity": _age_is_count, "sqrt": np.sqrt, "log1p": np.log1p}
+_AGE_MAPS = {"identity": identity, "sqrt": np.sqrt, "log1p": np.log1p}
 
 
 class FirstAtomAges(_Ages):
@@ -478,7 +535,7 @@ class StableFamilyLaw(StickLaw):
         if variant == "1":
             ages = FirstAtomAges()
         elif variant == "2":
-            ages = FirstAtomAges(_age_is_count, counts.mean)
+            ages = FirstAtomAges(identity, counts.mean)
         elif variant == "generalized":
             age_map = "sqrt" if age_map is None else age_map
             if age_map not in _AGE_MAPS:

@@ -124,14 +124,19 @@ class LadderStats:
         return float(self.accepted.mean())
 
 
+# The walks advance in blocks of steps: the first block is short, each next
+# one twice as long up to _MAX_BLOCK, and a block never holds more than
+# _MAX_SLOTS counts over all active walks.
+_FIRST_BLOCK = 64
+_MAX_BLOCK = 1 << 22
+_MAX_SLOTS = 1 << 23
+
+
 def sample_ladder_stats(
     law: StickLaw,
     rng: np.random.Generator,
     n: int,
     step_cap: int = 1_000_000,
-    first_block: int = 64,
-    max_block: int = 1 << 22,
-    max_slots: int = 1 << 23,
     envelope: Optional[float] = None,
 ) -> LadderStats:
     """Run n independent count walks until their first weak ascent.
@@ -157,9 +162,9 @@ def sample_ladder_stats(
     active = np.arange(n)
     s_active = np.zeros(n, dtype=np.int64)
     done = 0
-    block = first_block
+    block = _FIRST_BLOCK
     while active.size and done < step_cap:
-        b = min(block, step_cap - done, max(max_slots // active.size, 1))
+        b = min(block, step_cap - done, max(_MAX_SLOTS // active.size, 1))
         counts = np.asarray(law.counts.sample(rng, (active.size, b)), dtype=np.int64)
         cum = np.cumsum(counts - 1, axis=1)
         cum += s_active[:, None]
@@ -184,7 +189,7 @@ def sample_ladder_stats(
             active = active[shallow]
             s_active = s_active[shallow]
         done += b
-        block = min(block * 2, max_block)
+        block = min(block * 2, _MAX_BLOCK)
     accepted = tau >= 0
     return LadderStats(tau, zeta, jump, accepted, abandoned, step_cap)
 

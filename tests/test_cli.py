@@ -337,12 +337,29 @@ def test_scale_non_finite_times_are_rejected(tmp_path, capsys, times, interval, 
 
 
 def test_import_does_not_load_scipy_special():
-    code = "import sys, chronoforest.cli; print('scipy.special' in sys.modules)"
+    # scipy.special costs a stable-law process about 0.2 s and 17 MB; the
+    # stable laws compute zeta themselves, so neither the import nor building
+    # and drawing from family 1 and 2 may load it
+    code = """
+import sys
+import numpy as np
+import chronoforest.cli
+from chronoforest.stochastic import parse_law, sample_vhat
+print('scipy.special' in sys.modules)
+for spec in ['family1', 'family2', 'family2(alpha=1.2)']:
+    law = parse_law(spec)
+    rng = np.random.default_rng(1)
+    law.sample_batch(rng, 200)
+    law.counts.pmf(30)
+    sample_vhat(law, rng, 200)
+    law.counts.sizebiased(rng, 200)
+print('scipy.special' in sys.modules)
+"""
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 BAD_LAWS = [
@@ -355,6 +372,7 @@ BAD_LAWS = [
     ("two-point(v=0)", "life length v must be positive and finite, got 0.0"),
     ("two-point(p=2)", "p must be in [0, 1], got 2.0"),
     ("family2(alpha=1)", "alpha must be in (1, 2], got 1.0"),
+    ("family-gen(alpha=1.05,f=identity)", "E f(count) with f=identity at alpha=1.05 does not converge numerically"),
     ("gw(mean=inf)", "mean offspring must be >= 0 and finite, got inf"),
     ("gw(mean=nan)", "mean offspring must be >= 0 and finite, got nan"),
 ]

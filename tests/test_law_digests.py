@@ -8,7 +8,12 @@ specs that use every spec name and key ``parse_law`` accepts.  They were
 recorded with numpy 2.4.6 from the hand-written laws (see the file's
 ``recorded_at``); a numpy release that changes a generator's stream would
 change them too.  Every item draws from its own fresh generator, so a
-change shows up in the item that made it.
+change shows up in the item that made it.  Five were re-recorded when the
+stable laws' zeta values became correctly rounded (they used to come from
+``scipy.special.zeta``, a few ulps off at some arguments): the ``pmf`` of
+``family2(alpha=1.2)``, ``family-gen(alpha=1.7,f=log1p)`` and
+``generalized(alpha=1.3,f=sqrt)``, and ``describe`` of the last two.  No
+draw changed.
 """
 
 import hashlib

@@ -1,6 +1,9 @@
 """Stick laws: samplers, descriptors, parsing and batch layout."""
 
 import math
+import warnings
+from decimal import Context, Decimal, localcontext
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +23,7 @@ from chronoforest.stochastic import (
     parse_law,
     random_verification_law,
 )
-from chronoforest.stochastic.laws import StableCounts, _sort_ages_desc
+from chronoforest.stochastic.laws import StableCounts, _sort_ages_desc, _zeta, _zeta_digits
 
 DESCRIBE_KEYS = {"name", "mean_offspring", "mean_v", "mean_ystar", "arithmetic", "span"}
 
@@ -375,3 +378,96 @@ def test_family_gen_identity_is_family2():
         gen = parse_law(f"family-gen(alpha={alpha},f=identity)").describe()["mean_ystar"]
         fam2 = parse_law(f"family2(alpha={alpha})").describe()["mean_ystar"]
         assert abs(gen - fam2) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "spec", ["family-gen(alpha=1.01,f=sqrt)", "family-gen(alpha=1.01,f=log1p)", "family-gen(alpha=1.2,f=identity)"]
+)
+def test_family_gen_near_one_builds_without_warnings(spec):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert 1.0 < parse_law(spec).describe()["mean_ystar"] < 2.0
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.02, 1.05])
+def test_family_gen_unreachable_mean_is_rejected(alpha):
+    # E count = 1 exactly, but the tail quadrature of f = identity fails this
+    # close to alpha = 1 (it returned 0.976 at 1.01 with only a warning)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=rf"f=identity at alpha={alpha} does not converge"):
+            parse_law(f"family-gen(alpha={alpha},f=identity)")
+
+
+# -- zeta ----------------------------------------------------------------
+
+# 400 points on (1, 3] (the arguments alpha and alpha + 1 of the stable laws)
+# and two just above the pole
+ZETA_GRID = [float(s) for s in np.linspace(1.0, 3.0, 401)[1:]] + [1.0 + 1e-9, 1.0 + 1e-6]
+
+
+def _even_bernoulli(m: int) -> list[Fraction]:
+    """B_2, B_4, ..., B_2m by the Akiyama-Tanigawa recurrence."""
+    a, out = [], []
+    for i in range(2 * m + 1):
+        a.append(Fraction(1, i + 1))
+        for j in range(i, 0, -1):
+            a[j - 1] = j * (a[j - 1] - a[j])
+        out.append(a[0])
+    return out[2::2]
+
+
+_B_REF = _even_bernoulli(24)
+with localcontext(Context(prec=60)):
+    _LOG_REF = [Decimal(k).ln() for k in range(1, 41)]
+
+
+def _zeta_reference(s: float) -> Decimal:
+    # Euler-Maclaurin at n = 40 with 24 Bernoulli terms in 60 digits, powers
+    # as exp(-s log k): the remainder (the B_50 term) is below 1e-56 on (1, 3]
+    with localcontext(Context(prec=60)):
+        s, n = Decimal(s), 40
+        total = sum((-s * log_k).exp() for log_k in _LOG_REF[: n - 1])
+        n_s = (-s * _LOG_REF[n - 1]).exp()
+        total += n * n_s / (s - 1) + n_s / 2
+        rising = Decimal(1)
+        for j, b in enumerate(_B_REF, start=1):
+            rising *= s + 2 * j - 2
+            factor = Decimal(b.numerator) / (b.denominator * math.factorial(2 * j))
+            total += factor * rising * n_s / n ** (2 * j - 1)
+            rising *= s + 2 * j - 1
+        return total
+
+
+def test_zeta_matches_a_60_digit_evaluation():
+    for s in ZETA_GRID:
+        ref = _zeta_reference(s)
+        digits = _zeta_digits(s)
+        with localcontext(Context(prec=60)):
+            # the B_30 term, the first one left out, is under 2e-32 of zeta
+            assert abs(digits - ref) <= Decimal("5e-32") * ref, s
+        assert _zeta(s) == float(ref), s
+
+
+def test_zeta_even_values_match_pi():
+    pi = Decimal("3.141592653589793238462643383279502884197")
+    with localcontext(Context(prec=40)):
+        assert _zeta(2.0) == float(pi**2 / 6)
+        assert _zeta(4.0) == float(pi**4 / 90)
+
+
+def test_zeta_within_8_ulps_of_scipy():
+    ulps = [abs(z - float(zeta(s))) / math.ulp(z) for s, z in zip(ZETA_GRID, map(_zeta, ZETA_GRID))]
+    assert max(ulps) <= 8
+
+
+@pytest.mark.parametrize("s", [1.0, 0.5, 0.0, -2.0, 1.0 - 1e-16, math.nan, math.inf, -math.inf])
+def test_zeta_rejects_arguments_outside_its_domain(s):
+    with pytest.raises(ValueError, match="needs a real s > 1"):
+        _zeta(s)
+
+
+def test_stable_counts_use_correctly_rounded_zeta():
+    counts = StableCounts(1.3)
+    assert counts.z_a == 3.9319492118095436  # scipy 1.17.1: ...445
+    assert counts.z_a1 == _zeta(2.3)

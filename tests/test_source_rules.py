@@ -90,3 +90,50 @@ def test_unchecked_measure_constructor_stays_in_measures():
     # ``measures``, which checks the parts first, may name it.
     found = _named_outside("_from_sorted", {"measures.py"})
     assert not found, "_from_sorted referenced outside measures.py: " + ", ".join(found)
+
+
+def _imports_scipy_special(tree: ast.AST) -> list[int]:
+    """Lines that import ``scipy.special`` or a submodule of it: as an
+    ``import``, a ``from`` import, or a module name in a string (as given to
+    ``importlib.import_module`` or ``__import__``)."""
+
+    def special(module: str) -> bool:
+        return module == "scipy.special" or module.startswith("scipy.special.")
+
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            hit = any(special(alias.name) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            hit = special(module) or (module == "scipy" and any(a.name == "special" for a in node.names))
+        else:
+            hit = isinstance(node, ast.Constant) and isinstance(node.value, str) and special(node.value)
+        if hit:
+            lines.append(node.lineno)
+    return lines
+
+
+def test_no_module_imports_scipy_special():
+    # scipy.special costs a process about 0.2 s and 17 MB; the stable laws
+    # compute zeta themselves (scipy.integrate, which family-gen still uses
+    # for its mean, loads it on its own)
+    for snippet in [
+        "import scipy.special",
+        "import scipy.special as sp",
+        "from scipy.special import zeta",
+        "from scipy.special._basic import zeta",
+        "from scipy import special",
+        "from scipy import stats, special as sp",
+        "importlib.import_module('scipy.special')",
+    ]:
+        assert _imports_scipy_special(ast.parse(snippet)) == [1], snippet
+    for snippet in ["import scipy", "from scipy.integrate import quad", "from scipy import specialty"]:
+        assert _imports_scipy_special(ast.parse(snippet)) == [], snippet
+    root = Path(chronoforest.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(root)}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _imports_scipy_special(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, "scipy.special imported in: " + ", ".join(found)
