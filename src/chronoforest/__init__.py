@@ -20,11 +20,9 @@ from .measures import (
 from .forest import (
     ChronForest,
     ContourPath,
-    ForestNode,
     build_forest,
     contour_path,
     genealogical_map,
-    min_contour,
     write_contour_csv,
     write_forest_csv,
 )
@@ -44,11 +42,9 @@ from .lukasiewicz import (
 )
 from .spine import (
     IdentityReport,
-    height_profile,
     height_profile_arrays,
     phi,
     shifted_spine,
-    spine_process,
     spine_states,
     verify_identities,
 )
@@ -65,11 +61,9 @@ __all__ = [
     "sticks_to_json",
     "ChronForest",
     "ContourPath",
-    "ForestNode",
     "build_forest",
     "contour_path",
     "genealogical_map",
-    "min_contour",
     "write_contour_csv",
     "write_forest_csv",
     "LadderDecomp",
@@ -85,11 +79,9 @@ __all__ = [
     "mrca",
     "walk",
     "IdentityReport",
-    "height_profile",
     "height_profile_arrays",
     "phi",
     "shifted_spine",
-    "spine_process",
     "spine_states",
     "verify_identities",
     "__version__",

@@ -16,12 +16,13 @@ child will be attached.
 atom i of stick m receives the individual at a first passage of the
 Lukasiewicz walk (``first_passage_profile``), so ``forest_arrays`` reads
 every parent, birth age, birth time, generation and tree id off flat
-arrays; this is what the ``build`` command and the experiments run.
+arrays; this is what the ``build`` command and the experiments run.  A
+``ChronForest`` is those arrays and its stick batch, nothing more.
 ``graft_forest`` is the literal construction: it searches every open node
 for the highest stub instead of trusting the stack discipline, and asserts
 that the two agree.  It is the ground-truth oracle against which the
 kernel and the walk/ladder/spine formulas elsewhere in the package are
-tested.
+tested, and it yields the same arrays.
 
 The *contour* of the forest is the piecewise-linear excursion traced by
 exploring sticks depth-first at slope +-1: it climbs from the n-th
@@ -33,7 +34,6 @@ is the one place that clock is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import chain
 from typing import IO, NamedTuple, Optional, Sequence, Union
 
@@ -45,14 +45,12 @@ __all__ = [
     "first_passage_profile",
     "ForestArrays",
     "forest_arrays",
-    "ForestNode",
     "ChronForest",
     "build_forest",
     "graft_forest",
     "genealogical_map",
     "ContourPath",
     "contour_path",
-    "min_contour",
     "write_forest_csv",
     "write_contour_csv",
 ]
@@ -155,39 +153,19 @@ def forest_arrays(counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray) -> 
     return ForestArrays(heights, depths, parent, birth_age, tree_id, pending)
 
 
-@dataclass(frozen=True)
-class ForestNode:
-    """One grafted stick: its position in the forest and in time."""
-
-    index: int
-    stick: Stick
-    parent: Optional[int]  # None for roots
-    birth_age: float  # age on the parent stick at which this node was born
-    birth_time: float  # chronological height of the graft point
-    depth: int  # genealogical generation (roots have depth 0)
-    tree_id: int
-
-
 class ChronForest:
     """A chronological forest held as arrays, with its stick batch.
 
     ``arrays`` carries every individual's parent, birth age, birth time,
-    generation and tree id (read-only).  ``birth_times()`` and ``depths()``
-    return the cached arrays; ``nodes`` builds ``ForestNode``s only when
-    asked for.
+    generation and tree id (read-only); ``batch.to_sticks()`` gives its
+    sticks back.  ``birth_times()`` and ``depths()`` return the arrays.
     """
 
-    def __init__(
-        self,
-        batch: StickBatch,
-        arrays: ForestArrays,
-        nodes: Optional[list[ForestNode]] = None,
-    ):
+    def __init__(self, batch: StickBatch, arrays: ForestArrays):
         for a in arrays[:-1]:
             a.flags.writeable = False
         self.batch = batch
         self.arrays = arrays
-        self._nodes = nodes
         #: number of stubs still waiting for a child after the last stick
         self.pending_stubs = arrays.pending_stubs
         #: height at which stick ``n_sticks`` would be grafted (0.0 if the
@@ -208,24 +186,6 @@ class ChronForest:
     @property
     def tree_count(self) -> int:
         return int(self.arrays.tree_id[-1]) + 1 if self.n_sticks else 0
-
-    @property
-    def nodes(self) -> list[ForestNode]:
-        if self._nodes is None:
-            a = self.arrays
-            rows = zip(
-                self.batch.to_sticks(),
-                a.parent.tolist(),
-                a.birth_age.tolist(),
-                a.heights.tolist(),
-                a.depths.tolist(),
-                a.tree_id.tolist(),
-            )
-            self._nodes = [
-                ForestNode(i, stick, None if p < 0 else p, age, h, d, t)
-                for i, (stick, p, age, h, d, t) in enumerate(rows)
-            ]
-        return self._nodes
 
     def birth_times(self) -> np.ndarray:
         """Birth times of individuals 0..n-1 plus the terminal graft height.
@@ -279,7 +239,9 @@ def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
     returned forest flags whether the final tree still has pending stubs.
     """
     sticks = list(sticks)
-    nodes: list[ForestNode] = []
+    # per individual: parent (-1 for roots), age on the parent's stick,
+    # birth time, generation and tree id
+    parent, birth_age, birth_time, depth, tree = [], [], [], [], []
     # Open nodes along the right-most path.  Each entry is
     # [node index, atom tuple (ages, largest first), cursor of next stub].
     stack: list[list] = []
@@ -293,14 +255,14 @@ def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
         for pos in range(len(stack) - 1, -1, -1):
             entry = stack[pos]
             if entry[2] < len(entry[1]):
-                h = nodes[entry[0]].birth_time + entry[1][entry[2]]
+                h = birth_time[entry[0]] + entry[1][entry[2]]
                 if h > best_height:
                     best_pos, best_height = pos, h
         if best_pos < 0:
             # Rule 2: nothing pending anywhere -- start a new tree.
             tree_id += 1
             stack.clear()
-            node = ForestNode(i, stick, None, 0.0, 0.0, 0, tree_id)
+            up, age, h, d = -1, 0.0, 0.0, 0
         else:
             # The stub discipline: everything below the graft point has no
             # stubs left, otherwise the "highest stub" rule would have found
@@ -312,11 +274,13 @@ def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
             entry = stack[best_pos]
             age = entry[1][entry[2]]
             entry[2] += 1
-            parent = nodes[entry[0]]
-            node = ForestNode(
-                i, stick, parent.index, age, parent.birth_time + age, parent.depth + 1, tree_id
-            )
-        nodes.append(node)
+            up = entry[0]
+            h, d = birth_time[up] + age, depth[up] + 1
+        parent.append(up)
+        birth_age.append(age)
+        birth_time.append(h)
+        depth.append(d)
+        tree.append(tree_id)
         stack.append([i, stick.births.atoms, 0])
 
     pending = sum(len(e[1]) - e[2] for e in stack)
@@ -326,18 +290,18 @@ def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
         for pos in range(len(stack) - 1, -1, -1):
             entry = stack[pos]
             if entry[2] < len(entry[1]):
-                terminal_height = nodes[entry[0]].birth_time + entry[1][entry[2]]
-                terminal_depth = nodes[entry[0]].depth + 1
+                terminal_height = birth_time[entry[0]] + entry[1][entry[2]]
+                terminal_depth = depth[entry[0]] + 1
                 break
     arrays = ForestArrays(
-        np.array([node.birth_time for node in nodes] + [terminal_height]),
-        np.array([node.depth for node in nodes] + [terminal_depth], dtype=np.int64),
-        np.array([-1 if node.parent is None else node.parent for node in nodes], dtype=np.int64),
-        np.array([node.birth_age for node in nodes], dtype=float),
-        np.array([node.tree_id for node in nodes], dtype=np.int64),
+        np.array(birth_time + [terminal_height]),
+        np.array(depth + [terminal_depth], dtype=np.int64),
+        np.array(parent, dtype=np.int64),
+        np.array(birth_age, dtype=float),
+        np.array(tree, dtype=np.int64),
         pending,
     )
-    return ChronForest(StickBatch.from_sticks(sticks), arrays, nodes)
+    return ChronForest(StickBatch.from_sticks(sticks), arrays)
 
 
 def genealogical_map(sticks: Sequence[Stick]) -> list[Stick]:
@@ -448,18 +412,6 @@ def contour_path(forest: ChronForest) -> ContourPath:
     terminal graft height instead of 0.
     """
     return ContourPath.from_heights(forest.birth_times(), forest.batch.v)
-
-
-def min_contour(forest: ChronForest, m: int, n: int) -> float:
-    """Minimum of the contour between the visits of individuals m and n.
-
-    Equals the smallest birth time among individuals m..n: the contour's
-    local minima on that stretch are exactly the visited birth points.
-    """
-    if not (0 <= m <= n <= forest.n_sticks):
-        raise ValueError(f"need 0 <= m <= n <= {forest.n_sticks}, got ({m}, {n})")
-    heights = forest.birth_times()
-    return float(heights[m : n + 1].min())
 
 
 # rows formatted into one string per write, which bounds its memory

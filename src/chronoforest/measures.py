@@ -153,19 +153,25 @@ class Stick:
                 f"birth age {self.births.sup_support!r} exceeds life length {self.v!r}"
             )
 
-    @property
-    def offspring(self) -> int:
-        """Number of children (mass of the birth measure)."""
-        return self.births.mass
-
     def to_json(self) -> dict:
         return {"v": self.v, "births": list(self.births.atoms)}
 
     @classmethod
     def from_json(cls, obj: dict) -> "Stick":
+        """The stick of ``{"v": number, "births": [number, ...]}``."""
         if not isinstance(obj, dict) or "v" not in obj or "births" not in obj:
             raise ValueError(f"stick must be an object with 'v' and 'births', got {obj!r}")
-        return cls(float(obj["v"]), PointMeasure(obj["births"]))
+        v, births = obj["v"], obj["births"]
+        if not _is_number(v):
+            raise ValueError(f"'v' must be a number, got {v!r}")
+        if not isinstance(births, list) or not all(map(_is_number, births)):
+            raise ValueError(f"'births' must be an array of numbers, got {births!r}")
+        return cls(float(v), PointMeasure(births))
+
+
+def _is_number(x) -> bool:
+    # ``bool`` subclasses ``int``, but JSON's true and false are not numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
 @dataclass
@@ -326,6 +332,6 @@ def sticks_from_json(text: str) -> list[Stick]:
     for i, obj in enumerate(data):
         try:
             sticks.append(Stick.from_json(obj))
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, OverflowError) as exc:  # an int too big for a float
             raise ValueError(f"stick {i}: {exc}") from exc
     return sticks

@@ -1,4 +1,4 @@
-"""Spine recursion, height/depth profiles, and the identity test-bench.
+"""Spine recursion, the height/depth kernel, and the identity test-bench.
 
 The spine of the n-th individual lists, ancestor by ancestor, the birth ages
 that are still unexplored when n is grafted.  It evolves by one deterministic
@@ -20,11 +20,11 @@ counts toward the individuals between its child and the end of that child's
 subtree, two first passages of the walk).  It shares that computation,
 ``forest.first_passage_profile``, with ``forest.build_forest``.
 
-``verify_identities`` cross-checks every walk/ladder
-formula in :mod:`chronoforest.lukasiewicz`, and the kernel's forest, against
-the literal grafting of :mod:`chronoforest.forest` on a single stick
-sequence, and reports per-identity tallies with minimal reproducers instead
-of raising.
+``verify_identities`` cross-checks every walk/ladder formula in
+:mod:`chronoforest.lukasiewicz`, the kernel's forest and the contour path
+against the literal grafting of :mod:`chronoforest.forest` on a single
+stick sequence, and reports per-identity tallies with minimal reproducers
+instead of raising.
 """
 
 from __future__ import annotations
@@ -37,10 +37,10 @@ import numpy as np
 
 from .forest import (
     build_forest,
+    contour_path,
     first_passage_profile,
     genealogical_map,
     graft_forest,
-    min_contour,
 )
 from .lukasiewicz import (
     chi,
@@ -52,14 +52,12 @@ from .lukasiewicz import (
     walk,
     ancestors_from_walk,
 )
-from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick, StickBatch
+from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick
 
 __all__ = [
     "phi",
-    "spine_process",
     "spine_states",
     "shifted_spine",
-    "height_profile",
     "height_profile_arrays",
     "CheckTally",
     "IdentityReport",
@@ -78,21 +76,6 @@ def phi(y: SpineSeq, births: PointMeasure) -> SpineSeq:
     if k == 0:
         return EMPTY_SPINE
     return SpineSeq(elems[: k - 1] + (elems[k - 1].truncate_largest(1),))
-
-
-def spine_process(sticks: Sequence[Stick], n: Optional[int] = None) -> SpineSeq:
-    """Spine sequence of individual n (default: one past the last stick).
-
-    Its ``sup_support`` is n's birth time and its ``length`` n's generation.
-    """
-    if n is None:
-        n = len(sticks)
-    if not 0 <= n <= len(sticks):
-        raise ValueError(f"need 0 <= n <= {len(sticks)}, got {n}")
-    y = EMPTY_SPINE
-    for i in range(n):
-        y = phi(y, sticks[i].births)
-    return y
 
 
 def spine_states(sticks: Sequence[Stick]) -> list[SpineSeq]:
@@ -133,12 +116,6 @@ def height_profile_arrays(
     """
     heights, depths, _, _ = first_passage_profile(counts, offsets, ages)
     return heights, depths
-
-
-def height_profile(sticks: Sequence[Stick]) -> tuple[np.ndarray, np.ndarray]:
-    """Birth times and generations of individuals 0..n for a stick sequence."""
-    batch = StickBatch.from_sticks(sticks)
-    return height_profile_arrays(batch.counts, batch.offsets, batch.ages)
 
 
 # --------------------------------------------------------------------------
@@ -210,6 +187,7 @@ class _Context:
         self.tol = tol
         self.forest = graft_forest(self.sticks)
         self.batch = self.forest.batch
+        self.path = contour_path(self.forest)
         self.w = walk(self.sticks)
         self.spines = spine_states(self.sticks)
         self.heights = self.forest.birth_times()
@@ -234,10 +212,6 @@ class _Context:
         return out
 
 
-def _seq_close(a: SpineSeq, b: SpineSeq, tol: float) -> bool:
-    return a.isclose(b, tol)
-
-
 def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
     tol = ctx.tol
     dec = ctx.decomp(j)
@@ -259,7 +233,7 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
     )
     rec(
         "spine-equals-ladder-measures",
-        _seq_close(SpineSeq(tuple(reversed(dec.measures))), spine, tol),
+        SpineSeq(tuple(reversed(dec.measures))).isclose(spine, tol),
     )
     if j < ctx.n_sticks:
         rec(
@@ -280,7 +254,7 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
         rebuilt = SpineSeq(ctx.spines[base].elements + tuple(reversed(dec.measures[:k])))
         rec(
             "spine-splice-at-ladder-epochs",
-            _seq_close(rebuilt, spine, tol),
+            rebuilt.isclose(spine, tol),
             detail=f"k={k} base={base}",
         )
 
@@ -310,7 +284,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
     c_weak = dec_n.count_upto(n - m)
     rec(
         "shifted-spine-from-ladder",
-        _seq_close(SpineSeq(tuple(reversed(dec_n.measures[:c_weak]))), shifted, tol),
+        SpineSeq(tuple(reversed(dec_n.measures[:c_weak]))).isclose(shifted, tol),
     )
     rec(
         "shifted-spine-age-sum",
@@ -348,7 +322,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             parts = parts + (mu_m,)
         rec(
             "spine-splice-at-mrca",
-            _seq_close(SpineSeq(parts + shifted.elements), ctx.spines[n], tol),
+            SpineSeq(parts + shifted.elements).isclose(ctx.spines[n], tol),
         )
         k_strict = dec_n.first_epoch_at_or_after(n - m)
         if k_strict is not None:
@@ -359,9 +333,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             )
             rec(
                 "shifted-spine-at-mrca",
-                _seq_close(
-                    SpineSeq(tuple(reversed(dec_n.measures[:k_strict]))), above_mrca, tol
-                ),
+                SpineSeq(tuple(reversed(dec_n.measures[:k_strict]))).isclose(above_mrca, tol),
             )
         if level > 0 and r_walk < m:
             j_dual = dual_passage_time(w, m, level)
@@ -369,7 +341,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             rebuilt = SpineSeq(
                 ctx.spines[r_walk].elements + tuple(reversed(dec_m.measures[:c_m]))
             )
-            rec("spine-decomp-below-mrca", _seq_close(rebuilt, ctx.spines[m], tol))
+            rec("spine-decomp-below-mrca", rebuilt.isclose(ctx.spines[m], tol))
 
     drop = dec_m.D(level, sticks)
     rec(
@@ -378,9 +350,10 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
         detail=f"level={level} drop={drop}",
     )
     if n < ctx.n_sticks:
+        visits = ctx.path.visit_times
         rec(
             "contour-min-via-drop",
-            abs(min_contour(ctx.forest, m, n) - (ctx.heights[m] - drop)) <= tol,
+            abs(ctx.path.min_on(visits[m], visits[n]) - (ctx.heights[m] - drop)) <= tol,
             detail=f"level={level} drop={drop}",
         )
 
@@ -399,7 +372,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             rec(
                 "subtree-preserves-spine-prefix",
                 ctx.spines[n].length > dm
-                and _seq_close(SpineSeq(ctx.spines[n].elements[:dm]), ctx.spines[m], tol),
+                and SpineSeq(ctx.spines[n].elements[:dm]).isclose(ctx.spines[m], tol),
             )
         cnt = w.counts[m]
         for k in sorted({0, cnt - 1}) if cnt else []:
@@ -414,7 +387,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
                 and child_spine.elements[dm].isclose(
                     sticks[m].births.truncate_largest(k), tol
                 )
-                and _seq_close(SpineSeq(child_spine.elements[:dm]), ctx.spines[m], tol),
+                and SpineSeq(child_spine.elements[:dm]).isclose(ctx.spines[m], tol),
                 detail=f"rank={k} child={c}",
             )
 
@@ -445,9 +418,10 @@ def _profile_checks(ctx: _Context, report: IdentityReport) -> None:
         ok,
         None if ok else ctx.reproducer(check="kernel-forest-matches-graft"),
     )
-    h_gen, d_gen = height_profile(genealogical_map(ctx.sticks))
+    gen = build_forest(genealogical_map(ctx.sticks)).arrays
     ok = bool(
-        np.array_equal(h_gen.astype(np.int64), ctx.depths) and np.array_equal(d_gen, ctx.depths)
+        np.array_equal(gen.heights.astype(np.int64), ctx.depths)
+        and np.array_equal(gen.depths, ctx.depths)
     )
     report.record(
         "genealogical-collapse-depth",

@@ -44,7 +44,6 @@ __all__ = [
     "ExperimentResult",
     "scaling_experiment",
     "max_rise_in_window",
-    "simulate_contour",
     "verify_time_change_gap",
 ]
 
@@ -142,40 +141,44 @@ def resolve_scale(rule: str, p: int) -> float:
     """Scale factor for population size p under a named rule.
 
     ``invsqrt`` is 1/sqrt(p); ``stable:a`` is p^-(1 - 1/a); ``pow:x`` is
-    p^-x; a bare number is a constant.
+    p^-x; a bare number is a constant.  Raises ``ValueError`` unless the
+    scale is positive and finite: every scaled column divides or multiplies
+    by it.
     """
     rule = rule.strip()
     if rule == "invsqrt":
-        return float(p) ** -0.5
-    if rule.startswith("stable:"):
+        scale = float(p) ** -0.5
+    elif rule.startswith("stable:"):
         a = float(rule.split(":", 1)[1])
         if not 1.0 < a <= 2.0:
             raise ValueError("stable index must be in (1, 2]")
-        return float(p) ** -(1.0 - 1.0 / a)
-    if rule.startswith("pow:"):
-        return float(p) ** -float(rule.split(":", 1)[1])
-    try:
-        return float(rule)
-    except ValueError:
-        raise ValueError(f"unknown scale rule {rule!r}") from None
+        scale = float(p) ** -(1.0 - 1.0 / a)
+    elif rule.startswith("pow:"):
+        x = float(rule.split(":", 1)[1])
+        try:
+            scale = float(p) ** -x
+        except OverflowError:
+            scale = math.inf
+    else:
+        try:
+            scale = float(rule)
+        except ValueError:
+            raise ValueError(f"unknown scale rule {rule!r}") from None
+    if not 0.0 < scale < math.inf:
+        raise ValueError(
+            f"scale rule {rule!r} gives {scale!r} at p={p}; it must be positive and finite"
+        )
+    return scale
 
 
 @dataclass
 class _Population:
     """Raw simulated arrays for one replicate, long enough for all asks."""
 
-    counts: np.ndarray
-    v: np.ndarray
     s: np.ndarray  # count walk, length n+1
     vc2: np.ndarray  # doubled cumulative life lengths, length n
-    heights: np.ndarray  # chronological heights, length n+1
-    depths: np.ndarray  # generation depths, length n+1
-    path: ContourPath  # the contour
-    gen_path: ContourPath  # the contour of the generation process
-
-    @property
-    def n(self) -> int:
-        return len(self.counts)
+    path: ContourPath  # the contour: chronological heights and life lengths
+    gen_path: ContourPath  # the generation contour: depths as floats (exact below 2^53)
 
 
 def _simulate_population(
@@ -196,7 +199,7 @@ def _simulate_population(
             s = np.zeros(n + 1, dtype=np.int64)
             np.cumsum(batch.counts - 1, out=s[1:])
             vc2 = 2.0 * np.cumsum(batch.v)
-            return _Population(batch.counts, batch.v, s, vc2, heights, depths, path, gen_path)
+            return _Population(s, vc2, path, gen_path)
         chunk = max(chunk // 2, 256)
         more = law.sample_batch(rng, chunk)
         batch = StickBatch(
@@ -225,7 +228,7 @@ def simulate_replicate(
     pop = _simulate_population(
         law, rng, min_sticks, p * t_max, p * interval[1] / beta
     )
-    path = pop.path
+    path, gen_path = pop.path, pop.gen_path
     rows = []
     for t in times:
         s_raw = p * t
@@ -236,8 +239,8 @@ def simulate_replicate(
             raise RuntimeError(
                 f"contour time change {phi} ran ahead of the length one {phibar} at t={t}"
             )
-        hp = eps * pop.heights[j]
-        hcalp = eps * pop.depths[j]
+        hp = eps * path.heights[j]
+        hcalp = eps * gen_path.heights[j]
         cp = eps * path.eval(s_raw)
         j_slow = int(math.floor(s_raw / (2.0 * beta)))
         rows.append(
@@ -252,18 +255,17 @@ def simulate_replicate(
                 "phip": phi / p,
                 "phibarp": phibar / p,
                 "deltaH": hp - ystar * hcalp,
-                "deltaC": cp - eps * pop.heights[j_slow],
+                "deltaC": cp - eps * path.heights[j_slow],
                 "epsDelta": eps * (phi - phibar),
             }
         )
     u, w = interval
-    gen_path = pop.gen_path
     t_last = max(times)
     phibar_last = int(np.searchsorted(pop.vc2, p * t_last, side="left"))
     extras = {
         "min_contour": eps * path.min_on(p * u, p * w),
         "min_gen_contour": epsbar * gen_path.min_on(p * u / beta, p * w / beta),
-        "v_at_phibar": float(pop.v[min(phibar_last, pop.n - 1)]),
+        "v_at_phibar": float(path.v[min(phibar_last, len(path.v) - 1)]),
     }
     return rows, extras
 
@@ -414,14 +416,6 @@ def scaling_experiment(config: ExperimentConfig, workers: int = 1) -> Experiment
             all_rows.extend(rows)
             extras_map[(p_idx, rep)] = extras
     return ExperimentResult(config, law, all_rows, extras_map)
-
-
-def simulate_contour(
-    law: StickLaw, p: int, t_max: float, rng: np.random.Generator
-) -> ContourPath:
-    """A contour path covering raw time p * t_max (helper for window scans)."""
-    min_sticks = int(p * t_max / (2.0 * law.mean_v)) + 2
-    return _simulate_population(law, rng, min_sticks, p * t_max, 0.0).path
 
 
 def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

@@ -38,7 +38,7 @@ def reference_sticks() -> list[Stick]:
 
 REFERENCE_BIRTH_TIMES = (0.0, 1.5, 2.7, 3.6, 2.0, 0.5, 4.0, 3.0, 1.5, 2.5)
 REFERENCE_DEPTHS = (0, 1, 2, 3, 2, 1, 2, 2, 2, 3)
-REFERENCE_PARENTS = (None, 0, 1, 2, 1, 0, 5, 5, 5, 8)
+REFERENCE_PARENTS = (-1, 0, 1, 2, 1, 0, 5, 5, 5, 8)
 REFERENCE_WALK = (0, 1, 2, 2, 1, 0, 2, 1, 0, 0, -1)
 
 

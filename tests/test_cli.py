@@ -336,6 +336,48 @@ def test_scale_non_finite_times_are_rejected(tmp_path, capsys, times, interval, 
         assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("eps = nan", "scale rule 'nan' gives nan at p=200"),
+        ("eps = 0", "scale rule '0' gives 0.0 at p=200"),
+        ("eps = -1", "scale rule '-1' gives -1.0 at p=200"),
+        ("eps = pow:inf", "scale rule 'pow:inf' gives 0.0 at p=200"),
+        ("epsbar = 1e400", "scale rule '1e400' gives inf at p=200"),
+    ],
+)
+def test_scale_rules_must_be_positive_and_finite(tmp_path, capsys, line, message):
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"law = gw\np = 200\nreplicates = 1\n{line}\n")
+    assert main(["scale", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}; it must be positive and finite\n"
+
+
+BIG_INT = "1" + "0" * 400
+BAD_STICKS_JSON = [
+    ('[{"v": 3, "births": "12"}, {"v": 1, "births": []}, {"v": 1, "births": []}]',
+     "stick 0: 'births' must be an array of numbers, got '12'"),
+    ('[{"v": 1, "births": []}, {"v": "2", "births": []}]', "stick 1: 'v' must be a number, got '2'"),
+    ('[{"v": 1, "births": [true]}]', "stick 0: 'births' must be an array of numbers, got [True]"),
+    ('[{"v": true, "births": []}]', "stick 0: 'v' must be a number, got True"),
+    ('[{"v": 2, "births": [' + BIG_INT + ']}]', "stick 0: int too large to convert to float"),
+]
+
+
+@pytest.mark.parametrize("text, message", BAD_STICKS_JSON)
+def test_sticks_json_needs_numbers(tmp_path, monkeypatch, capsys, text, message):
+    path = tmp_path / "sticks.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for argv in (["build", "--input", "-"], ["verify", "--input", str(path)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
 def test_import_does_not_load_scipy_special():
     # scipy.special costs a stable-law process about 0.2 s and 17 MB; the
     # stable laws compute zeta themselves, so neither the import nor building

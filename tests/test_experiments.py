@@ -1,6 +1,7 @@
 """Scaling experiments: config plumbing, determinism and path functionals."""
 
 import json
+import re
 from collections import deque
 
 import numpy as np
@@ -18,7 +19,6 @@ from chronoforest.stochastic import (
     parse_law,
     resolve_scale,
     scaling_experiment,
-    simulate_contour,
     verify_time_change_gap,
 )
 from chronoforest.stochastic import experiments
@@ -70,6 +70,17 @@ def test_resolve_scale_rules():
     assert resolve_scale("0.125", 77) == 0.125
     with pytest.raises(ValueError):
         resolve_scale("nonsense", 100)
+
+
+@pytest.mark.parametrize(
+    "rule, value",
+    [("nan", "nan"), ("0", "0.0"), ("-1", "-1.0"), ("pow:inf", "0.0"), ("1e400", "inf"), ("pow:-400", "inf")],
+)
+def test_resolve_scale_rejects_non_positive_or_non_finite(rule, value):
+    # every scaled column multiplies or divides by the scale
+    message = f"scale rule '{rule}' gives {value} at p=200; it must be positive and finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        resolve_scale(rule, 200)
 
 
 def test_scaling_experiment_rejects_supercritical_law():
@@ -173,12 +184,6 @@ def test_law_is_parsed_once(monkeypatch):
     res.summary()
     assert calls == ["gw(mean=1.0)"]
     assert res.law.describe()["name"] == "gw"
-
-
-def test_simulate_contour_covers_requested_time(rng):
-    law = GeometricUniformLaw(mean_offspring=1.0, v=1.0)
-    path = simulate_contour(law, 500, 1.0, rng)
-    assert path.end_time >= 500.0
 
 
 def test_verify_time_change_gap_agrees(rng):

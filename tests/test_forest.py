@@ -13,7 +13,6 @@ from chronoforest.forest import (
     contour_path,
     genealogical_map,
     graft_forest,
-    min_contour,
     write_contour_csv,
     write_forest_csv,
 )
@@ -38,7 +37,7 @@ def test_reference_birth_times_and_depths(reference_sticks):
 
 def test_reference_parents_and_trees(reference_sticks):
     f = build_forest(reference_sticks)
-    assert tuple(n.parent for n in f.nodes) == REFERENCE_PARENTS
+    assert tuple(f.arrays.parent.tolist()) == REFERENCE_PARENTS
     assert f.tree_count == 1
     assert not f.final_tree_incomplete
     assert f.pending_stubs == 0
@@ -116,13 +115,15 @@ def test_contour_eval_at_visits_and_peaks(reference_sticks):
 
 
 def test_min_contour_values(reference_sticks):
-    f = build_forest(reference_sticks)
-    assert min_contour(f, 0, 0) == pytest.approx(0.0)
-    assert min_contour(f, 1, 3) == pytest.approx(1.5)
-    assert min_contour(f, 4, 6) == pytest.approx(0.5)
-    assert min_contour(f, 0, 10) == pytest.approx(0.0)
+    # the contour's minimum between the visits of individuals m and n
+    path = contour_path(build_forest(reference_sticks))
+    k = path.visit_times.tolist()
+    assert path.min_on(k[0], k[0]) == pytest.approx(0.0)
+    assert path.min_on(k[1], k[3]) == pytest.approx(1.5)
+    assert path.min_on(k[4], k[6]) == pytest.approx(0.5)
+    assert path.min_on(k[0], k[10]) == pytest.approx(0.0)
     with pytest.raises(ValueError):
-        min_contour(f, 3, 1)
+        path.min_on(k[3], k[1])
 
 
 def test_min_on_matches_vertex_scan(rng):
@@ -138,12 +139,13 @@ def test_min_on_matches_vertex_scan(rng):
 
 
 def test_min_on_matches_min_contour_at_visits(reference_sticks):
+    # between two visit times the minimum is the smallest visited birth time
     f = build_forest(reference_sticks)
     path = contour_path(f)
     for m in range(f.n_sticks + 1):
         for n in range(m, f.n_sticks + 1):
             a, b = float(path.visit_times[m]), float(path.visit_times[n])
-            assert path.min_on(a, b) == pytest.approx(min_contour(f, m, n))
+            assert path.min_on(a, b) == pytest.approx(f.birth_times()[m : n + 1].min())
 
 
 def test_genealogical_map_collapses_to_generations(reference_sticks):
@@ -152,7 +154,7 @@ def test_genealogical_map_collapses_to_generations(reference_sticks):
     g = build_forest(gen)
     assert np.array_equal(g.birth_times()[:-1], f.depths()[:-1].astype(float))
     assert np.array_equal(g.depths(), f.depths())
-    assert [n.parent for n in g.nodes] == [n.parent for n in f.nodes]
+    assert np.array_equal(g.arrays.parent, f.arrays.parent)
     # The map is idempotent: every image stick already has unit length.
     assert genealogical_map(gen) == gen
 
@@ -185,7 +187,6 @@ def test_empty_forest():
     assert f.n_sticks == 0
     assert f.birth_times().shape == (1,)
     assert not f.final_tree_incomplete
-    assert f.nodes == []
 
 
 def test_empty_forest_contour_is_one_point():
@@ -203,8 +204,8 @@ def test_graft_forest_reference_forest(reference_sticks):
     f = graft_forest(reference_sticks)
     assert tuple(f.birth_times()[:-1]) == pytest.approx(REFERENCE_BIRTH_TIMES)
     assert tuple(f.depths()[:-1]) == REFERENCE_DEPTHS
-    assert tuple(n.parent for n in f.nodes) == REFERENCE_PARENTS
-    assert [n.stick for n in f.nodes] == reference_sticks
+    assert tuple(f.arrays.parent.tolist()) == REFERENCE_PARENTS
+    assert f.batch.to_sticks() == reference_sticks
     assert f.pending_stubs == 0 and f.tree_count == 1
     prefix = graft_forest(reference_sticks[:-1])
     assert prefix.terminal_height == pytest.approx(2.5) and prefix.terminal_depth == 3
@@ -215,8 +216,8 @@ def test_build_forest_takes_a_batch_or_sticks(reference_sticks):
     from_sticks = build_forest(reference_sticks)
     for a, b in zip(from_batch.arrays, from_sticks.arrays):
         assert np.array_equal(a, b)
-    assert [n.stick for n in from_batch.nodes] == reference_sticks
-    assert tuple(n.birth_age for n in from_batch.nodes) == pytest.approx(
+    assert from_batch.batch.to_sticks() == reference_sticks
+    assert tuple(from_batch.arrays.birth_age) == pytest.approx(
         (0.0, 1.5, 1.2, 0.9, 0.5, 0.5, 3.5, 2.5, 1.0, 1.0)
     )
 
@@ -224,7 +225,6 @@ def test_build_forest_takes_a_batch_or_sticks(reference_sticks):
 def test_forest_arrays_are_cached_and_read_only(reference_sticks):
     f = build_forest(reference_sticks)
     assert f.birth_times() is f.birth_times() and f.depths() is f.depths()
-    assert f.nodes is f.nodes
     with pytest.raises(ValueError):
         f.birth_times()[1] = 9.0
     with pytest.raises(ValueError):
@@ -233,18 +233,18 @@ def test_forest_arrays_are_cached_and_read_only(reference_sticks):
 
 def _csv_writer_forest(forest, fp):
     # the row-by-row csv.writer the array writers replace
+    a = forest.arrays
     w = csv.writer(fp)
     w.writerow(["index", "parent", "birth_time", "depth", "v", "tree_id"])
-    for node in forest.nodes:
-        parent = -1 if node.parent is None else node.parent
+    for i in range(forest.n_sticks):
         w.writerow(
             [
-                node.index,
-                parent,
-                format(node.birth_time, ".12g"),
-                node.depth,
-                format(node.stick.v, ".12g"),
-                node.tree_id,
+                i,
+                int(a.parent[i]),
+                format(float(a.heights[i]), ".12g"),
+                int(a.depths[i]),
+                format(float(forest.batch.v[i]), ".12g"),
+                int(a.tree_id[i]),
             ]
         )
 

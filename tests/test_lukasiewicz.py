@@ -59,7 +59,7 @@ def test_chi_finds_children(reference_sticks):
     f = build_forest(reference_sticks)
     # chi(m, k) is the k-th child of m in exploration order.
     for m in range(10):
-        kids = [i for i in range(10) if f.nodes[i].parent == m]
+        kids = [i for i in range(10) if f.arrays.parent[i] == m]
         for k, kid in enumerate(kids):
             assert chi(w, m, k) == kid
     assert chi(w, 0) == 10  # past the last child: the walk's final passage

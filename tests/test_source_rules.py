@@ -1,6 +1,8 @@
 """Rules on the package sources themselves."""
 
 import ast
+import importlib
+import pkgutil
 from pathlib import Path
 
 import chronoforest
@@ -53,6 +55,25 @@ def test_stick_laws_only_choose_parts():
     ]
     assert len(laws) >= 7
     assert not extra, "StickLaw subclasses define more than __init__: " + ", ".join(extra)
+
+
+def test_public_exports_resolve():
+    # a name deleted from a module must leave every ``__all__`` with it, or
+    # ``import *`` breaks
+    modules = [chronoforest] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(chronoforest.__path__, "chronoforest.")
+        if not info.name.endswith(".__main__")  # importing it runs the CLI
+    ]
+    stale = [
+        f"{module.__name__}.{name}"
+        for module in modules
+        for name in getattr(module, "__all__", ())
+        if not hasattr(module, name)
+    ]
+    assert not stale, "exported but not defined: " + ", ".join(stale)
+    for package in ("chronoforest", "chronoforest.stochastic"):
+        exec(f"from {package} import *", {})
 
 
 def _named_outside(name: str, allowed: set[str]) -> list[str]:

@@ -18,11 +18,9 @@ from chronoforest.measures import (
     StickBatch,
 )
 from chronoforest.spine import (
-    height_profile,
     height_profile_arrays,
     phi,
     shifted_spine,
-    spine_process,
     spine_states,
     verify_identities,
 )
@@ -90,11 +88,10 @@ def test_spine_process_reference_values(reference_sticks):
     assert len(states) == 11
     for n, want in enumerate(expected):
         assert [m.atoms for m in states[n]] == want
-        st_n = spine_process(reference_sticks, n)
-        assert st_n == states[n]
-    assert spine_process(reference_sticks, 5).sup_support == pytest.approx(0.5)
-    assert spine_process(reference_sticks, 9).sup_support == pytest.approx(2.5)
-    assert spine_process(reference_sticks, 9).length == 3
+        assert shifted_spine(reference_sticks, 0, n) == states[n]
+    assert states[5].sup_support == pytest.approx(0.5)
+    assert states[9].sup_support == pytest.approx(2.5)
+    assert states[9].length == 3
 
 
 def test_spine_matches_forest_chronology(reference_sticks):
@@ -110,12 +107,13 @@ def test_shifted_spine_reference_values(reference_sticks):
     assert shifted_spine(reference_sticks, 5, 5) == EMPTY_SPINE
     # Shift by the root: the whole spine of n.
     full = shifted_spine(reference_sticks, 0, 9)
-    assert full == spine_process(reference_sticks, 9)
+    assert full == spine_states(reference_sticks)[9]
 
 
 def test_height_profile_equals_forest(reference_sticks):
-    heights, depths = height_profile(reference_sticks)
-    f = build_forest(reference_sticks)
+    batch = StickBatch.from_sticks(reference_sticks)
+    heights, depths = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
+    f = graft_forest(reference_sticks)
     assert heights == pytest.approx(f.birth_times())
     assert np.array_equal(depths, f.depths())
 
@@ -182,8 +180,7 @@ def test_build_forest_matches_graft_forest_on_lattice_ties(sticks, all_leaves):
     assert kernel.tree_count == graft.tree_count
     tol = _kernel_tolerance(kernel.batch.ages, len(sticks), g.heights.max())
     assert np.abs(k.heights - g.heights).max() <= tol
-    assert [n.parent for n in kernel.nodes] == [n.parent for n in graft.nodes]
-    assert [n.stick for n in kernel.nodes] == sticks
+    assert kernel.batch.to_sticks() == graft.batch.to_sticks() == sticks
 
 
 def test_kernel_matches_ladder_ages_at_scale():
@@ -239,6 +236,18 @@ def test_kernel_forest_identity_catches_a_wrong_kernel(reference_sticks, monkeyp
     report = verify_identities(reference_sticks, max_pairs=5, rng=np.random.default_rng(0))
     assert report.tallies["kernel-forest-matches-graft"].failures == 1
     assert [n for n, t in report.tallies.items() if t.failures] == ["kernel-forest-matches-graft"]
+
+
+def test_contour_min_identity_reads_the_contour(reference_sticks, monkeypatch):
+    from chronoforest.forest import ContourPath
+
+    tol = 1e-9
+    exact = ContourPath.min_on
+    monkeypatch.setattr(ContourPath, "min_on", lambda path, a, b: exact(path, a, b) + 2 * tol)
+    report = verify_identities(reference_sticks, rng=np.random.default_rng(0), tol=tol)
+    tally = report.tallies["contour-min-via-drop"]
+    assert tally.passes == 0 and tally.failures == 55  # every pair of the 10 sticks
+    assert [n for n, t in report.tallies.items() if t.failures] == ["contour-min-via-drop"]
 
 
 def test_verify_identities_random_forests(rng):
