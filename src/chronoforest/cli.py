@@ -41,6 +41,7 @@ from .stochastic import (
     scaling_experiment,
     summarize_coupling,
 )
+from .stochastic.experiments import CONFIG_KEYS
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -68,6 +69,18 @@ def int_at_least(k: int):
 
 
 nonnegative_int = int_at_least(0)
+
+
+def config_value(key: str):
+    """An argparse type: the parser of the ``scale`` config key ``key``."""
+
+    def parse(text: str):
+        try:
+            return CONFIG_KEYS[key][1](text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return parse
 
 
 def _open_out(path: Optional[str]):
@@ -104,7 +117,7 @@ def _cmd_build(args) -> int:
     if not args.quiet:
         print(
             f"built {forest.n_sticks} sticks, {forest.tree_count} trees,"
-            f" final height {forest.terminal_height:.6g}",
+            f" final height {forest.arrays.heights[-1]:.6g}",
             file=sys.stderr,
         )
     return 0
@@ -196,8 +209,8 @@ def _cmd_scale(args) -> int:
             return 2
         config = ExperimentConfig(
             law=args.law,
-            p_values=tuple(int(x) for x in args.p.split(",")),
-            times=tuple(float(x) for x in args.times.split(",")),
+            p_values=args.p,
+            times=args.times,
             replicates=args.replicates,
             seed=args.seed,
         )
@@ -262,8 +275,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale = sub.add_parser("scale", help="run a scaling experiment grid")
     p_scale.add_argument("--config", help="config file of key = value lines")
     p_scale.add_argument("--law", help="law spec (inline config)")
-    p_scale.add_argument("--p", help="comma-separated population sizes")
-    p_scale.add_argument("--times", default="0.5,1.0")
+    p_scale.add_argument("--p", type=config_value("p"), help="comma-separated population sizes")
+    p_scale.add_argument("--times", type=config_value("times"), default="0.5,1.0")
     p_scale.add_argument("--replicates", type=int, default=20)
     p_scale.add_argument("--seed", type=nonnegative_int, default=0)
     p_scale.add_argument("--workers", type=int_at_least(1), default=1)

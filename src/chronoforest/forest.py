@@ -14,15 +14,16 @@ child will be attached.
 
 ``build_forest`` does not apply the rules stick by stick.  The stub of
 atom i of stick m receives the individual at a first passage of the
-Lukasiewicz walk (``first_passage_profile``), so ``forest_arrays`` reads
-every parent, birth age, birth time, generation and tree id off flat
-arrays; this is what the ``build`` command and the experiments run.  A
+Lukasiewicz walk, so ``forest_arrays`` reads every parent, birth age,
+generation and tree id off flat arrays, then sums the birth times one
+generation at a time as grafting does (parent's birth time plus birth
+age); this is what the ``build`` command and the experiments run.  A
 ``ChronForest`` is those arrays and its stick batch, nothing more.
 ``graft_forest`` is the literal construction: it searches every open node
 for the highest stub instead of trusting the stack discipline, and asserts
 that the two agree.  It is the ground-truth oracle against which the
 kernel and the walk/ladder/spine formulas elsewhere in the package are
-tested, and it yields the same arrays.
+tested, and it yields the same arrays, bit for bit.
 
 The *contour* of the forest is the piecewise-linear excursion traced by
 exploring sticks depth-first at slope +-1: it climbs from the n-th
@@ -42,7 +43,6 @@ import numpy as np
 from .measures import PointMeasure, Stick, StickBatch
 
 __all__ = [
-    "first_passage_profile",
     "ForestArrays",
     "forest_arrays",
     "ChronForest",
@@ -54,72 +54,6 @@ __all__ = [
     "write_forest_csv",
     "write_contour_csv",
 ]
-
-
-def first_passage_profile(
-    counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Birth times and generations of individuals 0..n, and where each atom's
-    child sits, from flat arrays.
-
-    ``ages`` holds each stick's birth ages in non-increasing order, stick k
-    occupying ``ages[offsets[k]:offsets[k+1]]`` (``StickBatch`` checks this
-    layout).  The height of n is the sum of the ages on its ancestral line,
-    so each birth age counts toward exactly the individuals of the subtree
-    it roots, and that subtree lies between two first passages of the walk
-    S(k+1) = S(k) + counts[k] - 1, S(0) = 0.  Atom i (the (i+1)-th largest
-    age) of stick m has its child at the first k >= m+1 with
-    S(k) = S(m+1) - i, and its subtree ends at the first k >= m+1 with
-    S(k) = S(m+1) - i - 1, which is the child of atom i+1.  The walk steps
-    down by at most 1, so "first k with S(k) = L" is also "first k with
-    S(k) <= L", and one ``searchsorted`` on the (S(k), k) pairs in
-    lexicographic order finds every passage.  A passage beyond the horizon
-    is put past the terminal entry, so it adds nothing.
-
-    Heights and depths are cumulative sums of the ages (resp. ones) added
-    at each child and removed at each subtree end.  The value at the latest
-    root is subtracted, so every tree starts at exactly 0.0 and rounding
-    does not carry from one tree to the next.  O((n + atoms) log n).
-
-    Returns ``(heights, depths, stick, child)``: heights and depths have
-    n + 1 entries, entry n being where stick n would be grafted; per atom,
-    ``stick`` is the stick it sits on and ``child`` the individual born at
-    it, n for the terminal graft and n + 1 when that child lies further out.
-    """
-    n = len(counts)
-    span = n + 1  # walk indices 0..n; index span means "never"
-    s = np.zeros(span, dtype=np.int64)
-    np.cumsum(counts - 1, out=s[1:])
-    lo = int(s.min())
-    # the pair (S(k), k) packed as one integer, in lexicographic order
-    keys = np.sort((s - lo) * span + np.arange(span))
-
-    stick = np.repeat(np.arange(n), counts)
-    start = stick + 1
-    rank = np.arange(len(stick)) - offsets[stick]
-    level = (s[start] - rank - 1 - lo) * span
-    # every target level lies below S(start), so some key is >= the query;
-    # it is the passage when it sits on the target level
-    hit = keys[np.searchsorted(keys, level + start)]
-    end = np.where(hit < level + span, hit - level, span)
-    child = np.empty_like(end)
-    child[1:] = end[:-1]
-    first = rank == 0
-    child[first] = start[first]
-
-    size = span + 1
-    depths = np.cumsum(
-        (np.bincount(child, minlength=size) - np.bincount(end, minlength=size))[:span]
-    )
-    raw = np.cumsum(
-        (
-            np.bincount(child, weights=ages, minlength=size)
-            - np.bincount(end, weights=ages, minlength=size)
-        )[:span],
-        dtype=float,  # bincount of no atoms is integer-typed
-    )
-    latest_root = np.maximum.accumulate(np.where(depths == 0, np.arange(span), 0))
-    return raw - raw[latest_root], depths, stick, child
 
 
 class ForestArrays(NamedTuple):
@@ -136,29 +70,96 @@ class ForestArrays(NamedTuple):
 def forest_arrays(counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray) -> ForestArrays:
     """The whole forest of a flat stick layout, read off first passages.
 
-    Atom a's child ``child[a]``, when it is one of the n individuals, has
-    parent ``stick[a]`` and birth age ``ages[a]``; a tree starts at every
-    individual of depth 0; an atom whose child lies at n or beyond is a
-    pending stub.
+    ``ages`` holds each stick's birth ages in non-increasing order, stick k
+    occupying ``ages[offsets[k]:offsets[k+1]]`` (``StickBatch`` checks this
+    layout).  Atom i (the (i+1)-th largest age) of stick m has its child at
+    the first k >= m+1 with S(k) = S(m+1) - i on the walk
+    S(k+1) = S(k) + counts[k] - 1, S(0) = 0, and the subtree of that child
+    ends at the first k >= m+1 with S(k) = S(m+1) - i - 1, which is the
+    child of atom i+1.  The walk steps down by at most 1, so "first k with
+    S(k) = L" is also "first k with S(k) <= L", and one ``searchsorted`` on
+    the (S(k), k) pairs in lexicographic order finds every passage.  A
+    passage beyond the horizon is put past the terminal entry.
+
+    Atom a's child, when it is one of individuals 0..n, has parent the
+    atom's stick and birth age ``ages[a]``; entry n is the terminal graft,
+    where stick n would go.  A tree starts at every individual of depth 0,
+    and an atom whose child lies at n or beyond is a pending stub.  Heights
+    are then filled one generation at a time with grafting's own sum,
+    ``height[parent] + birth_age``, so they equal the grafted birth times
+    bit for bit.  O((n + atoms) log n) plus one numpy step per generation.
     """
-    heights, depths, stick, child = first_passage_profile(counts, offsets, ages)
     n = len(counts)
-    born = child < n
-    parent = np.full(n, -1, dtype=np.int64)
-    parent[child[born]] = stick[born]
-    birth_age = np.zeros(n)
-    birth_age[child[born]] = ages[born]
-    tree_id = np.cumsum(depths[:n] == 0) - 1
-    pending = len(child) - int(np.count_nonzero(born))
-    return ForestArrays(heights, depths, parent, birth_age, tree_id, pending)
+    span = n + 1  # walk indices 0..n; index span means "never"
+    s = np.zeros(span, dtype=np.int64)
+    np.cumsum(counts - 1, out=s[1:])
+    s -= s.min() - 1  # levels from 1, so every target level below is >= 0
+    # levels fit a small integer type, whose stable sort is a radix sort
+    small = np.min_scalar_type(int(s.max()))
+    # the pair (S(k), k) packed as one integer, in lexicographic order
+    order = np.argsort(s.astype(small), kind="stable")
+    keys = s[order] * span + order
+    del order
+
+    stick = np.repeat(np.arange(n), counts)
+    # the level that atom a of stick m waits for: S(m+1) - (a - offsets[m]) - 1
+    level = np.repeat(s[1:] + offsets[:-1] - 1, counts) - np.arange(len(ages))
+    # atoms come in order of stick, so sorting by level sorts the queries,
+    # which makes the search faster
+    perm = np.argsort(level.astype(small), kind="stable")
+    level *= span
+    query = level + stick
+    query += 1
+    # every target level lies below S(m+1), so some key is >= the query;
+    # it is the passage when it sits on the target level, and otherwise it
+    # lies a level higher, at least span past the query's level: "never"
+    end = np.empty_like(query)
+    end[perm] = keys[np.searchsorted(keys, query[perm])]
+    del keys, perm, query
+    end -= level
+    np.minimum(end, span, out=end)
+    del level
+    has = counts > 0
+    child = np.empty_like(end)
+    child[1:] = end[:-1]
+    child[offsets[:-1][has]] = np.flatnonzero(has) + 1
+
+    # one generation more after each stick with children, one less where
+    # the subtree of its last child ends
+    step = np.zeros(span + 1, dtype=np.int64)
+    step[1:span] = has
+    step -= np.bincount(end[offsets[1:][has] - 1], minlength=span + 1)
+    depths = np.cumsum(step[:span])
+    del step, end
+
+    # entry span collects the atoms whose child lies beyond the horizon
+    parent = np.full(span + 1, -1, dtype=np.int64)
+    parent[child] = stick
+    birth_age = np.zeros(span + 1)
+    birth_age[child] = ages
+    del child, stick
+
+    by_depth = depths.astype(np.min_scalar_type(int(depths.max())))
+    order = np.argsort(by_depth, kind="stable")
+    bounds = np.cumsum(np.bincount(by_depth)).tolist()
+    heights = np.zeros(span)
+    for lo, hi in zip(bounds, bounds[1:]):  # generations 1, 2, ...
+        idx = order[lo:hi]
+        heights[idx] = heights[parent[idx]] + birth_age[idx]
+
+    roots = depths[:n] == 0
+    pending = len(ages) - n + int(np.count_nonzero(roots))
+    return ForestArrays(
+        heights, depths, parent[:n], birth_age[:n], np.cumsum(roots) - 1, pending
+    )
 
 
 class ChronForest:
     """A chronological forest held as arrays, with its stick batch.
 
     ``arrays`` carries every individual's parent, birth age, birth time,
-    generation and tree id (read-only); ``batch.to_sticks()`` gives its
-    sticks back.  ``birth_times()`` and ``depths()`` return the arrays.
+    generation and tree id (read-only), and the terminal entries and
+    pending stubs; ``batch.to_sticks()`` gives its sticks back.
     """
 
     def __init__(self, batch: StickBatch, arrays: ForestArrays):
@@ -166,13 +167,6 @@ class ChronForest:
             a.flags.writeable = False
         self.batch = batch
         self.arrays = arrays
-        #: number of stubs still waiting for a child after the last stick
-        self.pending_stubs = arrays.pending_stubs
-        #: height at which stick ``n_sticks`` would be grafted (0.0 if the
-        #: last tree is complete and the next stick starts a new tree)
-        self.terminal_height = float(arrays.heights[-1])
-        #: depth at which stick ``n_sticks`` would sit
-        self.terminal_depth = int(arrays.depths[-1])
 
     @property
     def n_sticks(self) -> int:
@@ -181,22 +175,11 @@ class ChronForest:
     @property
     def final_tree_incomplete(self) -> bool:
         """True when the last tree still has pending stubs."""
-        return self.pending_stubs > 0
+        return self.arrays.pending_stubs > 0
 
     @property
     def tree_count(self) -> int:
         return int(self.arrays.tree_id[-1]) + 1 if self.n_sticks else 0
-
-    def birth_times(self) -> np.ndarray:
-        """Birth times of individuals 0..n-1 plus the terminal graft height.
-
-        Entry ``n`` (the last) is where the *next* stick would be born, so
-        the array has length ``n_sticks + 1`` and entry 0 is 0.0.
-        """
-        return self.arrays.heights
-
-    def depths(self) -> np.ndarray:
-        return self.arrays.depths
 
     def ancestors(self, n: int) -> list[int]:
         """Ancestor line of individual ``n``: [n, parent, ..., root]."""
@@ -239,22 +222,25 @@ def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
     returned forest flags whether the final tree still has pending stubs.
     """
     sticks = list(sticks)
-    # per individual: parent (-1 for roots), age on the parent's stick,
-    # birth time, generation and tree id
+    # per individual 0..n, n being where a next stick would be grafted:
+    # parent (-1 for roots), age on the parent's stick, birth time,
+    # generation and tree id
     parent, birth_age, birth_time, depth, tree = [], [], [], [], []
     # Open nodes along the right-most path.  Each entry is
     # [node index, atom tuple (ages, largest first), cursor of next stub].
     stack: list[list] = []
     tree_id = -1
-    for i, stick in enumerate(sticks):
+    for i in range(len(sticks) + 1):
         # Literal Rule 1: scan *every* open node for the highest stub.
         # Walking from the deepest entry with a strict comparison makes ties
         # (which the spine recursion resolves toward the deepest node) explicit.
         best_pos = -1
         best_height = float("-inf")
+        pending = 0
         for pos in range(len(stack) - 1, -1, -1):
             entry = stack[pos]
             if entry[2] < len(entry[1]):
+                pending += len(entry[1]) - entry[2]
                 h = birth_time[entry[0]] + entry[1][entry[2]]
                 if h > best_height:
                     best_pos, best_height = pos, h
@@ -281,25 +267,16 @@ def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
         birth_time.append(h)
         depth.append(d)
         tree.append(tree_id)
-        stack.append([i, stick.births.atoms, 0])
+        if i < len(sticks):
+            stack.append([i, sticks[i].births.atoms, 0])
 
-    pending = sum(len(e[1]) - e[2] for e in stack)
-    terminal_height = 0.0
-    terminal_depth = 0
-    if pending:
-        for pos in range(len(stack) - 1, -1, -1):
-            entry = stack[pos]
-            if entry[2] < len(entry[1]):
-                terminal_height = birth_time[entry[0]] + entry[1][entry[2]]
-                terminal_depth = depth[entry[0]] + 1
-                break
     arrays = ForestArrays(
-        np.array(birth_time + [terminal_height]),
-        np.array(depth + [terminal_depth], dtype=np.int64),
-        np.array(parent, dtype=np.int64),
-        np.array(birth_age, dtype=float),
-        np.array(tree, dtype=np.int64),
-        pending,
+        np.array(birth_time),
+        np.array(depth, dtype=np.int64),
+        np.array(parent[:-1], dtype=np.int64),
+        np.array(birth_age[:-1], dtype=float),
+        np.array(tree[:-1], dtype=np.int64),
+        pending,  # counted before the last pass placed individual n
     )
     return ChronForest(StickBatch.from_sticks(sticks), arrays)
 
@@ -411,7 +388,7 @@ def contour_path(forest: ChronForest) -> ContourPath:
     The forest may be incomplete (pending stubs); the path then ends at the
     terminal graft height instead of 0.
     """
-    return ContourPath.from_heights(forest.birth_times(), forest.batch.v)
+    return ContourPath.from_heights(forest.arrays.heights, forest.batch.v)
 
 
 # rows formatted into one string per write, which bounds its memory

@@ -14,11 +14,10 @@ move per stick:
 The sequence's total of largest atoms is the birth time of n, its length the
 generation of n.  ``phi``, ``spine_states`` and ``forest.graft_forest`` are
 the literal oracles.  ``height_profile_arrays`` is the array kernel the
-experiments run: it reads every birth time and generation off first passages
-of the Lukasiewicz walk, with no per-stick step at all (each birth age
-counts toward the individuals between its child and the end of that child's
-subtree, two first passages of the walk).  It shares that computation,
-``forest.first_passage_profile``, with ``forest.build_forest``.
+experiments run: it returns the birth times and generations of
+``forest.forest_arrays``, which reads every parent and generation off first
+passages of the Lukasiewicz walk and then sums the birth ages with one
+numpy step per generation, the way grafting does.
 
 ``verify_identities`` cross-checks every walk/ladder formula in
 :mod:`chronoforest.lukasiewicz`, the kernel's forest and the contour path
@@ -38,7 +37,7 @@ import numpy as np
 from .forest import (
     build_forest,
     contour_path,
-    first_passage_profile,
+    forest_arrays,
     genealogical_map,
     graft_forest,
 )
@@ -109,13 +108,12 @@ def height_profile_arrays(
     """Birth times and generations of individuals 0..n from flat arrays.
 
     ``ages`` holds each stick's birth ages in non-increasing order, stick k
-    occupying ``ages[offsets[k]:offsets[k+1]]``; every birth time and
-    generation is read off first passages of the walk (see
-    ``forest.first_passage_profile``).  Entry n is where stick n would be
-    grafted, and every tree root is exactly 0.0.  O((n + atoms) log n).
+    occupying ``ages[offsets[k]:offsets[k+1]]``; both arrays are those of
+    ``forest.forest_arrays``.  Entry n is where stick n would be grafted,
+    and every tree root is exactly 0.0.
     """
-    heights, depths, _, _ = first_passage_profile(counts, offsets, ages)
-    return heights, depths
+    forest = forest_arrays(counts, offsets, ages)
+    return forest.heights, forest.depths
 
 
 # --------------------------------------------------------------------------
@@ -190,8 +188,8 @@ class _Context:
         self.path = contour_path(self.forest)
         self.w = walk(self.sticks)
         self.spines = spine_states(self.sticks)
-        self.heights = self.forest.birth_times()
-        self.depths = self.forest.depths()
+        self.heights = self.forest.arrays.heights
+        self.depths = self.forest.arrays.depths
         self._decomps: dict[int, object] = {}
         self._shifted: dict[tuple[int, int], SpineSeq] = {}
 
@@ -395,39 +393,17 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
 def _profile_checks(ctx: _Context, report: IdentityReport) -> None:
     batch = ctx.batch
     h_fast, d_fast = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
-    ok = bool(
-        np.allclose(h_fast, ctx.heights, atol=ctx.tol, rtol=0.0)
-        and np.array_equal(d_fast, ctx.depths)
-    )
-    report.record(
-        "kernel-profile-matches-forest",
-        ok,
-        None if ok else ctx.reproducer(check="kernel-profile-matches-forest"),
-    )
     kernel, graft = build_forest(batch).arrays, ctx.forest.arrays
-    ok = bool(
-        np.array_equal(kernel.parent, graft.parent)
-        and np.array_equal(kernel.birth_age, graft.birth_age)
-        and np.array_equal(kernel.depths, graft.depths)
-        and np.array_equal(kernel.tree_id, graft.tree_id)
-        and kernel.pending_stubs == graft.pending_stubs
-        and np.allclose(kernel.heights, graft.heights, atol=ctx.tol, rtol=0.0)
-    )
-    report.record(
-        "kernel-forest-matches-graft",
-        ok,
-        None if ok else ctx.reproducer(check="kernel-forest-matches-graft"),
-    )
     gen = build_forest(genealogical_map(ctx.sticks)).arrays
-    ok = bool(
-        np.array_equal(gen.heights.astype(np.int64), ctx.depths)
-        and np.array_equal(gen.depths, ctx.depths)
-    )
-    report.record(
-        "genealogical-collapse-depth",
-        ok,
-        None if ok else ctx.reproducer(check="genealogical-collapse-depth"),
-    )
+    checks = {
+        "kernel-profile-matches-forest": np.array_equal(h_fast, ctx.heights)
+        and np.array_equal(d_fast, ctx.depths),
+        "kernel-forest-matches-graft": all(np.array_equal(k, g) for k, g in zip(kernel, graft)),
+        "genealogical-collapse-depth": np.array_equal(gen.heights.astype(np.int64), ctx.depths)
+        and np.array_equal(gen.depths, ctx.depths),
+    }
+    for name, ok in checks.items():
+        report.record(name, bool(ok), None if ok else ctx.reproducer(check=name))
 
 
 def _sample_pairs(

@@ -37,6 +37,7 @@ from .laws import StickLaw, parse_law
 
 __all__ = [
     "ExperimentConfig",
+    "CONFIG_KEYS",
     "parse_config",
     "resolve_scale",
     "CSV_COLUMNS",
@@ -76,14 +77,23 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.p_values or any(p <= 0 for p in self.p_values):
-            raise ValueError("p values must be positive")
+            raise ValueError(f"p must be positive, got {self.p_values!r}")
         if not self.times or not all(0.0 < t < math.inf for t in self.times):
             raise ValueError(f"times must be positive and finite, got {self.times!r}")
         if self.replicates <= 0:
-            raise ValueError("replicates must be positive")
+            raise ValueError(f"replicates must be positive, got {self.replicates}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         u, v = self.interval
         if not 0 <= u < v < math.inf:
             raise ValueError(f"interval must satisfy 0 <= u < v < inf, got {self.interval!r}")
+        # a rule that fails at some p must fail here, not once sampling has begun
+        for key, rule in (("eps", self.eps_rule), ("epsbar", self.epsbar_rule)):
+            for p in self.p_values if rule is not None else ():
+                try:
+                    resolve_scale(rule, p)
+                except ValueError as exc:
+                    raise ValueError(f"{key}: {exc}") from None
 
     def to_text(self) -> str:
         lines = [
@@ -103,6 +113,36 @@ class ExperimentConfig:
         return "\n".join(lines) + "\n"
 
 
+def _values(kind: type, what: str, count: Optional[int] = None):
+    """A parser of ``count`` (a bare value when 1; any number when None)
+    comma-separated values of type ``kind``."""
+
+    def parse(text: str):
+        try:
+            values = tuple(kind(x) for x in text.split(","))
+        except ValueError:
+            values = ()
+        if not values or count not in (None, len(values)):
+            raise ValueError(f"expected {what}, got {text!r}")
+        return values[0] if count == 1 else values
+
+    return parse
+
+
+# config key -> (ExperimentConfig field, parser of the value text); the
+# ``scale`` command's --p and --times flags use the same parsers
+CONFIG_KEYS = {
+    "law": ("law", str),
+    "p": ("p_values", _values(int, "comma-separated integers")),
+    "times": ("times", _values(float, "comma-separated numbers")),
+    "replicates": ("replicates", _values(int, "an integer", 1)),
+    "seed": ("seed", _values(int, "an integer", 1)),
+    "eps": ("eps_rule", str),
+    "epsbar": ("epsbar_rule", str),
+    "interval": ("interval", _values(float, "two numbers u,v", 2)),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse ``key = value`` lines (# comments allowed) into a config."""
     fields: dict[str, str] = {}
@@ -114,26 +154,16 @@ def parse_config(text: str) -> ExperimentConfig:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = line.split("=", 1)
         fields[key.strip().lower()] = val.strip()
+    unknown = sorted(set(fields) - set(CONFIG_KEYS))
+    if unknown:
+        raise ValueError(f"unknown config keys: {unknown}")
     kwargs: dict = {}
-    if "law" in fields:
-        kwargs["law"] = fields.pop("law")
-    if "p" in fields:
-        kwargs["p_values"] = tuple(int(x) for x in fields.pop("p").split(","))
-    if "times" in fields:
-        kwargs["times"] = tuple(float(x) for x in fields.pop("times").split(","))
-    if "replicates" in fields:
-        kwargs["replicates"] = int(fields.pop("replicates"))
-    if "seed" in fields:
-        kwargs["seed"] = int(fields.pop("seed"))
-    if "eps" in fields:
-        kwargs["eps_rule"] = fields.pop("eps")
-    if "epsbar" in fields:
-        kwargs["epsbar_rule"] = fields.pop("epsbar")
-    if "interval" in fields:
-        u, v = (float(x) for x in fields.pop("interval").split(","))
-        kwargs["interval"] = (u, v)
-    if fields:
-        raise ValueError(f"unknown config keys: {sorted(fields)}")
+    for key, text in fields.items():
+        name, parse = CONFIG_KEYS[key]
+        try:
+            kwargs[name] = parse(text)
+        except ValueError as exc:
+            raise ValueError(f"config key {key!r}: {exc}") from None
     return ExperimentConfig(**kwargs)
 
 
@@ -147,23 +177,25 @@ def resolve_scale(rule: str, p: int) -> float:
     """
     rule = rule.strip()
     if rule == "invsqrt":
-        scale = float(p) ** -0.5
-    elif rule.startswith("stable:"):
-        a = float(rule.split(":", 1)[1])
-        if not 1.0 < a <= 2.0:
-            raise ValueError("stable index must be in (1, 2]")
-        scale = float(p) ** -(1.0 - 1.0 / a)
-    elif rule.startswith("pow:"):
-        x = float(rule.split(":", 1)[1])
+        return float(p) ** -0.5
+    kind, _, arg = rule.rpartition(":")
+    try:
+        x = float(arg)
+    except ValueError:
+        raise ValueError(f"unknown scale rule {rule!r}") from None
+    if kind == "stable":
+        if not 1.0 < x <= 2.0:
+            raise ValueError(f"scale rule {rule!r}: stable index must be in (1, 2]")
+        scale = float(p) ** -(1.0 - 1.0 / x)
+    elif kind == "pow":
         try:
             scale = float(p) ** -x
         except OverflowError:
             scale = math.inf
+    elif kind == "":
+        scale = x
     else:
-        try:
-            scale = float(rule)
-        except ValueError:
-            raise ValueError(f"unknown scale rule {rule!r}") from None
+        raise ValueError(f"unknown scale rule {rule!r}")
     if not 0.0 < scale < math.inf:
         raise ValueError(
             f"scale rule {rule!r} gives {scale!r} at p={p}; it must be positive and finite"

@@ -339,11 +339,11 @@ def test_scale_non_finite_times_are_rejected(tmp_path, capsys, times, interval, 
 @pytest.mark.parametrize(
     "line, message",
     [
-        ("eps = nan", "scale rule 'nan' gives nan at p=200"),
-        ("eps = 0", "scale rule '0' gives 0.0 at p=200"),
-        ("eps = -1", "scale rule '-1' gives -1.0 at p=200"),
-        ("eps = pow:inf", "scale rule 'pow:inf' gives 0.0 at p=200"),
-        ("epsbar = 1e400", "scale rule '1e400' gives inf at p=200"),
+        ("eps = nan", "eps: scale rule 'nan' gives nan at p=200"),
+        ("eps = 0", "eps: scale rule '0' gives 0.0 at p=200"),
+        ("eps = -1", "eps: scale rule '-1' gives -1.0 at p=200"),
+        ("eps = pow:inf", "eps: scale rule 'pow:inf' gives 0.0 at p=200"),
+        ("epsbar = 1e400", "epsbar: scale rule '1e400' gives inf at p=200"),
     ],
 )
 def test_scale_rules_must_be_positive_and_finite(tmp_path, capsys, line, message):
@@ -354,6 +354,47 @@ def test_scale_rules_must_be_positive_and_finite(tmp_path, capsys, line, message
     assert captured.out == ""
     assert captured.err == f"error: {message}; it must be positive and finite\n"
 
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("p = 1.5", "config key 'p': expected comma-separated integers, got '1.5'"),
+        ("times = ", "config key 'times': expected comma-separated numbers, got ''"),
+        ("eps = stable:abc", "eps: unknown scale rule 'stable:abc'"),
+        ("epsbar = stable:3", "epsbar: scale rule 'stable:3': stable index must be in (1, 2]"),
+        ("seed = -3", "seed must be >= 0, got -3"),
+        ("interval = 1", "config key 'interval': expected two numbers u,v, got '1'"),
+        ("replicates = 2.5", "config key 'replicates': expected an integer, got '2.5'"),
+    ],
+)
+def test_scale_config_errors_name_the_key(tmp_path, capsys, line, message):
+    # rejected before any stick is drawn, with the key in the message
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"law = gw\np = 100,200\nreplicates = 1\n{line}\n")
+    assert main(["scale", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--p", "1.5", "expected comma-separated integers, got '1.5'"),
+        ("--p", "10,", "expected comma-separated integers, got '10,'"),
+        ("--times", "x", "expected comma-separated numbers, got 'x'"),
+        ("--times", "", "expected comma-separated numbers, got ''"),
+    ],
+)
+def test_scale_flag_errors_name_the_flag(capsys, flag, value, message):
+    argv = ["scale", "--law", "gw", "--p", "10", "--replicates", "1", flag, value]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: {message}" in captured.err
 
 BIG_INT = "1" + "0" * 400
 BAD_STICKS_JSON = [

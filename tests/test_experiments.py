@@ -55,6 +55,13 @@ def test_config_validation():
         small_config(replicates=0)
     with pytest.raises(ValueError):
         small_config(interval=(1.0, 0.5))
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        small_config(seed=-1)
+    # a scale rule is checked at every p before anything is sampled
+    with pytest.raises(ValueError, match="eps: unknown scale rule 'stable:abc'"):
+        small_config(eps_rule="stable:abc")
+    with pytest.raises(ValueError, match="epsbar: scale rule 'pow:-140' gives inf at p=200"):
+        small_config(epsbar_rule="pow:-140")  # finite at the first p, 50
 
 
 def test_parse_config_rejects_unknown_keys():

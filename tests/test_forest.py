@@ -17,7 +17,7 @@ from chronoforest.forest import (
     write_forest_csv,
 )
 from chronoforest.measures import PointMeasure, Stick, StickBatch
-from chronoforest.stochastic import GeometricUniformLaw
+from chronoforest.stochastic import GeometricUniformLaw, parse_law
 
 from conftest import (
     REFERENCE_BIRTH_TIMES,
@@ -28,11 +28,11 @@ from conftest import (
 
 def test_reference_birth_times_and_depths(reference_sticks):
     f = build_forest(reference_sticks)
-    assert f.birth_times()[:-1] == pytest.approx(np.array(REFERENCE_BIRTH_TIMES))
-    assert tuple(f.depths()[:-1]) == REFERENCE_DEPTHS
+    assert f.arrays.heights[:-1] == pytest.approx(np.array(REFERENCE_BIRTH_TIMES))
+    assert tuple(f.arrays.depths[:-1]) == REFERENCE_DEPTHS
     # The tree is complete, so the next stick would found a new tree at 0.
-    assert f.birth_times()[-1] == 0.0
-    assert f.depths()[-1] == 0
+    assert f.arrays.heights[-1] == 0.0
+    assert f.arrays.depths[-1] == 0
 
 
 def test_reference_parents_and_trees(reference_sticks):
@@ -40,7 +40,7 @@ def test_reference_parents_and_trees(reference_sticks):
     assert tuple(f.arrays.parent.tolist()) == REFERENCE_PARENTS
     assert f.tree_count == 1
     assert not f.final_tree_incomplete
-    assert f.pending_stubs == 0
+    assert f.arrays.pending_stubs == 0
 
 
 def test_ancestor_lines(reference_sticks):
@@ -68,8 +68,8 @@ def test_incomplete_final_tree(reference_sticks):
     f = build_forest(reference_sticks[:-1])
     assert f.final_tree_incomplete
     # Stick 9 hangs off stick 8's stub at height 1.5 + 1.0.
-    assert f.terminal_height == pytest.approx(2.5)
-    assert f.terminal_depth == 3
+    assert f.arrays.heights[-1] == pytest.approx(2.5)
+    assert f.arrays.depths[-1] == 3
 
 
 def test_contour_visit_times(reference_sticks):
@@ -90,7 +90,7 @@ def test_contour_clock_exact_on_constant_v_forest():
     sticks = law.sample_batch(np.random.default_rng(1), 10_000).to_sticks()
     forest = build_forest(sticks)
     path = contour_path(forest)
-    heights = forest.birth_times()
+    heights = forest.arrays.heights
     assert np.array_equal(path.visit_times, 2.0 * np.arange(len(sticks) + 1) - heights)
 
 
@@ -145,15 +145,15 @@ def test_min_on_matches_min_contour_at_visits(reference_sticks):
     for m in range(f.n_sticks + 1):
         for n in range(m, f.n_sticks + 1):
             a, b = float(path.visit_times[m]), float(path.visit_times[n])
-            assert path.min_on(a, b) == pytest.approx(f.birth_times()[m : n + 1].min())
+            assert path.min_on(a, b) == pytest.approx(f.arrays.heights[m : n + 1].min())
 
 
 def test_genealogical_map_collapses_to_generations(reference_sticks):
     gen = genealogical_map(reference_sticks)
     f = build_forest(reference_sticks)
     g = build_forest(gen)
-    assert np.array_equal(g.birth_times()[:-1], f.depths()[:-1].astype(float))
-    assert np.array_equal(g.depths(), f.depths())
+    assert np.array_equal(g.arrays.heights[:-1], f.arrays.depths[:-1].astype(float))
+    assert np.array_equal(g.arrays.depths, f.arrays.depths)
     assert np.array_equal(g.arrays.parent, f.arrays.parent)
     # The map is idempotent: every image stick already has unit length.
     assert genealogical_map(gen) == gen
@@ -185,7 +185,7 @@ def test_empty_forest():
     f = build_forest([])
     assert f.tree_count == 0
     assert f.n_sticks == 0
-    assert f.birth_times().shape == (1,)
+    assert f.arrays.heights.shape == (1,)
     assert not f.final_tree_incomplete
 
 
@@ -202,13 +202,30 @@ def test_empty_forest_contour_is_one_point():
 def test_graft_forest_reference_forest(reference_sticks):
     # The literal grafting oracle on the hand-worked forest.
     f = graft_forest(reference_sticks)
-    assert tuple(f.birth_times()[:-1]) == pytest.approx(REFERENCE_BIRTH_TIMES)
-    assert tuple(f.depths()[:-1]) == REFERENCE_DEPTHS
+    assert tuple(f.arrays.heights[:-1]) == pytest.approx(REFERENCE_BIRTH_TIMES)
+    assert tuple(f.arrays.depths[:-1]) == REFERENCE_DEPTHS
     assert tuple(f.arrays.parent.tolist()) == REFERENCE_PARENTS
     assert f.batch.to_sticks() == reference_sticks
-    assert f.pending_stubs == 0 and f.tree_count == 1
+    assert f.arrays.pending_stubs == 0 and f.tree_count == 1
     prefix = graft_forest(reference_sticks[:-1])
-    assert prefix.terminal_height == pytest.approx(2.5) and prefix.terminal_depth == 3
+    assert prefix.arrays.heights[-1] == pytest.approx(2.5) and prefix.arrays.depths[-1] == 3
+
+
+@pytest.mark.parametrize("spec, seed", [("exp-uniform", 2), ("geo-uniform", 1)])
+def test_build_csvs_equal_grafting_bytes(spec, seed):
+    # sticks drawn as ``build --law spec --n 10000 --seed seed`` draws them;
+    # the kernel sums each birth time as grafting does, so every printed
+    # digit agrees (exp-uniform seed 2 has a birth time of 4e-6 in a tree
+    # whose heights reach 7.9, individual 6782)
+    rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
+    batch = parse_law(spec).sample_batch(rng, 10_000)
+    outputs = []
+    for forest in (build_forest(batch), graft_forest(batch.to_sticks())):
+        forest_csv, contour_csv = io.StringIO(), io.StringIO()
+        write_forest_csv(forest, forest_csv)
+        write_contour_csv(contour_path(forest), contour_csv)
+        outputs.append((forest_csv.getvalue(), contour_csv.getvalue()))
+    assert outputs[0] == outputs[1]
 
 
 def test_build_forest_takes_a_batch_or_sticks(reference_sticks):
@@ -224,9 +241,9 @@ def test_build_forest_takes_a_batch_or_sticks(reference_sticks):
 
 def test_forest_arrays_are_cached_and_read_only(reference_sticks):
     f = build_forest(reference_sticks)
-    assert f.birth_times() is f.birth_times() and f.depths() is f.depths()
+    assert not any(a.flags.writeable for a in f.arrays[:-1])
     with pytest.raises(ValueError):
-        f.birth_times()[1] = 9.0
+        f.arrays.heights[1] = 9.0
     with pytest.raises(ValueError):
         f.arrays.parent[1] = 3
 

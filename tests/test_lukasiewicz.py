@@ -106,8 +106,8 @@ def test_ladder_matches_forest_everywhere(reference_sticks):
     f = build_forest(reference_sticks)
     for n in range(f.n_sticks + 1):
         dec = ladder_decomp(reference_sticks, n)
-        assert dec.height == f.depths()[n]
-        assert dec.height_sum() == pytest.approx(f.birth_times()[n])
+        assert dec.height == f.arrays.depths[n]
+        assert dec.height_sum() == pytest.approx(f.arrays.heights[n])
 
 
 def test_ancestors_from_walk(reference_sticks):
@@ -159,7 +159,7 @@ def test_drop_functional(reference_sticks):
         for level in range(0, 4):
             d = ladder_decomp(reference_sticks, n).D(level, reference_sticks)
             assert d >= prev - 1e-12
-            assert d <= f.birth_times()[n] + 1e-12
+            assert d <= f.arrays.heights[n] + 1e-12
             prev = d
 
 
@@ -204,5 +204,5 @@ def test_ladder_and_forest_agree_on_random_inputs(rng):
         f = build_forest(sticks)
         for n in range(len(sticks) + 1):
             dec = ladder_decomp(sticks, n)
-            assert dec.height == f.depths()[n]
-            assert dec.height_sum() == pytest.approx(f.birth_times()[n], abs=1e-9)
+            assert dec.height == f.arrays.depths[n]
+            assert dec.height_sum() == pytest.approx(f.arrays.heights[n], abs=1e-9)

@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import chronoforest
@@ -26,6 +29,21 @@ def test_no_assert_guards_results():
             if isinstance(node, ast.Assert)
         ]
     assert not found, "assert statements outside the oracles: " + ", ".join(found)
+
+
+def test_verify_does_not_depend_on_asserts():
+    # the oracles' asserts vanish under ``python -O``; what ``verify``
+    # reports must not change with them
+    src = str(Path(chronoforest.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["-m", "chronoforest", "verify", "--seed", "3", "--forests", "5"]
+    plain, optimized = (
+        subprocess.run([sys.executable, *flags, *argv], env=env, capture_output=True, text=True, timeout=120)
+        for flags in ([], ["-O"])
+    )
+    assert plain.returncode == optimized.returncode == 0, plain.stderr + optimized.stderr
+    assert plain.stdout == optimized.stdout
+    assert '"ok": true' in plain.stdout
 
 
 def test_stick_laws_only_choose_parts():
