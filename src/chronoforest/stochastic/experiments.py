@@ -80,6 +80,9 @@ class ExperimentConfig:
             raise ValueError(f"p must be positive, got {self.p_values!r}")
         if not self.times or not all(0.0 < t < math.inf for t in self.times):
             raise ValueError(f"times must be positive and finite, got {self.times!r}")
+        for key, values in (("p", self.p_values), ("times", self.times)):
+            if len(set(values)) < len(values):
+                raise ValueError(f"{key} must not repeat a value, got {values!r}")
         if self.replicates <= 0:
             raise ValueError(f"replicates must be positive, got {self.replicates}")
         if self.seed < 0:
@@ -153,7 +156,10 @@ def parse_config(text: str) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
         key, val = line.split("=", 1)
-        fields[key.strip().lower()] = val.strip()
+        key = key.strip().lower()
+        if key in fields:
+            raise ValueError(f"line {lineno}: config key {key!r} given twice")
+        fields[key] = val.strip()
     unknown = sorted(set(fields) - set(CONFIG_KEYS))
     if unknown:
         raise ValueError(f"unknown config keys: {unknown}")
@@ -254,8 +260,6 @@ def simulate_replicate(
     t_max = max(max(times), interval[1])
     beta = law.mean_v
     ystar = law.mean_ystar
-    if ystar is None:
-        raise ValueError(f"law {law.name} has no known mean atom-age total")
     min_sticks = int(math.floor(p * t_max * max(1.0, 1.0 / (2.0 * beta)))) + 2
     pop = _simulate_population(
         law, rng, min_sticks, p * t_max, p * interval[1] / beta
@@ -386,7 +390,7 @@ class ExperimentResult:
                 continue
             mc = np.array([m["min_contour"] for m in mins])
             mg = np.array([m["min_gen_contour"] for m in mins])
-            target = (self.law.mean_ystar or 0.0) * mg
+            target = self.law.mean_ystar * mg
             out["interval_minima"].append(
                 {
                     "p": p,

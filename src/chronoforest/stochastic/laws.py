@@ -27,7 +27,6 @@ from __future__ import annotations
 import inspect
 import math
 import re
-import warnings
 from typing import Optional, Sequence
 
 import numpy as np
@@ -143,48 +142,66 @@ _BERNOULLI = (
 )
 
 
-def _zeta_digits(s: float):
-    """zeta(s) for real s > 1 as a 40-digit ``Decimal``.
+def _zeta_tail(s):
+    """zeta(s, 20) = the sum over k >= 20 of k^-s, and its derivative in s,
+    for a ``Decimal`` s in the current (40-digit) context.  Euler-Maclaurin
+    at n = 20: n^(1-s) / (s-1) + n^-s / 2 + the sum over j = 1..14 of
+    B_2j / (2j)! * s (s+1) ... (s+2j-2) * n^(-s-2j+1).  For real s > 1 the
+    remainder is below the first omitted (B_30) term, under 2e-32 of zeta(s).
+    Every term carries n^-s, so the derivative is -log(n) times the sum plus
+    the derivatives of the other factors."""
+    from decimal import Decimal
+    n = Decimal(20)
+    power = n**-s
+    total = n * power / (s - 1) + power / 2
+    slope = -n * power / (s - 1) ** 2
+    rising, d_rising, power = s, Decimal(1), power / n  # s (s+1) ... (s+2j-2), its derivative, n^(-s-2j+1)
+    for j, (num, den) in enumerate(_BERNOULLI, start=1):
+        coeff = Decimal(num) / (den * math.factorial(2 * j))
+        total += coeff * rising * power
+        slope += coeff * d_rising * power
+        a, b = s + 2 * j - 1, s + 2 * j
+        rising, d_rising = rising * a * b, d_rising * a * b + rising * (a + b)
+        power /= n * n
+    return total, slope - n.ln() * total
 
-    The first 19 terms of the series, then the Euler-Maclaurin tail at n = 20:
-    n^(1-s) / (s-1) + n^-s / 2 + the sum over j = 1..14 of
-    B_2j / (2j)! * s (s+1) ... (s+2j-2) * n^(-s-2j+1).  For real s the
-    remainder is smaller than the first omitted (B_30) term, which stays
-    below 2e-32 of zeta(s) for every s > 1.
-    """
-    s = float(s)
-    if not 1.0 < s < math.inf:
+
+def _zeta_digits(s):
+    """zeta(s) for real s > 1 as a 40-digit ``Decimal``: 19 terms, prime
+    k^-s as powers and composite ones as products, then ``_zeta_tail``."""
+    if not 1.0 < float(s) < math.inf:
         raise ValueError(f"zeta(s) needs a real s > 1, got {s!r}")
     from decimal import Context, Decimal, localcontext
-
     with localcontext(Context(prec=40)):
-        s = Decimal(s)
-        n = Decimal(20)
-        n_s = n ** -s
-        total = sum(Decimal(k) ** -s for k in range(1, 20)) + n * n_s / (s - 1) + n_s / 2
-        rising, power = s, n_s / n  # s (s+1) ... (s+2j-2) and n^(-s-2j+1)
-        for j, (num, den) in enumerate(_BERNOULLI, start=1):
-            total += Decimal(num) / (den * math.factorial(2 * j)) * rising * power
-            rising *= (s + 2 * j - 1) * (s + 2 * j)
-            power /= n * n
-        return +total
+        s, power = Decimal(s), [0, 1]  # power[k] = k^-s for k >= 1
+        for k in range(2, 20):
+            d = next((d for d in range(2, k) if k % d == 0), k)
+            power.append(Decimal(k) ** -s if d == k else power[d] * power[k // d])
+        return sum(power) + _zeta_tail(s)[0]
+
+
+def _log1p_series(s):
+    """The sum over k >= 1 of log(1 + k) k^-s for a ``Decimal`` s > 1, in the
+    current (40-digit) context: the terms k <= 19, then, from
+    log(1 + k) = log k + log(1 + 1/k), -d/ds zeta(s, 20) plus the sum over
+    j = 1..30 of (-1)^(j+1) zeta(s+j, 20) / j (the next term is below 1e-41)."""
+    from decimal import Decimal
+    logs = [Decimal(k).ln() for k in range(1, 21)]
+    total = sum(logs[k] * (-s * logs[k - 1]).exp() for k in range(1, 20)) - _zeta_tail(s)[1]
+    return total + sum((-1) ** (j + 1) * _zeta_tail(s + j)[0] / j for j in range(1, 31))
 
 
 def _zeta(s: float) -> float:
-    """zeta(s) for real s > 1, correctly rounded to a float: the one rounding
-    of a value within 2e-32 relative of zeta(s) (see ``_zeta_digits``) gives
-    the nearest float unless zeta(s) lies that close to a midpoint between
-    two floats."""
+    """zeta(s) for real s > 1, rounded once from within 2e-32 of it (see
+    ``_zeta_tail``): the nearest float unless zeta(s) is that close to a
+    midpoint between two floats."""
     return float(_zeta_digits(s))
 
 
 class StableCounts:
     """Counts with pmf k^-(alpha+1) / zeta(alpha) on k >= 1 and the
     complementary mass ``p0`` at 0; the mean is exactly 1 for every alpha
-    in (1, 2].
-
-    zeta(alpha) and zeta(alpha + 1) come from ``_zeta``: an Euler-Maclaurin
-    sum in 40-digit decimal arithmetic, correctly rounded to floats, so the
+    in (1, 2].  zeta(alpha) and zeta(alpha + 1) come from ``_zeta``, so the
     laws need no special-function library.
     """
 
@@ -216,42 +233,22 @@ class StableCounts:
         return pmf
 
     def mean_of(self, f) -> float:
-        """E f(count); f(0) does not count (childless sticks carry no atom)."""
-        # explicit terms below a cutoff c, then the rest of the series as
-        # g(c) / 2 plus the integral of g over [c, inf) (Euler-Maclaurin,
-        # g(x) = f(x) x^-(alpha+1); the next term, g'(c) / 12, is below
-        # c^-(alpha+1) < 4e-15 for f growing at most linearly).  The integral
-        # is taken in u = log(x / c), where even f(x) = x decays like
-        # e^-(alpha-1)u, over u in [0, 600]: enough from alpha = 1.1 on.  Nearer
-        # 1 a linearly growing f has a tail beyond u = 600 that the quadrature
-        # cannot reach; it warns, and the warning becomes a ValueError here.
-        from scipy.integrate import IntegrationWarning, quad
-
-        def g(x):
-            return f(x) * x ** -(self.alpha + 1.0)
-
-        cutoff = 1 << 22
-        total = 0.0
-        for k0 in range(1, cutoff, 1 << 20):
-            k = np.arange(k0, min(k0 + (1 << 20), cutoff), dtype=float)
-            total += float(np.sum(g(k)))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", IntegrationWarning)
-            try:
-                tail, _ = quad(
-                    lambda u: float(g(np.array([cutoff * math.exp(u)]))[0]) * cutoff * math.exp(u),
-                    0.0,
-                    600.0,
-                    epsabs=0.0,  # the tail is tiny: only a relative target means anything
-                    epsrel=1e-12,
-                )
-            except IntegrationWarning as exc:
-                name = getattr(f, "__name__", repr(f))
-                raise ValueError(
-                    f"E f(count) with f={name} at alpha={self.alpha} does not converge numerically: "
-                    + str(exc).strip().splitlines()[0]
-                ) from None
-        return (total + 0.5 * float(g(np.array([float(cutoff)]))[0]) + tail) / self.z_a
+        """E f(count) over counts >= 1 (childless sticks carry no atom) for
+        f = ``identity`` (exactly 1), ``np.sqrt`` (zeta(alpha + 1/2) /
+        zeta(alpha)) and ``np.log1p`` (``_log1p_series(alpha + 1)`` /
+        zeta(alpha)), divided in 40 digits and rounded once."""
+        if f is identity:
+            return 1.0
+        from decimal import Context, Decimal, localcontext
+        with localcontext(Context(prec=40)):
+            alpha = Decimal(self.alpha)
+            if f is np.sqrt:
+                total = _zeta_digits(alpha + Decimal("0.5"))
+            elif f is np.log1p:
+                total = _log1p_series(alpha + 1)
+            else:
+                raise ValueError(f"E f(count) has no closed form here for f={f!r}; maps: {sorted(_AGE_MAPS)}")
+            return float(total / _zeta_digits(alpha))
 
 
 # -- life parts ----------------------------------------------------------
@@ -386,14 +383,13 @@ class FirstAtomAges(_Ages):
     at age 1 when ``first`` is None).
 
     Every map here keeps the first atom on top (``first(k) >= 1`` for
-    k >= 2), so the ages come out non-increasing without a sort.
-    ``first_mean`` is E first(count) over counts >= 1; with a mean-one
-    count law the expected total age is then P(count = 0) + first_mean.
+    k >= 2), so the ages come out non-increasing without a sort.  With a
+    mean-one count law the expected total age is P(count = 0) plus
+    E first(count) over counts >= 1 (``StableCounts.mean_of``).
     """
 
-    def __init__(self, first=None, first_mean: float = 0.0):
+    def __init__(self, first=None):
         self.first = first
-        self.first_mean = first_mean
 
     def sample(self, rng, counts, v):
         ages = np.ones(int(np.sum(counts)))
@@ -412,7 +408,7 @@ class FirstAtomAges(_Ages):
     def mean_total(self, counts, life) -> float:
         if self.first is None:
             return counts.mean
-        return counts.p0 + self.first_mean
+        return counts.p0 + counts.mean_of(self.first)
 
 
 # -- assembled laws ------------------------------------------------------
@@ -535,13 +531,12 @@ class StableFamilyLaw(StickLaw):
         if variant == "1":
             ages = FirstAtomAges()
         elif variant == "2":
-            ages = FirstAtomAges(identity, counts.mean)
+            ages = FirstAtomAges(identity)
         elif variant == "generalized":
             age_map = "sqrt" if age_map is None else age_map
             if age_map not in _AGE_MAPS:
                 raise ValueError(f"unknown age map {age_map!r}; options: {sorted(_AGE_MAPS)}")
-            f = _AGE_MAPS[age_map]
-            ages = FirstAtomAges(f, counts.mean_of(f))
+            ages = FirstAtomAges(_AGE_MAPS[age_map])
         else:
             raise ValueError(f"unknown variant {variant!r}")
         name = f"family-gen-{age_map}" if variant == "generalized" else f"family{variant}"

@@ -370,8 +370,52 @@ def test_scale_rules_must_be_positive_and_finite(tmp_path, capsys, line, message
 )
 def test_scale_config_errors_name_the_key(tmp_path, capsys, line, message):
     # rejected before any stick is drawn, with the key in the message
+    fields = {"law": "gw", "p": "100,200", "replicates": "1"}
+    key, value = (part.strip() for part in line.split("=", 1))
+    fields[key] = value
     cfg = tmp_path / "config.txt"
-    cfg.write_text(f"law = gw\np = 100,200\nreplicates = 1\n{line}\n")
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in fields.items()))
+    assert main(["scale", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "p, times, message",
+    [
+        ("50,50", "1,1", "p must not repeat a value, got (50, 50)"),
+        ("50,100,50", "1", "p must not repeat a value, got (50, 100, 50)"),
+        ("50", "1,0.5,1.0", "times must not repeat a value, got (1.0, 0.5, 1.0)"),
+    ],
+)
+def test_scale_rejects_repeated_p_and_times(tmp_path, capsys, monkeypatch, p, times, message):
+    # a repeated value used to be run again under a different p index and
+    # pooled into duplicate summary cells
+    monkeypatch.setattr("chronoforest.cli.scaling_experiment", None)  # nothing may be drawn
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"law = gw\np = {p}\ntimes = {times}\nreplicates = 2\nseed = 1\n")
+    flags = ["scale", "--law", "gw", "--p", p, "--times", times, "--replicates", "2", "--seed", "1"]
+    for argv in (flags, ["scale", "--config", str(cfg)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("law = gw\np = 10\nreplicates = 1\n\np = 20\n", "line 5: config key 'p' given twice"),
+        ("law = gw\nSeed = 1 # first\np = 10\nseed = 2\n", "line 4: config key 'seed' given twice"),
+        ("law = gw\np = 10\nbogus = 1\nbogus = 2\n", "line 4: config key 'bogus' given twice"),
+    ],
+)
+def test_scale_config_rejects_a_repeated_key(tmp_path, capsys, monkeypatch, text, message):
+    # the last value used to win silently
+    monkeypatch.setattr("chronoforest.cli.scaling_experiment", None)
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(text)
     assert main(["scale", "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -420,29 +464,35 @@ def test_sticks_json_needs_numbers(tmp_path, monkeypatch, capsys, text, message)
 
 
 def test_import_does_not_load_scipy_special():
-    # scipy.special costs a stable-law process about 0.2 s and 17 MB; the
-    # stable laws compute zeta themselves, so neither the import nor building
-    # and drawing from family 1 and 2 may load it
+    # numpy is the one runtime dependency (scipy.special alone costs a
+    # process about 0.2 s and 17 MB): neither the import nor building and
+    # drawing from the stable laws, family-gen with each map included, may
+    # load any scipy module
     code = """
 import sys
 import numpy as np
 import chronoforest.cli
 from chronoforest.stochastic import parse_law, sample_vhat
-print('scipy.special' in sys.modules)
-for spec in ['family1', 'family2', 'family2(alpha=1.2)']:
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')
+print(scipy_modules())
+specs = ['family1', 'family2', 'family2(alpha=1.2)']
+specs += [f'family-gen(alpha=1.3,f={f})' for f in ('identity', 'sqrt', 'log1p')]
+for spec in specs:
     law = parse_law(spec)
     rng = np.random.default_rng(1)
     law.sample_batch(rng, 200)
     law.counts.pmf(30)
     sample_vhat(law, rng, 200)
     law.counts.sizebiased(rng, 200)
-print('scipy.special' in sys.modules)
+    law.sample_ystars(rng, 200)
+print(scipy_modules())
 """
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
-    assert out.stdout.split() == ["False", "False"]
+    assert out.stdout.splitlines() == ["[]", "[]"]
 
 
 BAD_LAWS = [
@@ -455,7 +505,7 @@ BAD_LAWS = [
     ("two-point(v=0)", "life length v must be positive and finite, got 0.0"),
     ("two-point(p=2)", "p must be in [0, 1], got 2.0"),
     ("family2(alpha=1)", "alpha must be in (1, 2], got 1.0"),
-    ("family-gen(alpha=1.05,f=identity)", "E f(count) with f=identity at alpha=1.05 does not converge numerically"),
+    ("family-gen(alpha=1.05,f=cube)", "unknown age map 'cube'"),
     ("gw(mean=inf)", "mean offspring must be >= 0 and finite, got inf"),
     ("gw(mean=nan)", "mean offspring must be >= 0 and finite, got nan"),
 ]

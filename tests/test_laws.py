@@ -23,7 +23,15 @@ from chronoforest.stochastic import (
     parse_law,
     random_verification_law,
 )
-from chronoforest.stochastic.laws import StableCounts, _sort_ages_desc, _zeta, _zeta_digits
+from chronoforest.stochastic import laws
+from chronoforest.stochastic.laws import (
+    StableCounts,
+    _log1p_series,
+    _sort_ages_desc,
+    _zeta,
+    _zeta_digits,
+    _zeta_tail,
+)
 
 DESCRIBE_KEYS = {"name", "mean_offspring", "mean_v", "mean_ystar", "arithmetic", "span"}
 
@@ -360,24 +368,85 @@ def test_sort_ages_desc_family_gen_layout(rng):
     assert np.all(batch.ages[batch.offsets[:-1][batch.counts > 0]] == np.log1p(batch.counts[batch.counts > 0]))
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("alpha", [1.2, 1.5, 1.8, 2.0])
 def test_stable_mean_of_exact_series(alpha):
     # sum k * k^-(alpha+1) / zeta(alpha) = 1, and with sqrt(k) the ratio
-    # zeta(alpha + 1/2) / zeta(alpha); the first decays too slowly for an
-    # integral tail that drops the half term or stops at a fixed x
+    # zeta(alpha + 1/2) / zeta(alpha)
     counts = StableCounts(alpha)
-    assert abs(counts.mean_of(lambda k: k) - 1.0) <= 1e-12
+    assert abs(counts.mean_of(laws.identity) - 1.0) <= 1e-12
     assert abs(counts.mean_of(np.sqrt) - zeta(alpha + 0.5) / zeta(alpha)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("error::scipy.integrate.IntegrationWarning")
+def _quadrature_mean(counts: StableCounts, f) -> float:
+    """E f(count) by quadrature, as ``StableCounts.mean_of`` computed it before
+    its closed forms: the reference they are checked against."""
+    # explicit terms below a cutoff c, then the rest of the series as
+    # g(c) / 2 plus the integral of g over [c, inf) (Euler-Maclaurin,
+    # g(x) = f(x) x^-(alpha+1); the next term, g'(c) / 12, is below
+    # c^-(alpha+1) < 4e-15 for f growing at most linearly).  The integral
+    # is taken in u = log(x / c), where even f(x) = x decays like
+    # e^-(alpha-1)u, over u in [0, 600]: enough from alpha = 1.1 on.  Nearer
+    # 1 a linearly growing f has a tail beyond u = 600 that the quadrature
+    # cannot reach; it warns, and the warning becomes a ValueError here.
+    from scipy.integrate import IntegrationWarning, quad
+
+    def g(x):
+        return f(x) * x ** -(counts.alpha + 1.0)
+
+    cutoff = 1 << 22
+    total = 0.0
+    for k0 in range(1, cutoff, 1 << 20):
+        k = np.arange(k0, min(k0 + (1 << 20), cutoff), dtype=float)
+        total += float(np.sum(g(k)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", IntegrationWarning)
+        try:
+            tail, _ = quad(
+                lambda u: float(g(np.array([cutoff * math.exp(u)]))[0]) * cutoff * math.exp(u),
+                0.0,
+                600.0,
+                epsabs=0.0,  # the tail is tiny: only a relative target means anything
+                epsrel=1e-12,
+            )
+        except IntegrationWarning as exc:
+            name = getattr(f, "__name__", repr(f))
+            raise ValueError(
+                f"E f(count) with f={name} at alpha={counts.alpha} does not converge numerically: "
+                + str(exc).strip().splitlines()[0]
+            ) from None
+    return (total + 0.5 * float(g(np.array([float(cutoff)]))[0]) + tail) / counts.z_a
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.1, 1.2, 1.5, 1.7, 1.8, 2.0])
+def test_stable_mean_of_matches_quadrature(alpha):
+    counts = StableCounts(alpha)
+    for f in (np.sqrt, np.log1p):
+        ref = _quadrature_mean(counts, f)
+        assert abs(counts.mean_of(f) - ref) <= 1e-14 * ref, f.__name__
+
+
+@pytest.mark.parametrize("alpha", [1.01, 1.02, 1.05, 1.061, 1.2, 2.0])
+def test_stable_mean_of_identity_is_exactly_one(alpha):
+    # the quadrature rejected these below alpha = 1.061 and returned
+    # 1 - 2.5e-10 at 1.061
+    assert StableCounts(alpha).mean_of(laws.identity) == 1.0
+
+
+def test_stable_mean_of_rejects_other_maps():
+    counts = StableCounts(1.5)
+    for f in (lambda k: k, np.log, np.square):
+        with pytest.raises(ValueError, match="no closed form"):
+            counts.mean_of(f)
+
+
+@pytest.mark.filterwarnings("error")
 def test_family_gen_identity_is_family2():
     # one birth at age = count and the rest at age 1 is family 2
     for alpha in (1.2, 1.5):
         gen = parse_law(f"family-gen(alpha={alpha},f=identity)").describe()["mean_ystar"]
         fam2 = parse_law(f"family2(alpha={alpha})").describe()["mean_ystar"]
-        assert abs(gen - fam2) <= 1e-12
+        assert gen == fam2
 
 
 @pytest.mark.parametrize(
@@ -390,13 +459,13 @@ def test_family_gen_near_one_builds_without_warnings(spec):
 
 
 @pytest.mark.parametrize("alpha", [1.01, 1.02, 1.05])
-def test_family_gen_unreachable_mean_is_rejected(alpha):
-    # E count = 1 exactly, but the tail quadrature of f = identity fails this
-    # close to alpha = 1 (it returned 0.976 at 1.01 with only a warning)
+def test_family_gen_identity_near_one_is_family2(alpha):
+    # the quadrature could not reach E count = 1 this close to alpha = 1 and
+    # the law was rejected; the closed form builds it, and it is family 2
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=rf"f=identity at alpha={alpha} does not converge"):
-            parse_law(f"family-gen(alpha={alpha},f=identity)")
+        gen = parse_law(f"family-gen(alpha={alpha},f=identity)").mean_ystar
+    assert gen == parse_law(f"family2(alpha={alpha})").mean_ystar
 
 
 # -- zeta ----------------------------------------------------------------
@@ -422,14 +491,14 @@ with localcontext(Context(prec=60)):
     _LOG_REF = [Decimal(k).ln() for k in range(1, 41)]
 
 
-def _zeta_reference(s: float) -> Decimal:
-    # Euler-Maclaurin at n = 40 with 24 Bernoulli terms in 60 digits, powers
-    # as exp(-s log k): the remainder (the B_50 term) is below 1e-56 on (1, 3]
+def _zeta_tail_reference(s) -> Decimal:
+    # zeta(s, 40): Euler-Maclaurin at n = 40 with 24 Bernoulli terms in 60
+    # digits, the power as exp(-s log n): the remainder (the B_50 term) is
+    # below 1e-56 on (1, 3] and shrinks as s grows
     with localcontext(Context(prec=60)):
         s, n = Decimal(s), 40
-        total = sum((-s * log_k).exp() for log_k in _LOG_REF[: n - 1])
         n_s = (-s * _LOG_REF[n - 1]).exp()
-        total += n * n_s / (s - 1) + n_s / 2
+        total = n * n_s / (s - 1) + n_s / 2
         rising = Decimal(1)
         for j, b in enumerate(_B_REF, start=1):
             rising *= s + 2 * j - 2
@@ -437,6 +506,30 @@ def _zeta_reference(s: float) -> Decimal:
             total += factor * rising * n_s / n ** (2 * j - 1)
             rising *= s + 2 * j - 1
         return total
+
+
+def _zeta_reference(s) -> Decimal:
+    # the terms k < 40 as exp(-s log k), then zeta(s, 40)
+    with localcontext(Context(prec=60)):
+        s = Decimal(s)
+        return sum((-s * log_k).exp() for log_k in _LOG_REF[:39]) + _zeta_tail_reference(s)
+
+
+def _zeta_slope_reference(s) -> Decimal:
+    # d/ds zeta(s, 40) by a central difference: step 1e-20 leaves a
+    # truncation near 1e-40 and a rounding error near 1e-40 in 60 digits
+    with localcontext(Context(prec=60)):
+        s, h = Decimal(s), Decimal("1e-20")
+        return (_zeta_tail_reference(s + h) - _zeta_tail_reference(s - h)) / (2 * h)
+
+
+def _log1p_series_reference(s) -> Decimal:
+    # the terms k < 40, then -d/ds zeta(s, 40) and 40 terms of
+    # sum_j (-1)^(j+1) zeta(s+j, 40) / j (the next one is below 1e-66)
+    with localcontext(Context(prec=60)):
+        s = Decimal(s)
+        total = sum(_LOG_REF[k] * (-s * _LOG_REF[k - 1]).exp() for k in range(1, 40)) - _zeta_slope_reference(s)
+        return total + sum((-1) ** (j + 1) * _zeta_tail_reference(s + j) / j for j in range(1, 41))
 
 
 def test_zeta_matches_a_60_digit_evaluation():
@@ -447,6 +540,35 @@ def test_zeta_matches_a_60_digit_evaluation():
             # the B_30 term, the first one left out, is under 2e-32 of zeta
             assert abs(digits - ref) <= Decimal("5e-32") * ref, s
         assert _zeta(s) == float(ref), s
+
+
+@pytest.mark.parametrize("s", [2.0 + 1e-9, 2.01, 2.5, 2.7, 3.0, 12.5, 33.0])
+def test_zeta_tail_and_slope_match_a_60_digit_evaluation(s):
+    # zeta(s, 20) is zeta(s, 40) plus the terms 20..39, and so is its slope;
+    # the log1p series takes both at s = alpha + 1 in (2, 3] and the tail up
+    # to s = alpha + 31
+    with localcontext(Context(prec=40)):
+        tail, slope = _zeta_tail(Decimal(s))
+    with localcontext(Context(prec=60)):
+        d = Decimal(s)
+        ref_tail = _zeta_tail_reference(d) + sum((-d * _LOG_REF[k - 1]).exp() for k in range(20, 40))
+        ref_slope = _zeta_slope_reference(d) - sum(_LOG_REF[k - 1] * (-d * _LOG_REF[k - 1]).exp() for k in range(20, 40))
+        assert abs(tail - ref_tail) <= Decimal("5e-32")
+        assert abs(slope - ref_slope) <= Decimal("5e-32")
+
+
+@pytest.mark.parametrize("alpha", [1.0 + 1e-9, 1.01, 1.061, 1.2, 1.5, 1.7, 2.0])
+def test_stable_mean_of_matches_a_60_digit_evaluation(alpha):
+    with localcontext(Context(prec=40)):
+        series = _log1p_series(Decimal(alpha) + 1)
+    with localcontext(Context(prec=60)):
+        a = Decimal(alpha)
+        ref = {np.sqrt: _zeta_reference(a + Decimal("0.5")), np.log1p: _log1p_series_reference(a + 1)}
+        assert abs(series - ref[np.log1p]) <= Decimal("5e-32")
+        z_a = _zeta_reference(a)
+        counts = StableCounts(alpha)
+        for f, total in ref.items():
+            assert counts.mean_of(f) == float(total / z_a), f.__name__
 
 
 def test_zeta_even_values_match_pi():

@@ -131,48 +131,51 @@ def test_unchecked_measure_constructor_stays_in_measures():
     assert not found, "_from_sorted referenced outside measures.py: " + ", ".join(found)
 
 
-def _imports_scipy_special(tree: ast.AST) -> list[int]:
-    """Lines that import ``scipy.special`` or a submodule of it: as an
-    ``import``, a ``from`` import, or a module name in a string (as given to
+def _imports_scipy(tree: ast.AST) -> list[int]:
+    """Lines that import ``scipy`` or a submodule of it: as an ``import``, a
+    ``from`` import, or a module name in a string (as given to
     ``importlib.import_module`` or ``__import__``)."""
 
-    def special(module: str) -> bool:
-        return module == "scipy.special" or module.startswith("scipy.special.")
+    def scipy(module: str) -> bool:
+        return module == "scipy" or module.startswith("scipy.")
 
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            hit = any(special(alias.name) for alias in node.names)
+            hit = any(scipy(alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            module = node.module or ""
-            hit = special(module) or (module == "scipy" and any(a.name == "special" for a in node.names))
+            hit = scipy(node.module or "")
         else:
-            hit = isinstance(node, ast.Constant) and isinstance(node.value, str) and special(node.value)
+            hit = isinstance(node, ast.Constant) and isinstance(node.value, str) and scipy(node.value)
         if hit:
             lines.append(node.lineno)
     return lines
 
 
-def test_no_module_imports_scipy_special():
-    # scipy.special costs a process about 0.2 s and 17 MB; the stable laws
-    # compute zeta themselves (scipy.integrate, which family-gen still uses
-    # for its mean, loads it on its own)
+def test_no_module_imports_scipy():
+    # numpy is the one runtime dependency: scipy.special alone costs a
+    # process about 0.2 s and 17 MB, and the stable laws compute zeta and
+    # their mean ages themselves; scipy serves only the tests
     for snippet in [
+        "import scipy",
         "import scipy.special",
         "import scipy.special as sp",
         "from scipy.special import zeta",
         "from scipy.special._basic import zeta",
         "from scipy import special",
         "from scipy import stats, special as sp",
+        "from scipy.integrate import quad",
+        "import numpy, scipy.integrate",
         "importlib.import_module('scipy.special')",
+        "__import__('scipy')",
     ]:
-        assert _imports_scipy_special(ast.parse(snippet)) == [1], snippet
-    for snippet in ["import scipy", "from scipy.integrate import quad", "from scipy import specialty"]:
-        assert _imports_scipy_special(ast.parse(snippet)) == [], snippet
+        assert _imports_scipy(ast.parse(snippet)) == [1], snippet
+    for snippet in ["import scipyx", "from scipyx import special", "import numpy.scipy", "x = 'scipy_special'"]:
+        assert _imports_scipy(ast.parse(snippet)) == [], snippet
     root = Path(chronoforest.__file__).resolve().parent
     found = [
         f"{path.relative_to(root)}:{line}"
         for path in sorted(root.rglob("*.py"))
-        for line in _imports_scipy_special(ast.parse(path.read_text(), filename=str(path)))
+        for line in _imports_scipy(ast.parse(path.read_text(), filename=str(path)))
     ]
-    assert not found, "scipy.special imported in: " + ", ".join(found)
+    assert not found, "scipy imported in: " + ", ".join(found)
