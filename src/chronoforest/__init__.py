@@ -29,11 +29,9 @@ from .forest import (
 from .lukasiewicz import (
     LadderDecomp,
     Walk,
-    ancestors_from_walk,
     chi,
     dual_passage_measure,
     dual_passage_time,
-    first_passage_below,
     forward_ladder,
     ladder_decomp,
     max_drop,
@@ -68,11 +66,9 @@ __all__ = [
     "write_forest_csv",
     "LadderDecomp",
     "Walk",
-    "ancestors_from_walk",
     "chi",
     "dual_passage_measure",
     "dual_passage_time",
-    "first_passage_below",
     "forward_ladder",
     "ladder_decomp",
     "max_drop",

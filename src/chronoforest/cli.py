@@ -11,7 +11,7 @@ Subcommands:
 * ``scale``   -- run a scaling experiment grid and write rows + summary.
 
 Exit status: 0 on success, 1 when a requested check finds a violation,
-2 on bad input or arguments.
+2 on bad input or arguments, 141 when the reader of stdout closes it early.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from typing import Optional
 
@@ -291,6 +292,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout went away (``| head``): not bad input.  Point
+        # stdout at devnull so that the flush at interpreter exit is silent.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a killed writer
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

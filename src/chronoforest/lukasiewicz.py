@@ -15,14 +15,15 @@ by pure walk arithmetic with no tree in sight.
 
 Everything in this module sees only sticks 0..n-1; first passages that do
 not happen within that window are reported as "open" (``None``), never
-extrapolated.
+extrapolated.  ``max_drop``, ``chi``, the dual passages and ``mrca`` take a
+:class:`Walk`, which :func:`walk` builds from sticks or from child counts.
 """
 
 from __future__ import annotations
 
 import bisect
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -32,8 +33,6 @@ from .measures import PointMeasure, Stick
 __all__ = [
     "Walk",
     "walk",
-    "as_walk",
-    "first_passage_below",
     "max_drop",
     "chi",
     "LadderDecomp",
@@ -41,7 +40,6 @@ __all__ = [
     "forward_ladder",
     "dual_passage_time",
     "dual_passage_measure",
-    "ancestors_from_walk",
     "mrca",
 ]
 
@@ -74,40 +72,18 @@ def walk(sticks_or_counts) -> Walk:
     return Walk(counts, s)
 
 
-def as_walk(x) -> Walk:
-    return x if isinstance(x, Walk) else walk(x)
-
-
-def first_passage_below(w, level: int) -> Optional[int]:
-    """First k >= 0 with S(k) = -level (= first entry below -level + 1).
-
-    The walk is skip-free downward, so it cannot jump past -level.  Returns
-    None when the passage does not happen within the walk's horizon.
-    """
-    if level < 0:
-        raise ValueError("level must be >= 0")
-    w = as_walk(w)
-    hits = np.nonzero(w.s <= -level)[0]
-    if hits.size == 0:
-        return None
-    k = int(hits[0])
-    assert w.s[k] == -level, "skip-free walk jumped below its target"
-    return k
-
-
-def max_drop(w, m: int, n: int) -> int:
+def max_drop(w: Walk, m: int, n: int) -> int:
     """Largest descent of the walk below S(m) witnessed on [m, n].
 
     This is the ladder level separating m from the common ancestor of m and
     any n' >= n; it is 0 exactly when m is an ancestor of n.
     """
-    w = as_walk(w)
     if not 0 <= m <= n <= w.n:
         raise ValueError(f"need 0 <= m <= n <= {w.n}, got ({m}, {n})")
     return int(w.s[m] - w.s[m : n + 1].min())
 
 
-def chi(w, m: int, k: Optional[int] = None) -> Optional[int]:
+def chi(w: Walk, m: int, k: Optional[int] = None) -> Optional[int]:
     """First index after m at which the walk returns to S(m+1) - k.
 
     With k equal to the full child count of stick m this is the index at
@@ -115,7 +91,6 @@ def chi(w, m: int, k: Optional[int] = None) -> Optional[int]:
     picks out the individual grafted to the (k+1)-th largest birth atom of
     stick m.  None when the passage lies beyond the horizon.
     """
-    w = as_walk(w)
     if not 0 <= m < w.n:
         raise ValueError(f"need 0 <= m < {w.n}, got {m}")
     if k is None:
@@ -127,7 +102,8 @@ def chi(w, m: int, k: Optional[int] = None) -> Optional[int]:
     if hits.size == 0:
         return None
     out = m + 1 + int(hits[0])
-    assert w.s[out] == target
+    if w.s[out] != target:
+        raise RuntimeError(f"skip-free walk jumped below {target} at {out}")
     return out
 
 
@@ -139,7 +115,7 @@ class LadderDecomp:
     backward from n); ``measures[k-1]`` the undershoot-truncated birth
     measure found there; ``ages[k-1]`` its largest atom; ``stick_indices``
     the real indices n - times[k], i.e. the ancestors of n from parent to
-    root.  ``dual_s[j] = S(n) - S(n-j)``.
+    root.  ``w`` is the walk of sticks 0..n-1 it was read from.
     """
 
     n: int
@@ -148,8 +124,7 @@ class LadderDecomp:
     measures: list[PointMeasure]
     ages: list[float]
     stick_indices: list[int]
-    dual_s: np.ndarray
-    _running_max: np.ndarray = field(default=None, repr=False)
+    w: Walk
 
     @property
     def height(self) -> int:
@@ -171,42 +146,23 @@ class LadderDecomp:
         idx = bisect.bisect_left(self.times, j)
         return idx + 1 if idx < len(self.times) else None
 
-    def passage_time(self, level: int) -> Optional[int]:
-        """First dual time j >= 1 at which the dual walk reaches ``level``."""
-        if level < 0:
-            raise ValueError("level must be >= 0")
-        if len(self.dual_s) <= 1:
-            return None
-        if self._running_max is None:
-            self._running_max = np.maximum.accumulate(self.dual_s[1:])
-        idx = int(np.searchsorted(self._running_max, level, side="left"))
-        return idx + 1 if idx < len(self._running_max) else None
-
-    def passage_measure(self, level: int, sticks: Sequence[Stick]) -> Optional[PointMeasure]:
-        """Undershoot-truncated birth measure at the level passage, if any."""
-        j = self.passage_time(level)
-        if j is None:
-            return None
-        zeta = int(level - self.dual_s[j - 1])
-        return sticks[self.n - j].births.truncate_largest(zeta)
-
     def D(self, level: int, sticks: Sequence[Stick]) -> float:
         """Drop functional: how much of the spine height at n survives as the
         running minimum once the walk has descended ``level`` below S(n).
 
-        Level 0 contributes nothing.  Only dual times up to min(passage, n)
-        matter, so the value is always determined by sticks 0..n-1.
+        Level 0 contributes nothing.  Only dual times up to the level passage
+        (at most n) matter, so the value is always determined by sticks
+        0..n-1.
         """
         if level < 0:
             raise ValueError("level must be >= 0")
         if level == 0:
             return 0.0
-        j = self.passage_time(level)
-        cutoff = self.n if j is None else min(j, self.n)
-        total = math.fsum(self.ages[: self.count_upto(cutoff)])
-        if j is not None:
-            total -= self.passage_measure(level, sticks).sup_support
-        return total
+        j = dual_passage_time(self.w, self.n, level)
+        if j is None:
+            return self.height_sum()
+        total = math.fsum(self.ages[: self.count_upto(j)])
+        return total - dual_passage_measure(sticks, self.w, self.n, level).sup_support
 
 
 def ladder_decomp(sticks: Sequence[Stick], n: int) -> LadderDecomp:
@@ -214,26 +170,27 @@ def ladder_decomp(sticks: Sequence[Stick], n: int) -> LadderDecomp:
     if not 0 <= n <= len(sticks):
         raise ValueError(f"need 0 <= n <= {len(sticks)}, got {n}")
     w = walk(sticks[:n])
-    dual_s = w.s[n] - w.s[n::-1]
+    dual = w.s[n] - w.s[n::-1]
     times: list[int] = []
     zetas: list[int] = []
     measures: list[PointMeasure] = []
     ages: list[float] = []
     stick_indices: list[int] = []
     if n > 0:
-        rm = np.maximum.accumulate(dual_s)
-        is_epoch = dual_s[1:] >= rm[:-1]
+        rm = np.maximum.accumulate(dual)
+        is_epoch = dual[1:] >= rm[:-1]
         for j in np.nonzero(is_epoch)[0]:
             j = int(j) + 1
-            zeta = int(rm[j - 1] - dual_s[j - 1])
+            zeta = int(rm[j - 1] - dual[j - 1])
             m = sticks[n - j].births.truncate_largest(zeta)
-            assert m.mass >= 1, "ladder measure lost all its atoms"
+            if m.mass < 1:
+                raise RuntimeError(f"ladder measure at dual time {j} lost all its atoms")
             times.append(j)
             zetas.append(zeta)
             measures.append(m)
             ages.append(m.sup_support)
             stick_indices.append(n - j)
-    return LadderDecomp(n, times, zetas, measures, ages, stick_indices, dual_s)
+    return LadderDecomp(n, times, zetas, measures, ages, stick_indices, w)
 
 
 def forward_ladder(sticks: Sequence[Stick]) -> list[tuple[int, int, int, PointMeasure]]:
@@ -257,9 +214,8 @@ def forward_ladder(sticks: Sequence[Stick]) -> list[tuple[int, int, int, PointMe
     return out
 
 
-def dual_passage_time(w, m: int, level: int) -> Optional[int]:
+def dual_passage_time(w: Walk, m: int, level: int) -> Optional[int]:
     """First j >= 1 with S(m) - S(m - j) >= level (dual walk at m)."""
-    w = as_walk(w)
     if level < 0:
         raise ValueError("level must be >= 0")
     target = w.s[m] - level
@@ -268,10 +224,9 @@ def dual_passage_time(w, m: int, level: int) -> Optional[int]:
 
 
 def dual_passage_measure(
-    sticks: Sequence[Stick], w, m: int, level: int
+    sticks: Sequence[Stick], w: Walk, m: int, level: int
 ) -> Optional[PointMeasure]:
     """Undershoot-truncated measure at the dual level passage from m."""
-    w = as_walk(w)
     j = dual_passage_time(w, m, level)
     if j is None:
         return None
@@ -279,32 +234,13 @@ def dual_passage_measure(
     return sticks[m - j].births.truncate_largest(zeta)
 
 
-def ancestors_from_walk(w, n: int) -> list[int]:
-    """Ancestor line of n from the walk alone: [n, parent, ..., root].
-
-    The ancestors are n minus the dual ladder epochs.
-    """
-    w = as_walk(w)
-    if not 0 <= n <= w.n:
-        raise ValueError(f"need 0 <= n <= {w.n}, got {n}")
-    line = [n]
-    dual = w.s[n] - w.s[n::-1]
-    level = 0
-    for j in range(1, n + 1):
-        if dual[j] >= level:
-            line.append(n - j)
-            level = int(dual[j])
-    return line
-
-
-def mrca(sticks_or_walk, m: int, n: int) -> Optional[int]:
+def mrca(w: Walk, m: int, n: int) -> Optional[int]:
     """Most recent common ancestor of m and n from the walk alone.
 
     None means the two individuals sit in disjoint trees.  The ladder level
     separating m from the common ancestor is the walk's descent below S(m)
     on [m, n]; the ancestor itself is found by the dual passage from m.
     """
-    w = as_walk(sticks_or_walk)
     if not 0 <= m <= n <= w.n:
         raise ValueError(f"need 0 <= m <= n <= {w.n}, got ({m}, {n})")
     level = max_drop(w, m, n)

@@ -49,7 +49,6 @@ from .lukasiewicz import (
     max_drop,
     mrca,
     walk,
-    ancestors_from_walk,
 )
 from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick
 
@@ -120,6 +119,10 @@ def height_profile_arrays(
 # Identity verification
 
 
+# Failure reproducers kept per identity; the tallies count every failure.
+MAX_EXAMPLES = 3
+
+
 @dataclass
 class CheckTally:
     passes: int = 0
@@ -134,7 +137,6 @@ class IdentityReport:
     tallies: dict[str, CheckTally] = field(default_factory=dict)
     forests: int = 0
     pairs_checked: int = 0
-    max_examples: int = 3
 
     @property
     def ok(self) -> bool:
@@ -146,7 +148,7 @@ class IdentityReport:
             tally.passes += 1
         else:
             tally.failures += 1
-            if reproducer is not None and len(tally.examples) < self.max_examples:
+            if reproducer is not None and len(tally.examples) < MAX_EXAMPLES:
                 tally.examples.append(reproducer)
 
     def merge(self, other: "IdentityReport") -> None:
@@ -155,7 +157,7 @@ class IdentityReport:
             mine.passes += t.passes
             mine.failures += t.failures
             for ex in t.examples:
-                if len(mine.examples) < self.max_examples:
+                if len(mine.examples) < MAX_EXAMPLES:
                     mine.examples.append(ex)
         self.forests += other.forests
         self.pairs_checked += other.pairs_checked
@@ -234,10 +236,8 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
         SpineSeq(tuple(reversed(dec.measures))).isclose(spine, tol),
     )
     if j < ctx.n_sticks:
-        rec(
-            "ancestor-line-from-walk",
-            ancestors_from_walk(ctx.w, j) == ctx.forest.ancestors(j),
-        )
+        # the dual ladder epochs pick out the ancestors, parent first
+        rec("ancestor-line-from-walk", [j] + dec.stick_indices == ctx.forest.ancestors(j))
 
     if dec.height:
         m0 = j - dec.times[0]
@@ -293,9 +293,10 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
         abs(shifted.sup_support - (ctx.heights[n] - ctx.heights[m : n + 1].min())) <= tol,
     )
 
+    k_strict = dec_n.first_epoch_at_or_after(n - m)
     if level > 0:
-        k_strict = dec_n.first_epoch_at_or_after(n - m)
         j_dual = dual_passage_time(w, m, level)
+        mu_m = dual_passage_measure(sticks, w, m, level)
         if r_walk is None:
             rec("mrca-from-ladder-epochs", k_strict is None and j_dual is None)
         else:
@@ -306,35 +307,22 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             )
             rec("mrca-from-ladder-epochs", ok)
             if ok:
-                mu_m = dual_passage_measure(sticks, w, m, level)
-                rec(
-                    "mrca-measure-both-routes",
-                    mu_m is not None
-                    and dec_n.measures[k_strict - 1].isclose(mu_m, tol),
-                )
+                rec("mrca-measure-both-routes", dec_n.measures[k_strict - 1].isclose(mu_m, tol))
 
     if r_walk is not None:
-        parts = ctx.spines[r_walk].elements
-        if level > 0:
-            mu_m = dual_passage_measure(sticks, w, m, level)
-            parts = parts + (mu_m,)
+        above_mrca = SpineSeq((mu_m,) + shifted.elements) if level > 0 else shifted
         rec(
             "spine-splice-at-mrca",
-            SpineSeq(parts + shifted.elements).isclose(ctx.spines[n], tol),
+            SpineSeq(ctx.spines[r_walk].elements + above_mrca.elements).isclose(
+                ctx.spines[n], tol
+            ),
         )
-        k_strict = dec_n.first_epoch_at_or_after(n - m)
         if k_strict is not None:
-            above_mrca = (
-                SpineSeq((dual_passage_measure(sticks, w, m, level),) + shifted.elements)
-                if level > 0
-                else shifted
-            )
             rec(
                 "shifted-spine-at-mrca",
                 SpineSeq(tuple(reversed(dec_n.measures[:k_strict]))).isclose(above_mrca, tol),
             )
         if level > 0 and r_walk < m:
-            j_dual = dual_passage_time(w, m, level)
             c_m = dec_m.count_upto(j_dual)
             rebuilt = SpineSeq(
                 ctx.spines[r_walk].elements + tuple(reversed(dec_m.measures[:c_m]))

@@ -595,10 +595,14 @@ def parse_law(spec: str) -> StickLaw:
     make, fixed, keys = _LAWS[name]
     kwargs = dict(fixed)
     unknown = []
+    seen = set()
     for part in filter(None, (p.strip() for p in argstr.split(","))):
         if "=" not in part:
             raise ValueError(f"law argument {part!r} is not key=value")
         key, text = (s.strip() for s in part.split("=", 1))
+        if key in seen:
+            raise ValueError(f"law {name!r}: key {key!r} given twice")
+        seen.add(key)
         if key not in keys:
             unknown.append(key)
             continue

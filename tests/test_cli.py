@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, files written, determinism."""
 
+import hashlib
 import io
 import json
 import os
@@ -120,6 +121,19 @@ def test_verify_random(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["ok"] is True
     assert report["forests"] == 5
+
+
+# SHA-256 of the README's ``verify`` report.  Any change to the identity
+# suite must leave its tallies byte for byte as they are; like
+# ``law_digests.json`` the value depends on numpy 2.4's generator streams.
+VERIFY_README_DIGEST = "d05d50bacdd3f665e7ff7961d033f9e9bae2663b4d97b80450cb703753ac1946"
+
+
+def test_verify_report_is_pinned(capsys):
+    rc = main(["verify", "--seed", "3", "--forests", "50", "--max-sticks", "120"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == VERIFY_README_DIGEST
 
 
 def test_renewal_diagnostics(capsys):
@@ -495,6 +509,21 @@ print(scipy_modules())
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
+def test_closed_stdout_pipe_ends_quietly():
+    # a reader that stops after one line (``| head -1``) is not bad input:
+    # no message, and 141 = 128 + SIGPIPE instead of the usage status 2
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    argv = ["-m", "chronoforest", "build", "--law", "gw", "--n", "50000", "--seed", "1", "--quiet"]
+    proc = subprocess.Popen(
+        [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    assert proc.stdout.readline() == b"index,parent,birth_time,depth,v,tree_id\r\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141
+    assert err == b""
+
+
 BAD_LAWS = [
     ("geo-uniform(v=inf)", "life length v must be positive and finite, got inf"),
     ("geo-uniform(v=0)", "life length v must be positive and finite, got 0.0"),
@@ -508,6 +537,8 @@ BAD_LAWS = [
     ("family-gen(alpha=1.05,f=cube)", "unknown age map 'cube'"),
     ("gw(mean=inf)", "mean offspring must be >= 0 and finite, got inf"),
     ("gw(mean=nan)", "mean offspring must be >= 0 and finite, got nan"),
+    ("gw(mean=0.5,mean=0.8)", "law 'gw': key 'mean' given twice"),
+    ("two-point(a1=1.0,a2=0.5,a1=0.9)", "law 'two-point': key 'a1' given twice"),
 ]
 LAW_COMMANDS = {
     "scale": ["--p", "10", "--replicates", "1"],

@@ -266,6 +266,8 @@ def test_parse_law_round_trips():
         ("family1(alpha=1.5)", "family1"),
         ("family2(alpha=1.7)", "family2"),
         ("const(v=2.0,ages=0.7:0.2)", "const"),
+        # two keys that set the entries of one tuple argument
+        ("two-point(a1=0.9,a2=0.3)", "two-point"),
     ]:
         law = parse_law(spec_str)
         assert law.describe()["name"] == name

@@ -7,11 +7,10 @@ from hypothesis import strategies as st
 
 from chronoforest.forest import build_forest
 from chronoforest.lukasiewicz import (
-    ancestors_from_walk,
+    Walk,
     chi,
     dual_passage_measure,
     dual_passage_time,
-    first_passage_below,
     forward_ladder,
     ladder_decomp,
     max_drop,
@@ -35,16 +34,6 @@ def test_walk_from_counts():
     assert tuple(w.s) == (0, 1, 0, -1)
 
 
-def test_first_passage_below(reference_sticks):
-    w = walk(reference_sticks)
-    assert first_passage_below(w, 0) == 0
-    assert first_passage_below(w, 1) == 10
-    assert first_passage_below(w, 2) is None
-    assert first_passage_below(walk([0]), 1) == 1
-    with pytest.raises(ValueError):
-        first_passage_below(w, -1)
-
-
 def test_max_drop(reference_sticks):
     w = walk(reference_sticks)
     # max over m < k <= n of S(m) - S(k), floored at 0
@@ -66,6 +55,14 @@ def test_chi_finds_children(reference_sticks):
     assert chi(w, 3) == 4  # childless stick: its subtree closes immediately
     with pytest.raises(ValueError):
         chi(w, 3, 1)
+
+
+def test_chi_rejects_a_walk_that_skips_down():
+    # walk() only builds skip-free walks; a hand-made one that drops by 2
+    # fails the passage check explicitly, also under ``python -O``
+    w = Walk((1, 0), np.array([0, 0, -2]))
+    with pytest.raises(RuntimeError, match="jumped below -1 at 2"):
+        chi(w, 0)
 
 
 def test_ladder_decomp_reference_n3(reference_sticks):
@@ -110,11 +107,10 @@ def test_ladder_matches_forest_everywhere(reference_sticks):
         assert dec.height_sum() == pytest.approx(f.arrays.heights[n])
 
 
-def test_ancestors_from_walk(reference_sticks):
-    w = walk(reference_sticks)
+def test_ancestors_are_the_dual_ladder_epochs(reference_sticks):
     f = build_forest(reference_sticks)
     for n in range(10):
-        assert ancestors_from_walk(w, n) == f.ancestors(n)
+        assert [n] + ladder_decomp(reference_sticks, n).stick_indices == f.ancestors(n)
 
 
 def test_mrca_from_walk(reference_sticks):
@@ -123,13 +119,13 @@ def test_mrca_from_walk(reference_sticks):
     for m in range(10):
         for n in range(m, 10):
             assert mrca(w, m, n) == f.mrca(m, n)
-    assert mrca(reference_sticks, 2, 4) == 1
-    assert mrca(reference_sticks, 3, 7) == 0
+    assert mrca(w, 2, 4) == 1
+    assert mrca(w, 3, 7) == 0
 
 
 def test_mrca_disjoint():
     sticks = [Stick(1.0), Stick(1.0, PointMeasure([1.0]))]
-    assert mrca(sticks, 0, 1) is None
+    assert mrca(walk(sticks), 0, 1) is None
 
 
 def test_dual_passage(reference_sticks):

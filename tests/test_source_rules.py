@@ -11,7 +11,7 @@ from pathlib import Path
 import chronoforest
 
 # The literal oracles may keep asserts on their own internal bookkeeping.
-ASSERTS_ALLOWED = {"forest.py", "lukasiewicz.py"}
+ASSERTS_ALLOWED = {"forest.py"}
 
 
 def test_no_assert_guards_results():

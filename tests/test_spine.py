@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronoforest.forest import build_forest, forest_arrays, graft_forest
-from chronoforest.lukasiewicz import ancestors_from_walk, ladder_decomp, walk
+from chronoforest.lukasiewicz import ladder_decomp
 from chronoforest.measures import (
     EMPTY_SPINE,
     ZERO,
@@ -185,7 +185,6 @@ def test_kernel_matches_ladder_ages_at_scale():
     # the forest reads its parents and tree ids off the same first passages
     forest = forest_arrays(batch.counts, batch.offsets, batch.ages)
     assert np.array_equal(forest.heights, heights) and np.array_equal(forest.depths, depths)
-    w = walk(batch.counts)
     for j in sorted(picks):
         dec = ladder_decomp(sticks, j)
         assert depths[j] == dec.height, j
@@ -194,8 +193,7 @@ def test_kernel_matches_ladder_ages_at_scale():
             h += a
         assert heights[j] == h, j
         if j < n:
-            line = ancestors_from_walk(w, j)
-            assert forest.parent[j] == (line[1] if len(line) > 1 else -1), j
+            assert forest.parent[j] == (dec.stick_indices[0] if dec.height else -1), j
             assert forest.tree_id[j] == np.count_nonzero(roots <= j) - 1, j
 
 
