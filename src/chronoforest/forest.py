@@ -51,6 +51,7 @@ __all__ = [
     "genealogical_map",
     "ContourPath",
     "contour_path",
+    "write_rows",
     "write_forest_csv",
     "write_contour_csv",
 ]
@@ -395,17 +396,19 @@ def contour_path(forest: ChronForest) -> ContourPath:
 _CSV_BLOCK = 1 << 16
 
 
-def _write_rows(fp: IO[str], header: Sequence[str], row: str, columns: Sequence[np.ndarray]):
+def write_rows(
+    fp: IO[str], header: Sequence[str], row: str, columns: Sequence[np.ndarray], line_end: str
+) -> None:
     """A header line, then one line per entry of the columns, formatted by
-    the %-format ``row``.
+    the %-format ``row``; every line ends in ``line_end``.
 
-    The bytes are those of ``csv.writer``'s default dialect: no field here
-    ever needs quoting, every line ends in "\r\n", and ``"%.12g" % x``
-    equals ``format(x, ".12g")``.  Each block of rows is one ``%`` over a
-    flat tuple of its fields, with no Python step per row.
+    The bytes are those of ``csv.writer`` with that line terminator: no
+    field here ever needs quoting, and ``"%.12g" % x`` equals
+    ``format(x, ".12g")``.  Each block of rows is one ``%`` over a flat
+    tuple of its fields, with no Python step per row.
     """
-    fp.write(",".join(header) + "\r\n")
-    line = row + "\r\n"
+    fp.write(",".join(header) + line_end)
+    line = row + line_end
     n = len(columns[0])
     for lo in range(0, n, _CSV_BLOCK):
         fields = zip(*(c[lo : lo + _CSV_BLOCK].tolist() for c in columns))
@@ -414,13 +417,14 @@ def _write_rows(fp: IO[str], header: Sequence[str], row: str, columns: Sequence[
 
 def write_forest_csv(forest: ChronForest, fp: IO[str]) -> None:
     a, n = forest.arrays, forest.n_sticks
-    _write_rows(
+    write_rows(
         fp,
         ["index", "parent", "birth_time", "depth", "v", "tree_id"],
         "%d,%d,%.12g,%d,%.12g,%d",
         [np.arange(n), a.parent, a.heights[:n], a.depths[:n], forest.batch.v, a.tree_id],
+        "\r\n",
     )
 
 
 def write_contour_csv(path: ContourPath, fp: IO[str]) -> None:
-    _write_rows(fp, ["time", "value"], "%.12g,%.12g", path.vertices())
+    write_rows(fp, ["time", "value"], "%.12g,%.12g", path.vertices(), "\r\n")

@@ -216,6 +216,8 @@ def forward_ladder(sticks: Sequence[Stick]) -> list[tuple[int, int, int, PointMe
 
 def dual_passage_time(w: Walk, m: int, level: int) -> Optional[int]:
     """First j >= 1 with S(m) - S(m - j) >= level (dual walk at m)."""
+    if not 0 <= m <= w.n:
+        raise ValueError(f"need 0 <= m <= {w.n}, got {m}")
     if level < 0:
         raise ValueError("level must be >= 0")
     target = w.s[m] - level

@@ -14,22 +14,22 @@ requested times t:
 * deltaC  -- Cp minus eps_p * height at index [pt / (2 mean_v)];
 * epsDelta-- eps_p * (raw index gap between the two time changes).
 
-The rows go to CSV with exactly these columns; window minima of the two
-contours over a fixed scaled interval are aggregated in the summary.
+The rows are one structured array with exactly these columns as fields,
+written to CSV by ``forest.write_rows``; window minima of the two contours
+over a fixed scaled interval are aggregated in the summary.
 """
 
 from __future__ import annotations
 
-import csv
 import io
 import math
 import multiprocessing
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from ..forest import ContourPath
+from ..forest import ContourPath, write_rows
 from ..lukasiewicz import ladder_decomp, walk
 from ..measures import Stick, StickBatch
 from ..spine import height_profile_arrays
@@ -41,6 +41,7 @@ __all__ = [
     "parse_config",
     "resolve_scale",
     "CSV_COLUMNS",
+    "ROW_DTYPE",
     "simulate_replicate",
     "ExperimentResult",
     "scaling_experiment",
@@ -62,6 +63,11 @@ CSV_COLUMNS = [
     "deltaC",
     "epsDelta",
 ]
+
+# one field per CSV column: the integer keys p and replicate, the rest floats
+ROW_DTYPE = np.dtype(
+    [(c, np.int64 if c in ("p", "replicate") else np.float64) for c in CSV_COLUMNS]
+)
 
 
 @dataclass
@@ -90,6 +96,13 @@ class ExperimentConfig:
         u, v = self.interval
         if not 0 <= u < v < math.inf:
             raise ValueError(f"interval must satisfy 0 <= u < v < inf, got {self.interval!r}")
+        # p is an int64 field, and [p * t] (t up to the interval's end) a stick index
+        p_max = max(self.p_values)
+        if p_max >= 2**63:
+            raise ValueError(f"p must be below 2**63, got {p_max}")
+        for key, name, t in (("times", "t", max(self.times)), ("interval", "v", v)):
+            if p_max * t >= 2**63:
+                raise ValueError(f"{key} must keep p * {name} below 2**63, got p={p_max}, {name}={t!r}")
         # a rule that fails at some p must fail here, not once sampling has begun
         for key, rule in (("eps", self.eps_rule), ("epsbar", self.epsbar_rule)):
             for p in self.p_values if rule is not None else ():
@@ -255,9 +268,14 @@ def simulate_replicate(
     epsbar: float,
     interval: tuple[float, float],
     rng: np.random.Generator,
-) -> tuple[list[dict], dict]:
-    """Rows (one per requested time) and window-minimum extras."""
-    t_max = max(max(times), interval[1])
+) -> tuple[np.ndarray, dict]:
+    """One replicate: its rows and its window-minimum extras.
+
+    The rows are a ``ROW_DTYPE`` array, one entry per requested time in the
+    given order, all computed at once; ``replicate`` reads -1 for the caller
+    to fill in.
+    """
+    t_max = max(*times, interval[1])
     beta = law.mean_v
     ystar = law.mean_ystar
     min_sticks = int(math.floor(p * t_max * max(1.0, 1.0 / (2.0 * beta)))) + 2
@@ -265,76 +283,61 @@ def simulate_replicate(
         law, rng, min_sticks, p * t_max, p * interval[1] / beta
     )
     path, gen_path = pop.path, pop.gen_path
-    rows = []
-    for t in times:
-        s_raw = p * t
-        j = int(math.floor(s_raw))
-        phi = int(np.searchsorted(path.visit_times, s_raw, side="left"))
-        phibar = int(np.searchsorted(pop.vc2, s_raw, side="left"))
-        if phi < phibar:
-            raise RuntimeError(
-                f"contour time change {phi} ran ahead of the length one {phibar} at t={t}"
-            )
-        hp = eps * path.heights[j]
-        hcalp = eps * gen_path.heights[j]
-        cp = eps * path.eval(s_raw)
-        j_slow = int(math.floor(s_raw / (2.0 * beta)))
-        rows.append(
-            {
-                "p": p,
-                "t": t,
-                "replicate": -1,  # filled by the caller
-                "Hp": hp,
-                "Hcalp": hcalp,
-                "Cp": cp,
-                "Sp": pop.s[j] / (p * eps),
-                "phip": phi / p,
-                "phibarp": phibar / p,
-                "deltaH": hp - ystar * hcalp,
-                "deltaC": cp - eps * path.heights[j_slow],
-                "epsDelta": eps * (phi - phibar),
-            }
+    t = np.asarray(times, dtype=float)
+    s_raw = p * t
+    j = np.floor(s_raw).astype(np.int64)
+    phi = np.searchsorted(path.visit_times, s_raw, side="left")
+    phibar = np.searchsorted(pop.vc2, s_raw, side="left")
+    ahead = np.flatnonzero(phi < phibar)
+    if ahead.size:
+        k = ahead[0]
+        raise RuntimeError(
+            f"contour time change {phi[k]} ran ahead of the length one {phibar[k]} at t={t[k]}"
         )
+    hp = eps * path.heights[j]
+    hcalp = eps * gen_path.heights[j]
+    cp = eps * path.eval(s_raw)
+    j_slow = np.floor(s_raw / (2.0 * beta)).astype(np.int64)
+    rows = np.empty(len(t), dtype=ROW_DTYPE)
+    rows["p"], rows["t"], rows["replicate"] = p, t, -1
+    rows["Hp"], rows["Hcalp"], rows["Cp"] = hp, hcalp, cp
+    rows["Sp"] = pop.s[j] / (p * eps)
+    rows["phip"], rows["phibarp"] = phi / p, phibar / p
+    rows["deltaH"] = hp - ystar * hcalp
+    rows["deltaC"] = cp - eps * path.heights[j_slow]
+    rows["epsDelta"] = eps * (phi - phibar)
     u, w = interval
-    t_last = max(times)
-    phibar_last = int(np.searchsorted(pop.vc2, p * t_last, side="left"))
     extras = {
         "min_contour": eps * path.min_on(p * u, p * w),
         "min_gen_contour": epsbar * gen_path.min_on(p * u / beta, p * w / beta),
-        "v_at_phibar": float(path.v[min(phibar_last, len(path.v) - 1)]),
+        "v_at_phibar": float(path.v[min(phibar[t.argmax()], len(path.v) - 1)]),
     }
     return rows, extras
 
 
-def _run_task(args) -> tuple[tuple[int, int], list[dict], dict]:
+def _run_task(args) -> tuple[tuple[int, int], np.ndarray, dict]:
     (law, p, p_idx, rep, times, eps, epsbar, interval, seed) = args
     seq = np.random.SeedSequence(seed, spawn_key=(p_idx, rep))
     rng = np.random.Generator(np.random.Philox(seq))
     rows, extras = simulate_replicate(law, p, times, eps, epsbar, interval, rng)
-    for row in rows:
-        row["replicate"] = rep
+    rows["replicate"] = rep
     return (p_idx, rep), rows, extras
 
 
 @dataclass
 class ExperimentResult:
+    """A scaling grid's results: ``rows`` is one ``ROW_DTYPE`` array ordered
+    by p index, then replicate, then requested time; ``extras`` maps each
+    (p index, replicate) to its window minima."""
+
     config: ExperimentConfig
     law: StickLaw  # parsed once from ``config.law``
-    rows: list[dict]
-    extras: dict[tuple[int, int], dict] = field(default_factory=dict)
+    rows: np.ndarray
+    extras: dict[tuple[int, int], dict]
 
     def write_csv(self, fp) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        for row in self.rows:
-            writer.writerow(
-                [
-                    row["p"],
-                    format(row["t"], ".12g"),
-                    row["replicate"],
-                ]
-                + [format(row[c], ".12g") for c in CSV_COLUMNS[3:]]
-            )
+        columns = [self.rows[c] for c in CSV_COLUMNS]
+        write_rows(fp, CSV_COLUMNS, "%d,%.12g,%d" + ",%.12g" * 9, columns, "\n")
 
     def csv_text(self) -> str:
         buf = io.StringIO()
@@ -356,21 +359,16 @@ class ExperimentResult:
         }
         quantiles = [0.1, 0.25, 0.5, 0.75, 0.9]
         columns = CSV_COLUMNS[3:]
-        by_cell: dict[tuple, list[dict]] = {}
-        for r in self.rows:
-            by_cell.setdefault((r["p"], r["t"]), []).append(r)
         for p in self.config.p_values:
             for t in self.config.times:
-                sel = by_cell.get((p, t))
-                if not sel:
-                    continue
+                sel = (self.rows["p"] == p) & (self.rows["t"] == t)
                 # one C-contiguous row per column: reducing along rows sums
                 # each row in the same pairwise order as a 1-d array would
-                vals = np.array([[r[col] for r in sel] for col in columns])
+                vals = np.array([self.rows[col][sel] for col in columns])
                 qs = np.quantile(vals, quantiles, axis=1)
                 means = vals.mean(axis=1)
                 abs_means = np.abs(vals).mean(axis=1)
-                cell: dict = {"p": p, "t": t, "n": len(sel)}
+                cell: dict = {"p": p, "t": t, "n": vals.shape[1]}
                 for i, col in enumerate(columns):
                     cell[col] = {
                         "mean": float(means[i]),
@@ -381,13 +379,7 @@ class ExperimentResult:
                     }
                 out["cells"].append(cell)
         for p_idx, p in enumerate(self.config.p_values):
-            mins = [
-                self.extras[(p_idx, rep)]
-                for rep in range(self.config.replicates)
-                if (p_idx, rep) in self.extras
-            ]
-            if not mins:
-                continue
+            mins = [self.extras[(p_idx, rep)] for rep in range(self.config.replicates)]
             mc = np.array([m["min_contour"] for m in mins])
             mg = np.array([m["min_gen_contour"] for m in mins])
             target = self.law.mean_ystar * mg
@@ -435,23 +427,15 @@ def scaling_experiment(config: ExperimentConfig, workers: int = 1) -> Experiment
                     config.seed,
                 )
             )
-    results: dict[tuple[int, int], tuple[list[dict], dict]] = {}
+    # in task order, that is by p index, then replicate
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            for key, rows, extras in pool.imap_unordered(_run_task, tasks):
-                results[key] = (rows, extras)
+            results = pool.map(_run_task, tasks)
     else:
-        for task in tasks:
-            key, rows, extras = _run_task(task)
-            results[key] = (rows, extras)
-    all_rows: list[dict] = []
-    extras_map: dict[tuple[int, int], dict] = {}
-    for p_idx in range(len(config.p_values)):
-        for rep in range(config.replicates):
-            rows, extras = results[(p_idx, rep)]
-            all_rows.extend(rows)
-            extras_map[(p_idx, rep)] = extras
-    return ExperimentResult(config, law, all_rows, extras_map)
+        results = [_run_task(task) for task in tasks]
+    rows = np.concatenate([rows for _, rows, _ in results])
+    extras = {key: extras for key, _, extras in results}
+    return ExperimentResult(config, law, rows, extras)
 
 
 def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

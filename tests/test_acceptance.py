@@ -64,8 +64,8 @@ def shared_experiment():
     return result, time.monotonic() - t0
 
 
-def _column(rows: list[dict], p: int, name: str) -> np.ndarray:
-    return np.array([row[name] for row in rows if row["p"] == p])
+def _column(rows: np.ndarray, p: int, name: str) -> np.ndarray:
+    return rows[name][rows["p"] == p]
 
 
 def test_criterion_1_identity_suite(reference_sticks):

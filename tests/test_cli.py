@@ -192,6 +192,36 @@ def test_scale_deterministic(tmp_path):
     assert outs[0] == outs[1] == outs[2]
 
 
+# SHA-256 of the README's ``scale`` example outputs.  A change to how the
+# rows are computed, held or written must leave both files byte for byte as
+# they are; like ``law_digests.json`` the values depend on numpy 2.4's
+# generator streams.
+SCALE_README_DIGESTS = {
+    "rows.csv": "0f08a497962f790fb1f31b6af376f19c7d534ed809958937578e51968f18ee1a",
+    "summary.json": "8a53390e713f35962b2f0e33090d6b8e22d1561de7d67fe6d8304054278eba88",
+}
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_scale_readme_example_is_pinned(tmp_path, workers):
+    rc = main(
+        [
+            "scale",
+            "--law", "geo-uniform(mean=1.0,v=1.0)",
+            "--p", "1000,10000",
+            "--times", "1.0",
+            "--replicates", "50",
+            "--seed", "20250801",
+            "--workers", workers,
+            "--out", str(tmp_path / "rows.csv"),
+            "--summary-out", str(tmp_path / "summary.json"),
+        ]
+    )
+    assert rc == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SCALE_README_DIGESTS}
+    assert digests == SCALE_README_DIGESTS
+
+
 def test_scale_inline_config(tmp_path, capsys):
     rc = main(
         [
@@ -345,6 +375,32 @@ def test_scale_non_finite_times_are_rejected(tmp_path, capsys, times, interval, 
         runs.append(["scale", "--law", "gw", "--p", "100", "--times", times])
     for argv in runs:
         assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "p, times, interval, message",
+    [
+        ("1" + "0" * 400, "1", None, "p must be below 2**63, got 1" + "0" * 400),
+        ("9223372036854775808", "1", None, "p must be below 2**63, got 9223372036854775808"),
+        ("20", "1e308", None, "times must keep p * t below 2**63, got p=20, t=1e+308"),
+        ("20", "1", "0.5,1e308", "interval must keep p * v below 2**63, got p=20, v=1e+308"),
+        ("20,10", "1", "0.5,1e18", "interval must keep p * v below 2**63, got p=20, v=1e+18"),
+    ],
+)
+def test_scale_oversized_values_are_rejected(tmp_path, capsys, monkeypatch, p, times, interval, message):
+    # these used to end in an OverflowError traceback; p is an int64 column
+    # and [p * t] a stick index, so both are checked before anything is drawn
+    monkeypatch.setattr("chronoforest.cli.scaling_experiment", None)
+    cfg = tmp_path / "config.txt"
+    cfg.write_text(f"law = gw\np = {p}\ntimes = {times}\n" + (f"interval = {interval}\n" if interval else ""))
+    runs = [["scale", "--config", str(cfg)]]
+    if interval is None:
+        runs.append(["scale", "--law", "gw", "--p", p, "--times", times])
+    for argv in runs:
+        assert main(argv) == 2, argv
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"

@@ -1,5 +1,7 @@
 """Scaling experiments: config plumbing, determinism and path functionals."""
 
+import csv
+import io
 import json
 import re
 from collections import deque
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from chronoforest import forest as forest_module
 from chronoforest.forest import build_forest, contour_path
 from chronoforest.stochastic import (
     ExperimentConfig,
@@ -103,6 +106,31 @@ def test_csv_layout_and_row_order():
     assert len(lines) == 1 + 2 * 4 * 2
     keys = [(r["p"], r["replicate"], r["t"]) for r in res.rows]
     assert keys == sorted(keys)  # p, then replicate, then time
+
+
+def _csv_writer_rows(res, fp):
+    """Reference: the rows through ``csv.writer``, one Python step per row."""
+    w = csv.writer(fp, lineterminator="\n")
+    w.writerow(CSV_COLUMNS)
+    for r in res.rows:
+        w.writerow(
+            [int(r["p"]), format(float(r["t"]), ".12g"), int(r["replicate"])]
+            + [format(float(r[c]), ".12g") for c in CSV_COLUMNS[3:]]
+        )
+
+
+@pytest.mark.parametrize("block", [None, 7])
+def test_write_csv_matches_csv_writer_bytes(monkeypatch, block):
+    if block is not None:  # many blocks, and a partial last one
+        monkeypatch.setattr(forest_module, "_CSV_BLOCK", block)
+    for spec, replicates in (("gw(mean=1.0)", 1), ("geo-uniform(mean=1.0,v=1.0)", 5), ("exp-uniform", 3)):
+        res = scaling_experiment(small_config(law=spec, times=(0.25, 0.5, 1.0), replicates=replicates))
+        assert res.rows.dtype == experiments.ROW_DTYPE
+        want = io.StringIO()
+        _csv_writer_rows(res, want)
+        assert res.csv_text() == want.getvalue()
+        assert res.csv_text().count("\n") == 1 + len(res.rows) == 1 + 2 * 3 * replicates
+        assert "\r" not in res.csv_text()
 
 
 def test_unit_age_law_has_zero_height_delta():

@@ -1,5 +1,7 @@
 """Walk, ladder decomposition and genealogy read off the walk."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -143,6 +145,19 @@ def test_dual_passage(reference_sticks):
     assert dual_passage_measure(reference_sticks, w, 9, 0).atoms == (1.0,)
     assert dual_passage_time(w, 4, 0) == 3
     assert dual_passage_measure(reference_sticks, w, 4, 0).atoms == (0.5,)
+
+
+@pytest.mark.parametrize("m", [-2, -4, 9])
+def test_dual_passage_checks_m(m):
+    # a negative m used to index the walk from its end, and m past the
+    # horizon raised a bare IndexError
+    sticks = [Stick(1.0, PointMeasure([1.0] * c)) for c in (2, 0, 0, 1, 0)]
+    w = walk(sticks)
+    message = f"need 0 <= m <= 5, got {m}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dual_passage_time(w, m, 0)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        dual_passage_measure(sticks, w, m, 0)
 
 
 def test_drop_functional(reference_sticks):

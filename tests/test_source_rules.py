@@ -131,25 +131,34 @@ def test_unchecked_measure_constructor_stays_in_measures():
     assert not found, "_from_sorted referenced outside measures.py: " + ", ".join(found)
 
 
-def _imports_scipy(tree: ast.AST) -> list[int]:
-    """Lines that import ``scipy`` or a submodule of it: as an ``import``, a
-    ``from`` import, or a module name in a string (as given to
+def _imports(tree: ast.AST, package: str) -> list[int]:
+    """Lines that import ``package`` or a submodule of it: as an ``import``,
+    a ``from`` import, or a module name in a string (as given to
     ``importlib.import_module`` or ``__import__``)."""
 
-    def scipy(module: str) -> bool:
-        return module == "scipy" or module.startswith("scipy.")
+    def named(module: str) -> bool:
+        return module == package or module.startswith(package + ".")
 
     lines = []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
-            hit = any(scipy(alias.name) for alias in node.names)
+            hit = any(named(alias.name) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            hit = scipy(node.module or "")
+            hit = named(node.module or "")
         else:
-            hit = isinstance(node, ast.Constant) and isinstance(node.value, str) and scipy(node.value)
+            hit = isinstance(node, ast.Constant) and isinstance(node.value, str) and named(node.value)
         if hit:
             lines.append(node.lineno)
     return lines
+
+
+def _imported_in_package(package: str) -> list[str]:
+    root = Path(chronoforest.__file__).resolve().parent
+    return [
+        f"{path.relative_to(root)}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _imports(ast.parse(path.read_text(), filename=str(path)), package)
+    ]
 
 
 def test_no_module_imports_scipy():
@@ -169,13 +178,19 @@ def test_no_module_imports_scipy():
         "importlib.import_module('scipy.special')",
         "__import__('scipy')",
     ]:
-        assert _imports_scipy(ast.parse(snippet)) == [1], snippet
+        assert _imports(ast.parse(snippet), "scipy") == [1], snippet
     for snippet in ["import scipyx", "from scipyx import special", "import numpy.scipy", "x = 'scipy_special'"]:
-        assert _imports_scipy(ast.parse(snippet)) == [], snippet
-    root = Path(chronoforest.__file__).resolve().parent
-    found = [
-        f"{path.relative_to(root)}:{line}"
-        for path in sorted(root.rglob("*.py"))
-        for line in _imports_scipy(ast.parse(path.read_text(), filename=str(path)))
-    ]
+        assert _imports(ast.parse(snippet), "scipy") == [], snippet
+    found = _imported_in_package("scipy")
     assert not found, "scipy imported in: " + ", ".join(found)
+
+
+def test_no_module_imports_csv():
+    # ``forest.write_rows`` is the one CSV writer: it emulates ``csv.writer``
+    # in blocks of rows, where ``csv.writer`` takes one Python step per row
+    for snippet in ["import csv", "from csv import writer", "import io, csv as c", "__import__('csv')"]:
+        assert _imports(ast.parse(snippet), "csv") == [1], snippet
+    for snippet in ["import csvkit", "x = 'rows.csv'", "write_csv = 1"]:
+        assert _imports(ast.parse(snippet), "csv") == [], snippet
+    found = _imported_in_package("csv")
+    assert not found, "csv imported in: " + ", ".join(found)
