@@ -30,8 +30,7 @@ from .lukasiewicz import (
     LadderDecomp,
     Walk,
     chi,
-    dual_passage_measure,
-    dual_passage_time,
+    dual_passage,
     forward_ladder,
     ladder_decomp,
     max_drop,
@@ -67,8 +66,7 @@ __all__ = [
     "LadderDecomp",
     "Walk",
     "chi",
-    "dual_passage_measure",
-    "dual_passage_time",
+    "dual_passage",
     "forward_ladder",
     "ladder_decomp",
     "max_drop",

@@ -38,7 +38,6 @@ from .stochastic import (
     run_coupling_many,
     sample_ladder_stats,
     sample_vhat,
-    sample_ystars,
     scaling_experiment,
     summarize_coupling,
 )
@@ -145,7 +144,7 @@ def _cmd_verify(args) -> int:
 def _cmd_renewal(args) -> int:
     law = parse_law(args.law)
     rng = _rng(args.seed)
-    ys = sample_ystars(law, rng, args.draws)
+    ys = law.sample_ystars(rng, args.draws)
     mc_mean, mc_se = mean_age_integral_mc(law, rng, args.draws)
     stats = sample_ladder_stats(law, rng, min(args.draws, 10000), step_cap=args.step_cap)
     acc = stats.tau[stats.accepted]

@@ -174,11 +174,6 @@ class ChronForest:
         return len(self.arrays.parent)
 
     @property
-    def final_tree_incomplete(self) -> bool:
-        """True when the last tree still has pending stubs."""
-        return self.arrays.pending_stubs > 0
-
-    @property
     def tree_count(self) -> int:
         return int(self.arrays.tree_id[-1]) + 1 if self.n_sticks else 0
 
@@ -208,8 +203,8 @@ class ChronForest:
 def build_forest(sticks: Union[StickBatch, Sequence[Stick]]) -> ChronForest:
     """The forest of a stick batch (or stick sequence), from first passages.
 
-    Works on incomplete inputs: the returned forest flags whether the final
-    tree still has pending stubs.  ``graft_forest`` grows the same forest
+    Works on incomplete inputs: ``arrays.pending_stubs`` counts the stubs
+    the final tree still has open.  ``graft_forest`` grows the same forest
     stick by stick.
     """
     batch = sticks if isinstance(sticks, StickBatch) else StickBatch.from_sticks(sticks)
@@ -219,8 +214,8 @@ def build_forest(sticks: Union[StickBatch, Sequence[Stick]]) -> ChronForest:
 def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
     """Grow a forest by grafting each stick at the highest pending stub.
 
-    The literal oracle of ``build_forest``.  Works on incomplete inputs: the
-    returned forest flags whether the final tree still has pending stubs.
+    The literal oracle of ``build_forest``.  Works on incomplete inputs:
+    ``arrays.pending_stubs`` counts the stubs the final tree still has open.
     """
     sticks = list(sticks)
     # per individual 0..n, n being where a next stick would be grafted:

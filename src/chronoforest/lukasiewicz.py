@@ -1,9 +1,11 @@
-"""The integer walk encoding of a stick sequence, and its ladder structure.
+"""The Lukasiewicz walk of a stick sequence, marked by its birth measures,
+and its ladder structure.
 
 The walk starts at 0 and jumps by (number of births of stick k) - 1 at step
-k; it is skip-free downward (only -1 down-steps).  The n-th tree of the
-forest occupies the sticks between consecutive first passages of the walk to
-new running minima.
+k; it is skip-free downward (only -1 down-steps).  Each step carries its
+stick's birth measure as a mark, so the marked walk holds everything the
+genealogy needs.  The n-th tree of the forest occupies the sticks between
+consecutive first passages of the walk to new running minima.
 
 For a *focal* index n, genealogy is read backward: the dual walk at n takes
 j steps using sticks n-1, n-2, ..., n-j.  Its weak ascending ladder epochs
@@ -13,10 +15,10 @@ largest atoms from the epoch stick's birth measure leaves that ancestor's
 still-unexplored birth ages -- these are the spine segments, recovered here
 by pure walk arithmetic with no tree in sight.
 
-Everything in this module sees only sticks 0..n-1; first passages that do
-not happen within that window are reported as "open" (``None``), never
-extrapolated.  ``max_drop``, ``chi``, the dual passages and ``mrca`` take a
-:class:`Walk`, which :func:`walk` builds from sticks or from child counts.
+Every functional here takes the marked :class:`Walk` that :func:`walk`
+builds from sticks, and nothing else.  First passages that do not happen
+within the walk's steps are reported as "open" (``None``), never
+extrapolated; the dual walk at a focal index n reads only steps 0..n-1.
 """
 
 from __future__ import annotations
@@ -38,38 +40,30 @@ __all__ = [
     "LadderDecomp",
     "ladder_decomp",
     "forward_ladder",
-    "dual_passage_time",
-    "dual_passage_measure",
+    "dual_passage",
     "mrca",
 ]
 
 
 @dataclass(frozen=True, eq=False)
 class Walk:
-    """Child counts and the walk's running values S(0..n), S(0) = 0."""
+    """The marked walk: the birth measure of each step's stick and the
+    running values S(0..n), S(0) = 0, S(k+1) - S(k) = births[k].mass - 1."""
 
-    counts: tuple[int, ...]
+    births: tuple[PointMeasure, ...]
     s: np.ndarray
 
     @property
     def n(self) -> int:
-        return len(self.counts)
+        return len(self.births)
 
 
-def walk(sticks_or_counts) -> Walk:
-    """Build the walk from sticks or from raw child counts."""
-    seq = list(sticks_or_counts)
-    if seq and isinstance(seq[0], Stick):
-        counts = tuple(s.births.mass for s in seq)
-    else:
-        counts = tuple(int(c) for c in seq)
-        if any(c < 0 for c in counts):
-            raise ValueError("child counts must be >= 0")
-    s = np.empty(len(counts) + 1, dtype=np.int64)
-    s[0] = 0
-    if counts:
-        np.cumsum(np.asarray(counts, dtype=np.int64) - 1, out=s[1:])
-    return Walk(counts, s)
+def walk(sticks: Sequence[Stick]) -> Walk:
+    """The marked walk of a stick sequence."""
+    births = tuple(stick.births for stick in sticks)
+    s = np.zeros(len(births) + 1, dtype=np.int64)
+    np.cumsum([b.mass - 1 for b in births], out=s[1:])
+    return Walk(births, s)
 
 
 def max_drop(w: Walk, m: int, n: int) -> int:
@@ -93,10 +87,11 @@ def chi(w: Walk, m: int, k: Optional[int] = None) -> Optional[int]:
     """
     if not 0 <= m < w.n:
         raise ValueError(f"need 0 <= m < {w.n}, got {m}")
+    count = w.births[m].mass
     if k is None:
-        k = w.counts[m]
-    if not 0 <= k <= w.counts[m]:
-        raise ValueError(f"need 0 <= k <= {w.counts[m]}, got {k}")
+        k = count
+    if not 0 <= k <= count:
+        raise ValueError(f"need 0 <= k <= {count}, got {k}")
     target = w.s[m + 1] - k
     hits = np.nonzero(w.s[m + 1 :] <= target)[0]
     if hits.size == 0:
@@ -115,7 +110,8 @@ class LadderDecomp:
     backward from n); ``measures[k-1]`` the undershoot-truncated birth
     measure found there; ``ages[k-1]`` its largest atom; ``stick_indices``
     the real indices n - times[k], i.e. the ancestors of n from parent to
-    root.  ``w`` is the walk of sticks 0..n-1 it was read from.
+    root.  ``w`` is the whole marked walk it was read from; the
+    decomposition at n reads only its first n steps.
     """
 
     n: int
@@ -146,30 +142,29 @@ class LadderDecomp:
         idx = bisect.bisect_left(self.times, j)
         return idx + 1 if idx < len(self.times) else None
 
-    def D(self, level: int, sticks: Sequence[Stick]) -> float:
+    def D(self, level: int) -> float:
         """Drop functional: how much of the spine height at n survives as the
         running minimum once the walk has descended ``level`` below S(n).
 
         Level 0 contributes nothing.  Only dual times up to the level passage
-        (at most n) matter, so the value is always determined by sticks
+        (at most n) matter, so the value is always determined by steps
         0..n-1.
         """
         if level < 0:
             raise ValueError("level must be >= 0")
         if level == 0:
             return 0.0
-        j = dual_passage_time(self.w, self.n, level)
-        if j is None:
+        passage = dual_passage(self.w, self.n, level)
+        if passage is None:
             return self.height_sum()
-        total = math.fsum(self.ages[: self.count_upto(j)])
-        return total - dual_passage_measure(sticks, self.w, self.n, level).sup_support
+        j, measure = passage
+        return math.fsum(self.ages[: self.count_upto(j)]) - measure.sup_support
 
 
-def ladder_decomp(sticks: Sequence[Stick], n: int) -> LadderDecomp:
-    """Dual ladder decomposition at focal index n (uses sticks 0..n-1)."""
-    if not 0 <= n <= len(sticks):
-        raise ValueError(f"need 0 <= n <= {len(sticks)}, got {n}")
-    w = walk(sticks[:n])
+def ladder_decomp(w: Walk, n: int) -> LadderDecomp:
+    """Dual ladder decomposition at focal index n (reads steps 0..n-1)."""
+    if not 0 <= n <= w.n:
+        raise ValueError(f"need 0 <= n <= {w.n}, got {n}")
     dual = w.s[n] - w.s[n::-1]
     times: list[int] = []
     zetas: list[int] = []
@@ -182,7 +177,7 @@ def ladder_decomp(sticks: Sequence[Stick], n: int) -> LadderDecomp:
         for j in np.nonzero(is_epoch)[0]:
             j = int(j) + 1
             zeta = int(rm[j - 1] - dual[j - 1])
-            m = sticks[n - j].births.truncate_largest(zeta)
+            m = w.births[n - j].truncate_largest(zeta)
             if m.mass < 1:
                 raise RuntimeError(f"ladder measure at dual time {j} lost all its atoms")
             times.append(j)
@@ -193,47 +188,42 @@ def ladder_decomp(sticks: Sequence[Stick], n: int) -> LadderDecomp:
     return LadderDecomp(n, times, zetas, measures, ages, stick_indices, w)
 
 
-def forward_ladder(sticks: Sequence[Stick]) -> list[tuple[int, int, int, PointMeasure]]:
+def forward_ladder(w: Walk) -> list[tuple[int, int, int, PointMeasure]]:
     """Weak ascending ladder epochs of the forward walk.
 
     Returns (epoch time, gap since previous epoch, undershoot, truncated
     measure) tuples; the walk of a (sub)critical stick law has finitely many
     such epochs, i.i.d. in their increments up to the last one.
     """
-    w = walk(sticks)
     out = []
     level = 0
     prev_t = 0
     for t in range(1, w.n + 1):
         if w.s[t] >= level:
             zeta = int(level - w.s[t - 1])
-            meas = sticks[t - 1].births.truncate_largest(zeta)
+            meas = w.births[t - 1].truncate_largest(zeta)
             out.append((t, t - prev_t, zeta, meas))
             level = int(w.s[t])
             prev_t = t
     return out
 
 
-def dual_passage_time(w: Walk, m: int, level: int) -> Optional[int]:
-    """First j >= 1 with S(m) - S(m - j) >= level (dual walk at m)."""
+def dual_passage(w: Walk, m: int, level: int) -> Optional[tuple[int, PointMeasure]]:
+    """The dual level passage from m: the first j >= 1 with
+    S(m) - S(m - j) >= level, and the birth measure of stick m - j with its
+    undershoot-many largest atoms removed.  None when the passage is open.
+    """
     if not 0 <= m <= w.n:
         raise ValueError(f"need 0 <= m <= {w.n}, got {m}")
     if level < 0:
         raise ValueError("level must be >= 0")
     target = w.s[m] - level
     hits = np.nonzero(w.s[:m][::-1] <= target)[0]
-    return int(hits[0]) + 1 if hits.size else None
-
-
-def dual_passage_measure(
-    sticks: Sequence[Stick], w: Walk, m: int, level: int
-) -> Optional[PointMeasure]:
-    """Undershoot-truncated measure at the dual level passage from m."""
-    j = dual_passage_time(w, m, level)
-    if j is None:
+    if hits.size == 0:
         return None
+    j = int(hits[0]) + 1
     zeta = int(level - (w.s[m] - w.s[m - j + 1]))
-    return sticks[m - j].births.truncate_largest(zeta)
+    return j, w.births[m - j].truncate_largest(zeta)
 
 
 def mrca(w: Walk, m: int, n: int) -> Optional[int]:
@@ -248,6 +238,6 @@ def mrca(w: Walk, m: int, n: int) -> Optional[int]:
     level = max_drop(w, m, n)
     if level == 0:
         return m
-    j = dual_passage_time(w, m, level)
-    return m - j if j is not None else None
+    passage = dual_passage(w, m, level)
+    return m - passage[0] if passage is not None else None
 

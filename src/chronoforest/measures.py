@@ -99,10 +99,6 @@ class PointMeasure:
             raise ValueError(f"k must be >= 0, got {k}")
         return PointMeasure._from_sorted(self._atoms[k:])
 
-    def age_integral(self) -> float:
-        """Sum of all atom ages, i.e. the integral of the identity."""
-        return math.fsum(self._atoms)
-
     def isclose(self, other: "PointMeasure", tol: float = 1e-9) -> bool:
         """Same atom multiset up to an absolute tolerance per atom."""
         if len(self._atoms) != len(other._atoms):

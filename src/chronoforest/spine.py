@@ -43,8 +43,7 @@ from .forest import (
 )
 from .lukasiewicz import (
     chi,
-    dual_passage_measure,
-    dual_passage_time,
+    dual_passage,
     ladder_decomp,
     max_drop,
     mrca,
@@ -197,7 +196,7 @@ class _Context:
 
     def decomp(self, j: int):
         if j not in self._decomps:
-            self._decomps[j] = ladder_decomp(self.sticks, j)
+            self._decomps[j] = ladder_decomp(self.w, j)
         return self._decomps[j]
 
     def shifted(self, m: int, n: int) -> SpineSeq:
@@ -242,7 +241,7 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
     if dec.height:
         m0 = j - dec.times[0]
         i0 = dec.zetas[0]
-        ok = 0 <= i0 < ctx.w.counts[m0] and chi(ctx.w, m0, i0) == j
+        ok = 0 <= i0 < ctx.w.births[m0].mass and chi(ctx.w, m0, i0) == j
         rec("first-child-passage", ok, detail=f"m={m0} rank={i0}")
     else:
         rec("first-child-passage", True)
@@ -295,8 +294,8 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
 
     k_strict = dec_n.first_epoch_at_or_after(n - m)
     if level > 0:
-        j_dual = dual_passage_time(w, m, level)
-        mu_m = dual_passage_measure(sticks, w, m, level)
+        passage = dual_passage(w, m, level)
+        j_dual, mu_m = passage if passage is not None else (None, None)
         if r_walk is None:
             rec("mrca-from-ladder-epochs", k_strict is None and j_dual is None)
         else:
@@ -329,7 +328,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             )
             rec("spine-decomp-below-mrca", rebuilt.isclose(ctx.spines[m], tol))
 
-    drop = dec_m.D(level, sticks)
+    drop = dec_m.D(level)
     rec(
         "height-difference-drop",
         abs((ctx.heights[n] - ctx.heights[m]) - (shifted.sup_support - drop)) <= tol,
@@ -360,7 +359,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
                 ctx.spines[n].length > dm
                 and SpineSeq(ctx.spines[n].elements[:dm]).isclose(ctx.spines[m], tol),
             )
-        cnt = w.counts[m]
+        cnt = w.births[m].mass
         for k in sorted({0, cnt - 1}) if cnt else []:
             c = chi(w, m, k)
             if c is None or c > ctx.n_sticks:

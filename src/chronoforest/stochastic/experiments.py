@@ -111,23 +111,6 @@ class ExperimentConfig:
                 except ValueError as exc:
                     raise ValueError(f"{key}: {exc}") from None
 
-    def to_text(self) -> str:
-        lines = [
-            f"law = {self.law}",
-            "p = " + ",".join(str(p) for p in self.p_values),
-            "times = " + ",".join(format(t, ".12g") for t in self.times),
-            f"replicates = {self.replicates}",
-            f"seed = {self.seed}",
-        ]
-        if self.eps_rule:
-            lines.append(f"eps = {self.eps_rule}")
-        if self.epsbar_rule:
-            lines.append(f"epsbar = {self.epsbar_rule}")
-        lines.append(
-            "interval = " + ",".join(format(x, ".12g") for x in self.interval)
-        )
-        return "\n".join(lines) + "\n"
-
 
 def _values(kind: type, what: str, count: Optional[int] = None):
     """A parser of ``count`` (a bare value when 1; any number when None)
@@ -509,8 +492,8 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
     # minus the length overshoot at j0.
     tail = StickBatch(batch.counts[j0:], batch.v[j0:], batch.ages[batch.offsets[j0] :])
     tail_heights, _ = height_profile_arrays(tail.counts, tail.offsets, tail.ages)
-    decomp = ladder_decomp(sticks, j0)
     w = walk(sticks)
+    decomp = ladder_decomp(w, j0)
     overshoot = vc2[j0] - raw_time
     if overshoot < 0.0:
         raise RuntimeError(f"length time change undershoots raw time by {-overshoot}")
@@ -521,7 +504,7 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
             run_min = min(run_min, int(w.s[j0 + d]))
         level = int(w.s[j0]) - run_min
         doubled_extra = (vc2[j0 + d - 1] - vc2[j0]) if d >= 1 else -2.0 * batch.v[j0]
-        rhs = tail_heights[d] - decomp.D(level, sticks) - overshoot
+        rhs = tail_heights[d] - decomp.D(level) - overshoot
         if doubled_extra - heights[j0] >= rhs - 1e-9:
             formula = d
             break

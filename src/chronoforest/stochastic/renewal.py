@@ -6,7 +6,8 @@ Covers the quantities attached to a single weak ascent of the dual walk:
   programming on the offspring pmf);
 * the joint law of (ascent time, undershoot, jump count) and an exact
   rejection sampler for it;
-* the age of a uniformly chosen atom of a size-biased stick;
+* the mean total age of a stick, against which the size-biased atom ages
+  of ``StickLaw.sample_ystars`` are checked;
 * the stationary overshoot of the life-length renewal process.
 """
 
@@ -28,7 +29,6 @@ __all__ = [
     "sample_ladder_stats",
     "LadderPair",
     "sample_ladder_pair",
-    "sample_ystars",
     "mean_age_integral_mc",
     "sample_vhat",
     "sample_covering_v",
@@ -115,10 +115,6 @@ class LadderStats:
     accepted: np.ndarray
     abandoned: np.ndarray
     step_cap: int
-
-    @property
-    def n(self) -> int:
-        return len(self.tau)
 
     def acceptance_rate(self) -> float:
         return float(self.accepted.mean())
@@ -226,11 +222,6 @@ def sample_ladder_pair(
             f"undershoot {int(stats.zeta[0])} removed all {int(count[0])} atoms of the jump stick"
         )
     return LadderPair(int(stats.tau[0]), int(stats.zeta[0]), measure, float(v[0]), True)
-
-
-def sample_ystars(law: StickLaw, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Ages of a uniformly chosen atom of n independent size-biased sticks."""
-    return np.asarray(law.sample_ystars(rng, n), dtype=float)
 
 
 def mean_age_integral_mc(

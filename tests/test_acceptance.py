@@ -29,7 +29,6 @@ from chronoforest.stochastic import (
     parse_law,
     run_coupling_many,
     sample_ladder_stats,
-    sample_ystars,
     summarize_coupling,
 )
 from chronoforest.stochastic.experiments import (
@@ -158,7 +157,7 @@ def test_criterion_3_ystar_mean_identity():
     lines = []
     for i, (name, law) in enumerate(laws):
         rng = np.random.default_rng(np.random.SeedSequence((20250804, i)))
-        draws = sample_ystars(law, rng, n)
+        draws = law.sample_ystars(rng, n)
         mc = float(draws.mean())
         se = float(draws.std(ddof=1)) / np.sqrt(n)
         direct = law.describe()["mean_ystar"]

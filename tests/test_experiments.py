@@ -44,11 +44,6 @@ def small_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**base)
 
 
-def test_config_text_round_trip():
-    cfg = small_config()
-    assert parse_config(cfg.to_text()) == cfg
-
-
 def test_config_validation():
     with pytest.raises(ValueError):
         small_config(p_values=())

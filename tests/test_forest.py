@@ -39,7 +39,6 @@ def test_reference_parents_and_trees(reference_sticks):
     f = build_forest(reference_sticks)
     assert tuple(f.arrays.parent.tolist()) == REFERENCE_PARENTS
     assert f.tree_count == 1
-    assert not f.final_tree_incomplete
     assert f.arrays.pending_stubs == 0
 
 
@@ -66,7 +65,7 @@ def test_mrca_disjoint_trees():
 
 def test_incomplete_final_tree(reference_sticks):
     f = build_forest(reference_sticks[:-1])
-    assert f.final_tree_incomplete
+    assert f.arrays.pending_stubs > 0
     # Stick 9 hangs off stick 8's stub at height 1.5 + 1.0.
     assert f.arrays.heights[-1] == pytest.approx(2.5)
     assert f.arrays.depths[-1] == 3
@@ -186,7 +185,7 @@ def test_empty_forest():
     assert f.tree_count == 0
     assert f.n_sticks == 0
     assert f.arrays.heights.shape == (1,)
-    assert not f.final_tree_incomplete
+    assert f.arrays.pending_stubs == 0
 
 
 def test_empty_forest_contour_is_one_point():

@@ -78,12 +78,6 @@ def test_truncation_mass_arithmetic(atoms, k):
         assert t.sup_support <= m.sup_support
 
 
-def test_age_integral_sums_atoms():
-    m = PointMeasure([1.5, 0.5])
-    assert m.age_integral() == pytest.approx(2.0)
-    assert ZERO.age_integral() == 0.0
-
-
 def test_isclose_tolerance():
     a = PointMeasure([1.0, 0.5])
     b = PointMeasure([1.0 + 1e-12, 0.5])

@@ -17,7 +17,6 @@ from chronoforest.stochastic import (
     sample_ladder_pair,
     sample_ladder_stats,
     sample_vhat,
-    sample_ystars,
     tau_minus_pmf,
 )
 
@@ -135,13 +134,13 @@ def test_ladder_rejections_split_by_cause(rng):
 
 def test_ystar_single_atom_law(rng):
     law = ConstantStickLaw(1.0, [0.7])
-    ys = sample_ystars(law, rng, 1000)
+    ys = law.sample_ystars(rng, 1000)
     assert np.all(ys == 0.7)
 
 
 def test_ystar_two_point_law(rng):
     law = TwoPointAgesLaw(ages=(1.0, 0.5), p2=0.5)
-    ys = sample_ystars(law, rng, 40_000)
+    ys = law.sample_ystars(rng, 40_000)
     assert set(np.unique(ys)) == {0.5, 1.0}
     assert ys.mean() == pytest.approx(0.75, abs=0.01)
 
@@ -149,7 +148,7 @@ def test_ystar_two_point_law(rng):
 def test_ystar_mean_matches_age_integral_subcritical(rng):
     # For a non-critical law the sampler mean is E(int u P) / E|P|.
     law = GeometricUniformLaw(mean_offspring=0.8, v=1.5)
-    ys = sample_ystars(law, rng, 100_000)
+    ys = law.sample_ystars(rng, 100_000)
     se = ys.std() / np.sqrt(len(ys))
     assert abs(ys.mean() - 0.6 / 0.8) < 4 * se
     direct, direct_se = mean_age_integral_mc(law, rng, 100_000)
@@ -158,7 +157,7 @@ def test_ystar_mean_matches_age_integral_subcritical(rng):
 
 def test_ystar_family2_heavy_tail(rng):
     law = StableFamilyLaw("2", alpha=1.5)
-    ys = sample_ystars(law, rng, 200_000)
+    ys = law.sample_ystars(rng, 200_000)
     target = law.describe()["mean_ystar"]
     # Heavy tails: the empirical s.e. understates the fluctuation, so keep a
     # generous absolute cushion on top of it.

@@ -194,3 +194,45 @@ def test_no_module_imports_csv():
         assert _imports(ast.parse(snippet), "csv") == [], snippet
     found = _imported_in_package("csv")
     assert not found, "csv imported in: " + ", ".join(found)
+
+
+def _walk_input_violations(tree: ast.AST) -> list[str]:
+    """Functions of a module that take the marked walk in any form but one
+    ``Walk`` first argument: a public module-level function other than
+    ``walk`` whose first parameter is not annotated ``Walk``, or any
+    function but ``walk`` with a parameter named ``sticks``."""
+    public = {
+        node.name
+        for node in getattr(tree, "body", [])
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+    }
+    bad = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.FunctionDef) or node.name == "walk":
+            continue
+        args = node.args.posonlyargs + node.args.args + node.args.kwonlyargs
+        if node in getattr(tree, "body", []) and node.name in public:
+            first = args[0].annotation if args else None
+            if not (isinstance(first, ast.Name) and first.id == "Walk"):
+                bad.append(f"{node.name}: first parameter is not a Walk")
+        if any(a.arg == "sticks" for a in args):
+            bad.append(f"{node.name}: takes sticks")
+    return bad
+
+
+def test_lukasiewicz_functionals_take_the_walk_alone():
+    # the marked walk carries the birth measures, so a functional that also
+    # took the sticks would read the same marks twice
+    for snippet, expected in [
+        ("def f(w: Walk, m: int): pass", []),
+        ("def walk(sticks): pass", []),
+        ("def _helper(x): pass", []),
+        ("def f(m: int, w: Walk): pass", ["f: first parameter is not a Walk"]),
+        ("def f(): pass", ["f: first parameter is not a Walk"]),
+        ("def f(w: Walk, *, sticks=None): pass", ["f: takes sticks"]),
+        ("class C:\n    def D(self, level, sticks): pass", ["D: takes sticks"]),
+    ]:
+        assert _walk_input_violations(ast.parse(snippet)) == expected, snippet
+    path = Path(chronoforest.__file__).resolve().parent / "lukasiewicz.py"
+    bad = _walk_input_violations(ast.parse(path.read_text(), filename=str(path)))
+    assert not bad, "lukasiewicz functions that do not take the walk alone: " + ", ".join(bad)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from chronoforest.forest import build_forest, forest_arrays, graft_forest
-from chronoforest.lukasiewicz import ladder_decomp
+from chronoforest.lukasiewicz import ladder_decomp, walk
 from chronoforest.measures import (
     EMPTY_SPINE,
     ZERO,
@@ -181,12 +181,12 @@ def test_kernel_matches_ladder_ages_at_scale():
     picks = set(rng.choice(roots, 6, replace=False).tolist()) | {0, n}
     while len(picks) < 32:
         picks.add(int(rng.integers(1, n)))
-    sticks = batch.to_sticks()
+    w = walk(batch.to_sticks())
     # the forest reads its parents and tree ids off the same first passages
     forest = forest_arrays(batch.counts, batch.offsets, batch.ages)
     assert np.array_equal(forest.heights, heights) and np.array_equal(forest.depths, depths)
     for j in sorted(picks):
-        dec = ladder_decomp(sticks, j)
+        dec = ladder_decomp(w, j)
         assert depths[j] == dec.height, j
         h = 0.0
         for a in reversed(dec.ages):
