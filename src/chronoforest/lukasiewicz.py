@@ -24,13 +24,12 @@ extrapolated; the dual walk at a focal index n reads only steps 0..n-1.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .measures import PointMeasure, Stick
+from .measures import ZERO, PointMeasure, Stick, root_first_sum
 
 __all__ = [
     "Walk",
@@ -128,8 +127,8 @@ class LadderDecomp:
         return len(self.times)
 
     def height_sum(self) -> float:
-        """Sum of the ladder atom ages = chronological birth time of n."""
-        return math.fsum(self.ages)
+        """Root-first sum of the ladder atom ages = grafted birth time of n."""
+        return root_first_sum(reversed(self.ages))
 
     def count_upto(self, j: int) -> int:
         """Number of ladder epochs at dual time <= j."""
@@ -154,11 +153,9 @@ class LadderDecomp:
             raise ValueError("level must be >= 0")
         if level == 0:
             return 0.0
-        passage = dual_passage(self.w, self.n, level)
-        if passage is None:
-            return self.height_sum()
-        j, measure = passage
-        return math.fsum(self.ages[: self.count_upto(j)]) - measure.sup_support
+        # an open passage drops nothing: every epoch lies at dual time <= n
+        j, measure = dual_passage(self.w, self.n, level) or (self.n, ZERO)
+        return root_first_sum(reversed(self.ages[: self.count_upto(j)])) - measure.sup_support
 
 
 def ladder_decomp(w: Walk, n: int) -> LadderDecomp:

@@ -18,7 +18,8 @@ A *spine sequence* is a finite sequence of non-zero point measures.  It
 records, for a focal individual, the unexplored birth ages carried by each of
 its ancestors, from the most ancient (element 0) down to its parent (last
 element).  The zero measure acts as the neutral element for concatenation,
-and the ``sup_support`` functional extends additively to sequences.
+and the ``sup_support`` functional extends additively to sequences, summed
+root first as grafting sums birth times (``root_first_sum``).
 
 A *stick batch* is the flat-array form of a stick sequence that the samplers
 and the height kernel work on; ``StickBatch`` owns its layout.
@@ -31,7 +32,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
@@ -98,12 +101,6 @@ class PointMeasure:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         return PointMeasure._from_sorted(self._atoms[k:])
-
-    def isclose(self, other: "PointMeasure", tol: float = 1e-9) -> bool:
-        """Same atom multiset up to an absolute tolerance per atom."""
-        if len(self._atoms) != len(other._atoms):
-            return False
-        return all(abs(a - b) <= tol for a, b in zip(self._atoms, other._atoms))
 
     def __iter__(self) -> Iterator[float]:
         return iter(self._atoms)
@@ -284,13 +281,8 @@ class SpineSeq:
 
     @property
     def sup_support(self) -> float:
-        """Sum of the elements' largest atoms (additive extension)."""
-        return math.fsum(m.sup_support for m in self.elements)
-
-    def isclose(self, other: "SpineSeq", tol: float = 1e-9) -> bool:
-        if len(self.elements) != len(other.elements):
-            return False
-        return all(a.isclose(b, tol) for a, b in zip(self.elements, other.elements))
+        """Sum of the elements' largest atoms (additive extension), root first."""
+        return root_first_sum(m.sup_support for m in self.elements)
 
     def __iter__(self) -> Iterator[PointMeasure]:
         return iter(self.elements)
@@ -310,6 +302,13 @@ class SpineSeq:
 
 #: The empty spine sequence.
 EMPTY_SPINE = SpineSeq()
+
+
+def root_first_sum(ages: Iterable[float]) -> float:
+    """``((0.0 + ages[0]) + ages[1]) + ...``, grafting's order for ages given
+    root first (builtin ``sum`` compensates float sums from Python 3.12)."""
+    return reduce(operator.add, ages, 0.0)
+
 
 def sticks_to_json(sticks: Sequence[Stick]) -> str:
     return json.dumps([s.to_json() for s in sticks])

@@ -23,12 +23,15 @@ numpy step per generation, the way grafting does.
 :mod:`chronoforest.lukasiewicz`, the kernel's forest and the contour path
 against the literal grafting of :mod:`chronoforest.forest` on a single
 stick sequence, and reports per-identity tallies with minimal reproducers
-instead of raising.
+instead of raising.  Every identity holds with ``==`` (age sums run root
+first, as grafting adds them) but the four that subtract heights,
+``height-difference-drop``, ``contour-min-via-drop``,
+``shifted-spine-is-height-drop`` and ``adjacent-shift-bound``: they allow
+one rounding bound per forest, ``max(1, max depth) * eps * max|heights|``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
@@ -49,7 +52,7 @@ from .lukasiewicz import (
     mrca,
     walk,
 )
-from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick
+from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick, root_first_sum
 
 __all__ = [
     "phi",
@@ -180,10 +183,9 @@ class IdentityReport:
 class _Context:
     """Shared per-forest material for the identity checks."""
 
-    def __init__(self, sticks: Sequence[Stick], tol: float):
+    def __init__(self, sticks: Sequence[Stick]):
         self.sticks = list(sticks)
         self.n_sticks = len(self.sticks)
-        self.tol = tol
         self.forest = graft_forest(self.sticks)
         self.batch = self.forest.batch
         self.path = contour_path(self.forest)
@@ -191,6 +193,10 @@ class _Context:
         self.spines = spine_states(self.sticks)
         self.heights = self.forest.arrays.heights
         self.depths = self.forest.arrays.depths
+        # rounding bound of the identities that subtract heights: a height
+        # adds at most max-depth ages, each partial sum an ancestor's height
+        depth, top = max(1, int(self.depths.max())), float(np.abs(self.heights).max())
+        self.bound = depth * np.finfo(float).eps * top
         self._decomps: dict[int, object] = {}
         self._shifted: dict[tuple[int, int], SpineSeq] = {}
 
@@ -212,7 +218,6 @@ class _Context:
 
 
 def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
-    tol = ctx.tol
     dec = ctx.decomp(j)
     spine = ctx.spines[j]
 
@@ -226,13 +231,12 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
     )
     rec(
         "height-is-ladder-age-sum",
-        abs(dec.height_sum() - spine.sup_support) <= tol
-        and abs(spine.sup_support - ctx.heights[j]) <= tol,
+        dec.height_sum() == spine.sup_support == ctx.heights[j],
         detail=f"ladder={dec.height_sum()} spine={spine.sup_support} forest={ctx.heights[j]}",
     )
     rec(
         "spine-equals-ladder-measures",
-        SpineSeq(tuple(reversed(dec.measures))).isclose(spine, tol),
+        SpineSeq(tuple(reversed(dec.measures))) == spine,
     )
     if j < ctx.n_sticks:
         # the dual ladder epochs pick out the ancestors, parent first
@@ -251,13 +255,13 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
         rebuilt = SpineSeq(ctx.spines[base].elements + tuple(reversed(dec.measures[:k])))
         rec(
             "spine-splice-at-ladder-epochs",
-            rebuilt.isclose(spine, tol),
+            rebuilt == spine,
             detail=f"k={k} base={base}",
         )
 
 
 def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
-    tol = ctx.tol
+    bound = ctx.bound
     sticks, w = ctx.sticks, ctx.w
 
     def rec(name: str, ok: bool, **kw) -> None:
@@ -281,15 +285,15 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
     c_weak = dec_n.count_upto(n - m)
     rec(
         "shifted-spine-from-ladder",
-        SpineSeq(tuple(reversed(dec_n.measures[:c_weak]))).isclose(shifted, tol),
+        SpineSeq(tuple(reversed(dec_n.measures[:c_weak]))) == shifted,
     )
     rec(
         "shifted-spine-age-sum",
-        abs(shifted.sup_support - math.fsum(dec_n.ages[:c_weak])) <= tol,
+        shifted.sup_support == root_first_sum(reversed(dec_n.ages[:c_weak])),
     )
     rec(
         "shifted-spine-is-height-drop",
-        abs(shifted.sup_support - (ctx.heights[n] - ctx.heights[m : n + 1].min())) <= tol,
+        abs(shifted.sup_support - (ctx.heights[n] - ctx.heights[m : n + 1].min())) <= bound,
     )
 
     k_strict = dec_n.first_epoch_at_or_after(n - m)
@@ -306,39 +310,37 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             )
             rec("mrca-from-ladder-epochs", ok)
             if ok:
-                rec("mrca-measure-both-routes", dec_n.measures[k_strict - 1].isclose(mu_m, tol))
+                rec("mrca-measure-both-routes", dec_n.measures[k_strict - 1] == mu_m)
 
     if r_walk is not None:
         above_mrca = SpineSeq((mu_m,) + shifted.elements) if level > 0 else shifted
         rec(
             "spine-splice-at-mrca",
-            SpineSeq(ctx.spines[r_walk].elements + above_mrca.elements).isclose(
-                ctx.spines[n], tol
-            ),
+            SpineSeq(ctx.spines[r_walk].elements + above_mrca.elements) == ctx.spines[n],
         )
         if k_strict is not None:
             rec(
                 "shifted-spine-at-mrca",
-                SpineSeq(tuple(reversed(dec_n.measures[:k_strict]))).isclose(above_mrca, tol),
+                SpineSeq(tuple(reversed(dec_n.measures[:k_strict]))) == above_mrca,
             )
         if level > 0 and r_walk < m:
             c_m = dec_m.count_upto(j_dual)
             rebuilt = SpineSeq(
                 ctx.spines[r_walk].elements + tuple(reversed(dec_m.measures[:c_m]))
             )
-            rec("spine-decomp-below-mrca", rebuilt.isclose(ctx.spines[m], tol))
+            rec("spine-decomp-below-mrca", rebuilt == ctx.spines[m])
 
     drop = dec_m.D(level)
     rec(
         "height-difference-drop",
-        abs((ctx.heights[n] - ctx.heights[m]) - (shifted.sup_support - drop)) <= tol,
+        abs((ctx.heights[n] - ctx.heights[m]) - (shifted.sup_support - drop)) <= bound,
         detail=f"level={level} drop={drop}",
     )
     if n < ctx.n_sticks:
         visits = ctx.path.visit_times
         rec(
             "contour-min-via-drop",
-            abs(ctx.path.min_on(visits[m], visits[n]) - (ctx.heights[m] - drop)) <= tol,
+            abs(ctx.path.min_on(visits[m], visits[n]) - (ctx.heights[m] - drop)) <= bound,
             detail=f"level={level} drop={drop}",
         )
 
@@ -346,7 +348,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
         gap = ctx.shifted(m - 1, n).sup_support - shifted.sup_support
         rec(
             "adjacent-shift-bound",
-            -tol <= gap <= sticks[m - 1].births.sup_support + tol,
+            -bound <= gap <= sticks[m - 1].births.sup_support + bound,
             detail=f"gap={gap}",
         )
 
@@ -357,7 +359,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             rec(
                 "subtree-preserves-spine-prefix",
                 ctx.spines[n].length > dm
-                and SpineSeq(ctx.spines[n].elements[:dm]).isclose(ctx.spines[m], tol),
+                and SpineSeq(ctx.spines[n].elements[:dm]) == ctx.spines[m],
             )
         cnt = w.births[m].mass
         for k in sorted({0, cnt - 1}) if cnt else []:
@@ -369,10 +371,8 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
             rec(
                 "child-step-spine",
                 child_spine.length == dm + 1
-                and child_spine.elements[dm].isclose(
-                    sticks[m].births.truncate_largest(k), tol
-                )
-                and SpineSeq(child_spine.elements[:dm]).isclose(ctx.spines[m], tol),
+                and child_spine.elements[dm] == sticks[m].births.truncate_largest(k)
+                and SpineSeq(child_spine.elements[:dm]) == ctx.spines[m],
                 detail=f"rank={k} child={c}",
             )
 
@@ -416,7 +416,6 @@ def verify_identities(
     pairs: Optional[Iterable[tuple[int, int]]] = None,
     max_pairs: int = 40,
     rng: Optional[np.random.Generator] = None,
-    tol: float = 1e-9,
 ) -> IdentityReport:
     """Cross-check the walk/ladder formulas against the literal forest.
 
@@ -424,12 +423,14 @@ def verify_identities(
     common ancestors, the drop functional and the contour is evaluated on
     the given stick sequence: on all index pairs when there are at most 12
     sticks, otherwise on ``max_pairs`` sampled pairs (always including the
-    corner cases m = n, m = 0 and the final index).  Failures are recorded
-    as data with a minimal reproducer; nothing raises.
+    corner cases m = n, m = 0 and the final index).  Every identity is
+    exact but the four that subtract heights, which allow the forest's
+    rounding bound ``max(1, max depth) * eps * max|heights|``.  Failures
+    are recorded as data with a minimal reproducer; nothing raises.
     """
     report = IdentityReport()
     report.forests = 1
-    ctx = _Context(sticks, tol)
+    ctx = _Context(sticks)
     if pairs is None:
         pair_list = _sample_pairs(ctx.n_sticks, max_pairs, rng)
     else:

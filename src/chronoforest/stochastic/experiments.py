@@ -21,7 +21,6 @@ over a fixed scaled interval are aggregated in the summary.
 
 from __future__ import annotations
 
-import io
 import math
 import multiprocessing
 from dataclasses import dataclass
@@ -322,11 +321,6 @@ class ExperimentResult:
         columns = [self.rows[c] for c in CSV_COLUMNS]
         write_rows(fp, CSV_COLUMNS, "%d,%.12g,%d" + ",%.12g" * 9, columns, "\n")
 
-    def csv_text(self) -> str:
-        buf = io.StringIO()
-        self.write_csv(buf)
-        return buf.getvalue()
-
     def summary(self) -> dict:
         out: dict = {
             "law": self.law.describe(),
@@ -505,7 +499,7 @@ def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[in
         level = int(w.s[j0]) - run_min
         doubled_extra = (vc2[j0 + d - 1] - vc2[j0]) if d >= 1 else -2.0 * batch.v[j0]
         rhs = tail_heights[d] - decomp.D(level) - overshoot
-        if doubled_extra - heights[j0] >= rhs - 1e-9:
+        if doubled_extra - heights[j0] >= rhs:
             formula = d
             break
     if formula is None:

@@ -93,9 +93,15 @@ def test_scaling_experiment_rejects_supercritical_law():
         scaling_experiment(small_config(law="geo-uniform(mean=1.2,v=1.0)"))
 
 
+def csv_text(res) -> str:
+    buf = io.StringIO()
+    res.write_csv(buf)
+    return buf.getvalue()
+
+
 def test_csv_layout_and_row_order():
     res = scaling_experiment(small_config())
-    lines = res.csv_text().splitlines()
+    lines = csv_text(res).splitlines()
     assert lines[0] == ",".join(CSV_COLUMNS)
     # 2 p-values x 4 replicates x 2 times
     assert len(lines) == 1 + 2 * 4 * 2
@@ -123,9 +129,10 @@ def test_write_csv_matches_csv_writer_bytes(monkeypatch, block):
         assert res.rows.dtype == experiments.ROW_DTYPE
         want = io.StringIO()
         _csv_writer_rows(res, want)
-        assert res.csv_text() == want.getvalue()
-        assert res.csv_text().count("\n") == 1 + len(res.rows) == 1 + 2 * 3 * replicates
-        assert "\r" not in res.csv_text()
+        got = csv_text(res)
+        assert got == want.getvalue()
+        assert got.count("\n") == 1 + len(res.rows) == 1 + 2 * 3 * replicates
+        assert "\r" not in got
 
 
 def test_unit_age_law_has_zero_height_delta():
@@ -139,8 +146,8 @@ def test_unit_age_law_has_zero_height_delta():
 
 def test_experiment_is_deterministic():
     cfg = small_config()
-    a = scaling_experiment(cfg).csv_text()
-    b = scaling_experiment(cfg).csv_text()
+    a = csv_text(scaling_experiment(cfg))
+    b = csv_text(scaling_experiment(cfg))
     assert a == b
 
 
@@ -150,7 +157,7 @@ def test_workers_do_not_change_output():
         cfg = small_config(law=spec, p_values=(30, 80), replicates=6)
         seq = scaling_experiment(cfg, workers=1)
         par = scaling_experiment(cfg, workers=2)
-        assert seq.csv_text() == par.csv_text(), spec
+        assert csv_text(seq) == csv_text(par), spec
         assert json.dumps(seq.summary(), indent=2) == json.dumps(par.summary(), indent=2), spec
         assert seq.extras == par.extras, spec
 
@@ -216,8 +223,20 @@ def test_law_is_parsed_once(monkeypatch):
     assert res.law.describe()["name"] == "gw"
 
 
-def test_verify_time_change_gap_agrees(rng):
-    law = GeometricUniformLaw(mean_offspring=1.0, v=1.0)
+@pytest.mark.parametrize(
+    "spec, seed",
+    [
+        ("geo-uniform(mean=1.0,v=1.0)", None),  # the ``rng`` fixture's stream
+        ("two-point", 3117),  # fixed ages (1.0, 0.5): ties in every stick
+        ("exp-uniform", 5281),
+    ],
+)
+def test_verify_time_change_gap_agrees(spec, seed, rng):
+    # the gap formula decides with an exact ``>=``: the drop functional sums
+    # its ladder ages root first, as grafting does
+    law = parse_law(spec)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
     for _ in range(25):
         sticks = law.sample_batch(rng, 300).to_sticks()
         total = 2.0 * sum(s.v for s in sticks)

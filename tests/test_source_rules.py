@@ -236,3 +236,50 @@ def test_lukasiewicz_functionals_take_the_walk_alone():
     path = Path(chronoforest.__file__).resolve().parent / "lukasiewicz.py"
     bad = _walk_input_violations(ast.parse(path.read_text(), filename=str(path)))
     assert not bad, "lukasiewicz functions that do not take the walk alone: " + ", ".join(bad)
+
+
+def _approximate_paths(tree: ast.AST) -> list[str]:
+    """Where a module takes an approximate path through float identities: an
+    ``isclose`` definition or call, any ``fsum``, or a builtin ``sum`` call.
+
+    Both sides of the identities are built from the same float atoms, and
+    ages are summed root first as grafting adds them, so they compare with
+    ``==``.  Builtin ``sum`` compensates float sums from Python 3.12, so it
+    would not reproduce grafting's order of additions."""
+    bad = []
+    for node in ast.walk(tree):
+        line = getattr(node, "lineno", "?")
+        if isinstance(node, ast.FunctionDef) and node.name == "isclose":
+            bad.append(f"{line}: defines isclose")
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = getattr(func, "id", None) or getattr(func, "attr", None)
+            if name == "isclose":
+                bad.append(f"{line}: calls isclose")
+            elif isinstance(func, ast.Name) and func.id == "sum":
+                bad.append(f"{line}: calls builtin sum")
+        names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        if "fsum" in names:
+            bad.append(f"{line}: names fsum")
+    return bad
+
+
+def test_identity_modules_take_no_approximate_path():
+    for snippet, expected in [
+        ("def isclose(self, other, tol=1e-9): pass", ["1: defines isclose"]),
+        ("ok = a.isclose(b, tol)", ["1: calls isclose"]),
+        ("ok = math.isclose(a, b)", ["1: calls isclose"]),
+        ("h = math.fsum(ages)", ["1: names fsum"]),
+        ("from math import fsum", ["1: names fsum"]),
+        ("h = sum(m.sup_support for m in ms)", ["1: calls builtin sum"]),
+        ("h = root_first_sum(reversed(ages))", []),
+        ("s = np.cumsum(x); t = x.sum(); u = np.sum(x)", []),
+    ]:
+        assert _approximate_paths(ast.parse(snippet)) == expected, snippet
+    root = Path(chronoforest.__file__).resolve().parent
+    found = [
+        f"{name}:{where}"
+        for name in ("spine.py", "measures.py", "lukasiewicz.py")
+        for where in _approximate_paths(ast.parse((root / name).read_text(), filename=name))
+    ]
+    assert not found, "approximate float paths in the identity modules: " + ", ".join(found)

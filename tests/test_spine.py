@@ -1,6 +1,7 @@
 """Spine recursion, height kernel and the cross-checking identity suite."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -97,7 +98,7 @@ def test_spine_process_reference_values(reference_sticks):
 def test_spine_matches_forest_chronology(reference_sticks):
     f = build_forest(reference_sticks)
     for n, state in enumerate(spine_states(reference_sticks)):
-        assert state.sup_support == pytest.approx(f.arrays.heights[n])
+        assert state.sup_support == f.arrays.heights[n]
         assert state.length == f.arrays.depths[n]
 
 
@@ -232,16 +233,51 @@ def test_kernel_forest_identity_catches_a_wrong_kernel(reference_sticks, monkeyp
     assert [n for n, t in report.tallies.items() if t.failures] == ["kernel-forest-matches-graft"]
 
 
+def test_one_ulp_on_a_ladder_age_fails_the_exact_identities(reference_sticks, monkeypatch):
+    # An absolute tolerance of 1e-9 would let this bump pass unseen.  The
+    # decomposition at index 1 has one epoch, the root's birth at 1.5, so
+    # its height sum is that one age; the splice identity rebuilds the spine
+    # from the same ladder measures, and the pair (1, 1) reads none of them.
+    import chronoforest.spine as spine_module
+
+    exact = spine_module.ladder_decomp
+
+    def bumped(w, n):
+        dec = exact(w, n)
+        if n == 1:
+            age = math.nextafter(dec.ages[-1], math.inf)
+            dec.measures[-1] = PointMeasure((age,) + dec.measures[-1].atoms[1:])
+            dec.ages[-1] = age
+        return dec
+
+    monkeypatch.setattr(spine_module, "ladder_decomp", bumped)
+    report = verify_identities(reference_sticks, pairs=[(1, 1)])
+    assert {n: t.failures for n, t in report.tallies.items() if t.failures} == {
+        "height-is-ladder-age-sum": 1,
+        "spine-equals-ladder-measures": 1,
+        "spine-splice-at-ladder-epochs": 1,
+    }
+
+
 def test_contour_min_identity_reads_the_contour(reference_sticks, monkeypatch):
     from chronoforest.forest import ContourPath
 
-    tol = 1e-9
+    # the rounding bound of the subtractive identities, from the forest
+    arrays = build_forest(reference_sticks).arrays
+    depth, height = max(1, int(arrays.depths.max())), float(np.abs(arrays.heights).max())
+    bound = depth * np.finfo(float).eps * height
     exact = ContourPath.min_on
-    monkeypatch.setattr(ContourPath, "min_on", lambda path, a, b: exact(path, a, b) + 2 * tol)
-    report = verify_identities(reference_sticks, rng=np.random.default_rng(0), tol=tol)
-    tally = report.tallies["contour-min-via-drop"]
-    assert tally.passes == 0 and tally.failures == 55  # every pair of the 10 sticks
-    assert [n for n, t in report.tallies.items() if t.failures] == ["contour-min-via-drop"]
+    for scale, failures in [(2.0, 55), (0.5, 0)]:  # 55: every pair of the 10 sticks
+
+        def shifted_min(path, a, b, d=scale * bound):
+            return exact(path, a, b) + d
+
+        monkeypatch.setattr(ContourPath, "min_on", shifted_min)
+        report = verify_identities(reference_sticks, rng=np.random.default_rng(0))
+        tally = report.tallies["contour-min-via-drop"]
+        assert (tally.passes, tally.failures) == (55 - failures, failures), scale
+        failing = [n for n, t in report.tallies.items() if t.failures]
+        assert failing == (["contour-min-via-drop"] if failures else []), scale
 
 
 def test_verify_identities_random_forests(rng):
@@ -301,4 +337,4 @@ def test_spine_recursion_tracks_forest_on_random_laws(seed):
     f = build_forest(sticks)
     for n, state in enumerate(spine_states(sticks)):
         assert state.length == f.arrays.depths[n]
-        assert abs(state.sup_support - f.arrays.heights[n]) < 1e-9
+        assert state.sup_support == f.arrays.heights[n]
