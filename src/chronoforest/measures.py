@@ -25,7 +25,10 @@ A *stick batch* is the flat-array form of a stick sequence that the samplers
 and the height kernel work on; ``StickBatch`` owns its layout.
 ``StickBatch.to_sticks`` checks a whole batch once, in arrays, and reports
 the first bad stick through the checking constructors, so its error is the
-one ``Stick`` and ``PointMeasure`` raise.
+one ``Stick`` and ``PointMeasure`` raise.  That array check replaces the
+per-stick constructor checks: a checked batch becomes sticks through the
+module-private ``_unchecked_stick``, which fills the slots of ``Stick``
+without running ``__init__``, and every childless stick shares ``ZERO``.
 """
 
 from __future__ import annotations
@@ -72,7 +75,9 @@ class PointMeasure:
     @classmethod
     def _from_sorted(cls, atoms: tuple[float, ...]) -> "PointMeasure":
         # Internal fast path: ``atoms`` is already non-increasing, finite and
-        # positive.  Only this module, which checked them, may call it.
+        # positive.  Only this module, which checked them, may call it; for
+        # ``StickBatch.to_sticks`` the array check stands for the
+        # constructor's, and childless sticks take ``ZERO`` instead.
         m = cls.__new__(cls)
         m._atoms = atoms
         return m
@@ -127,7 +132,7 @@ class PointMeasure:
 ZERO = PointMeasure()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Stick:
     """A life length together with the point measure of birth ages.
 
@@ -160,6 +165,18 @@ class Stick:
         if not isinstance(births, list) or not all(map(_is_number, births)):
             raise ValueError(f"'births' must be an array of numbers, got {births!r}")
         return cls(float(v), PointMeasure(births))
+
+
+_set_stick_v, _set_stick_births = Stick.v.__set__, Stick.births.__set__
+
+
+def _unchecked_stick(v: float, births: PointMeasure) -> Stick:
+    # ``Stick(v, births)`` without ``__init__`` and its checks: only for
+    # parts that ``StickBatch.to_sticks`` has checked in arrays.
+    s = object.__new__(Stick)
+    _set_stick_v(s, v)
+    _set_stick_births(s, births)
+    return s
 
 
 def _is_number(x) -> bool:
@@ -230,7 +247,10 @@ class StickBatch:
         ages finite and positive, ``0 < v < inf``, each stick's first
         (largest) age at most its ``v``.  The first stick failing one is
         rebuilt by ``stick(k)``, so the constructors raise their own error.
-        The layout is already non-increasing, so each atom tuple is a slice.
+        Once the batch passes, the array check replaces the per-stick
+        constructor checks: each stick is made by ``_unchecked_stick``, its
+        atom tuple is a slice of the non-increasing layout, and every
+        childless stick shares ``ZERO``.
         """
         v, ages, offsets = self.v, self.ages, self.offsets
         bad = ~((v > 0.0) & (v < math.inf))
@@ -241,18 +261,19 @@ class StickBatch:
         if bad.any():
             self.stick(int(bad.argmax()))  # raises the constructors' error
         flat, bounds = ages.tolist(), offsets.tolist()
-        measure = PointMeasure._from_sorted
+        measure, stick = PointMeasure._from_sorted, _unchecked_stick
         return [
-            Stick(life, measure(tuple(flat[a:b])))
+            stick(life, ZERO if a == b else measure(tuple(flat[a:b])))
             for life, a, b in zip(v.tolist(), bounds, bounds[1:])
         ]
 
     @classmethod
     def from_sticks(cls, sticks: Sequence[Stick]) -> "StickBatch":
-        atoms = [s.births.atoms for s in sticks]
-        counts = np.fromiter(map(len, atoms), dtype=np.int64, count=len(atoms))
-        v = np.array([s.v for s in sticks], dtype=float)
-        ages = np.array(list(chain.from_iterable(atoms)), dtype=float)
+        n = len(sticks)
+        atoms = list(map(operator.attrgetter("births._atoms"), sticks))
+        counts = np.fromiter(map(len, atoms), dtype=np.int64, count=n)
+        v = np.fromiter(map(operator.attrgetter("v"), sticks), dtype=float, count=n)
+        ages = np.fromiter(chain.from_iterable(atoms), dtype=float, count=int(counts.sum()))
         return cls(counts, v, ages)
 
 

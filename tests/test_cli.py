@@ -86,6 +86,27 @@ def test_build_sampled_law(tmp_path):
     assert all(s.v == 1.0 for s in sticks)
 
 
+def test_build_sticks_out_round_trips(tmp_path):
+    # the sticks a sampled build writes rebuild the same forest and contour,
+    # byte for byte
+    def build(tag: str, *source: str) -> tuple[bytes, bytes]:
+        forest_out, contour_out = tmp_path / f"{tag}-forest.csv", tmp_path / f"{tag}-contour.csv"
+        args = ["build", *source, "--forest-out", str(forest_out), "--contour-out", str(contour_out)]
+        assert main([*args, "--quiet"]) == 0
+        return forest_out.read_bytes(), contour_out.read_bytes()
+
+    sticks_out = tmp_path / "sticks.json"
+    sampled = build(
+        "law",
+        "--law", "geo-uniform(mean=1.0,v=1.0)",
+        "--n", "20000",
+        "--seed", "1701",
+        "--sticks-out", str(sticks_out),
+    )
+    assert len(sticks_from_json(sticks_out.read_text())) == 20000
+    assert build("input", "--input", str(sticks_out)) == sampled
+
+
 def test_build_empty_input(tmp_path, capsys):
     empty = tmp_path / "empty.json"
     empty.write_text("[]")

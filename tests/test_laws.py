@@ -1,6 +1,8 @@
 """Stick laws: samplers, descriptors, parsing and batch layout."""
 
+import dataclasses
 import math
+import pickle
 import warnings
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
@@ -11,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
-from chronoforest.measures import PointMeasure, Stick
+from chronoforest.measures import ZERO, PointMeasure, Stick
 from chronoforest.stochastic import (
     ConstantStickLaw,
     ExponentialUniformLaw,
@@ -192,6 +194,13 @@ def test_to_sticks_equals_literal_construction(batch):
         assert type(s.v) is float and _bits([s.v]) == _bits([e.v])
         assert all(type(a) is float for a in s.births.atoms)
         assert _bits(s.births.atoms) == _bits(e.births.atoms)
+        # the trusted path makes sticks the checking constructor would
+        assert type(s) is Stick and s == e and hash(s) == hash(e)
+        assert pickle.loads(pickle.dumps(s)) == s
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            s.v = 1.0
+        assert not hasattr(s, "__dict__")
+        assert s.births.is_zero == (s.births is ZERO) == (not e.births.atoms)
     again = StickBatch.from_sticks(sticks)
     for name in ("counts", "v", "ages", "offsets"):
         a, b = getattr(again, name), getattr(batch, name)

@@ -94,26 +94,32 @@ def test_public_exports_resolve():
         exec(f"from {package} import *", {})
 
 
+def _names(tree: ast.AST, name: str) -> list[int]:
+    """Lines where ``tree`` names ``name``: as an identifier, attribute,
+    definition, import alias or string constant."""
+    lines = []
+    for node in ast.walk(tree):
+        names = {
+            getattr(node, "id", None),
+            getattr(node, "attr", None),
+            getattr(node, "name", None),
+            getattr(node, "asname", None),
+            getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
+        }
+        if name in names:
+            lines.append(getattr(node, "lineno", "?"))
+    return lines
+
+
 def _named_outside(name: str, allowed: set[str]) -> list[str]:
-    """Where a package source other than ``allowed`` names ``name``: as an
-    identifier, attribute, definition, import alias or string constant."""
+    """Where a package source other than ``allowed`` names ``name``."""
     root = Path(chronoforest.__file__).resolve().parent
-    found = []
-    for path in sorted(root.rglob("*.py")):
-        if path.relative_to(root).as_posix() in allowed:
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        for node in ast.walk(tree):
-            names = {
-                getattr(node, "id", None),
-                getattr(node, "attr", None),
-                getattr(node, "name", None),
-                getattr(node, "asname", None),
-                getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
-            }
-            if name in names:
-                found.append(f"{path.relative_to(root)}:{getattr(node, 'lineno', '?')}")
-    return found
+    return [
+        f"{path.relative_to(root)}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        if path.relative_to(root).as_posix() not in allowed
+        for line in _names(ast.parse(path.read_text(), filename=str(path)), name)
+    ]
 
 
 def test_grafting_oracle_stays_out_of_hot_paths():
@@ -125,10 +131,21 @@ def test_grafting_oracle_stays_out_of_hot_paths():
 
 
 def test_unchecked_measure_constructor_stays_in_measures():
-    # ``PointMeasure._from_sorted`` skips the sort and the checks; only
-    # ``measures``, which checks the parts first, may name it.
-    found = _named_outside("_from_sorted", {"measures.py"})
-    assert not found, "_from_sorted referenced outside measures.py: " + ", ".join(found)
+    # ``PointMeasure._from_sorted`` skips the sort and the checks, and
+    # ``_unchecked_stick`` (through the slot setters) skips ``Stick``'s;
+    # only ``measures``, which checks the parts first, may name them.
+    for name in ("_from_sorted", "_unchecked_stick", "_set_stick_v", "_set_stick_births"):
+        for snippet in [
+            f"m = measures.{name}(atoms)",
+            f"from chronoforest.measures import {name}",
+            f"from chronoforest.measures import {name} as make",
+            f"make = getattr(measures, '{name}')",
+        ]:
+            assert _names(ast.parse(snippet), name) == [1], snippet
+        for snippet in ["s = Stick(v, births)", f"x = '{name}_'", f"{name}x = 1"]:
+            assert _names(ast.parse(snippet), name) == [], snippet
+        found = _named_outside(name, {"measures.py"})
+        assert not found, f"{name} referenced outside measures.py: " + ", ".join(found)
 
 
 def _imports(tree: ast.AST, package: str) -> list[int]:
