@@ -266,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_couple.add_argument("--law", required=True)
     p_couple.add_argument("--eps", type=float, required=True)
     p_couple.add_argument("--t", type=float, required=True)
-    p_couple.add_argument("--m", type=int, default=3)
+    p_couple.add_argument("--m", type=nonnegative_int, default=3)
     p_couple.add_argument("--replicas", type=nonnegative_int, default=100)
     p_couple.add_argument("--seed", type=nonnegative_int, required=True)
     p_couple.add_argument("--budget", type=nonnegative_int, default=200_000)

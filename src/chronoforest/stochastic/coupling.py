@@ -13,8 +13,12 @@ steps only, and (ii) the second walk clears t + 2 eps at its crossing,
 the last m + 1 steps before the two crossings must agree exactly -- same
 step sizes, same marks -- because from the meeting time on the walks are
 parallel with offset inside [0, eps].  ``run_coupling`` replays one
-replica block by block: each block of the stream is one cumsum for the
-difference walk and one per walk, so the sums come out exactly as step by
+replica block by block.  Until the meeting, a block is one cumsum of the
+difference walk, which alone decides when to stop drawing; at the meeting
+each walk sums all its pre-meeting steps at once, and a replica that never
+meets sums no walk at all.  After the meeting, a block's plus-signed steps
+are summed by each walk that has not yet crossed t.  A cumsum is a left
+fold, so one sum over a run of steps gives the same floats as step by
 step.  The step/mark check stays literal: it compares the step sizes and
 the flat age slices of the stream elements behind the last m + 1 steps.
 """
@@ -136,6 +140,22 @@ class _WalkState:
         self.n += len(steps)
 
 
+def _check_arguments(
+    law: StickLaw, eps: float, t: float, m: int, meet_budget: int, walk_budget: int
+) -> None:
+    """Reject a replica's arguments before anything is drawn."""
+    if not math.isfinite(eps) or not math.isfinite(t):
+        raise ValueError(f"eps and t must be finite, got eps={eps!r}, t={t!r}")
+    if eps < 0:
+        raise ValueError("eps must be >= 0")
+    if eps == 0 and not law.arithmetic:
+        raise ValueError("eps = 0 requires an arithmetic life-length law")
+    if m < 0 or t <= 0:
+        raise ValueError("need m >= 0 and t > 0")
+    if meet_budget < 0 or walk_budget < 0:
+        raise ValueError(f"budgets must be >= 0, got {meet_budget} and {walk_budget}")
+
+
 def run_coupling(
     law: StickLaw,
     eps: float,
@@ -150,17 +170,7 @@ def run_coupling(
     eps = 0 demands an exact meeting of the difference walk and is only
     feasible when life lengths are arithmetic.
     """
-    if not math.isfinite(eps) or not math.isfinite(t):
-        raise ValueError(f"eps and t must be finite, got eps={eps!r}, t={t!r}")
-    if eps < 0:
-        raise ValueError("eps must be >= 0")
-    if eps == 0 and not law.arithmetic:
-        raise ValueError("eps = 0 requires an arithmetic life-length law")
-    if m < 0 or t <= 0:
-        raise ValueError("need m >= 0 and t > 0")
-    if meet_budget < 0 or walk_budget < 0:
-        raise ValueError(f"budgets must be >= 0, got {meet_budget} and {walk_budget}")
-
+    _check_arguments(law, eps, t, m, meet_budget, walk_budget)
     alpha = 2.0 * float(law.life.sample(rng))
     alpha_prime = 2.0 * float(sample_vhat(law, rng))
     walk = _WalkState(alpha)
@@ -176,8 +186,9 @@ def run_coupling(
     )
 
     # diff tracks (second walk) - (first walk) over the partial sums: a
-    # plus-signed element feeds the first walk, so it lowers the gap.  Each
-    # block's gaps are one cumsum, in the same order as step-by-step sums.
+    # plus-signed element feeds the first walk, so it lowers the gap.  Only
+    # the gaps decide when to stop drawing, so a block before the meeting is
+    # one cumsum of them, in the same order as step-by-step sums.
     diff = alpha_prime - alpha
     meet: Optional[int] = 0 if 0.0 <= diff <= eps else None
     pos = 0
@@ -189,14 +200,19 @@ def run_coupling(
         if inside.any():
             stop = pos + int(inside.argmax()) + 1
             meet = stop
-        signs, steps = signs[: stop - pos], steps[: stop - pos]
         diff = float(gaps[stop - pos - 1])
-        walk.push(steps[signs > 0], t)
-        walk_prime.push(steps[signs < 0], t)
         pos = stop
     if meet is None:
         result.undecided_reason = "meet_budget"
         return result
+
+    # Each walk sums its pre-meeting steps in one push: the plus signs feed
+    # the first walk, the minus signs the second.
+    if meet:
+        signs = np.concatenate(stream.signs)[:meet]
+        steps = np.concatenate(stream.steps)[:meet]
+        walk.push(steps[signs > 0], t)
+        walk_prime.push(steps[signs < 0], t)
 
     result.meet_time = meet
     result.sigma = walk.n
@@ -205,14 +221,17 @@ def run_coupling(
     result.gamma = max(walk.running_max, walk_prime.running_max)
 
     # After the meeting, plus-signed stream elements drive both walks.  A
-    # block is pushed whole: the steps after the later crossing are never
-    # read, and no further block is drawn once both walks have crossed.
+    # block is pushed whole to each walk that has not crossed yet: nothing
+    # reads a walk past its crossing, and no further block is drawn once
+    # both walks have crossed.
     end = pos + walk_budget
     while (walk.crossing is None or walk_prime.crossing is None) and pos < end:
         stop = min(stream.block_end(pos), end)
         signs, steps = stream.segment(pos, stop)
-        walk.push(steps[signs > 0], t)
-        walk_prime.push(steps[signs > 0], t)
+        plus_steps = steps[signs > 0]
+        for w in (walk, walk_prime):
+            if w.crossing is None:
+                w.push(plus_steps, t)
         pos = stop
     if walk.crossing is None or walk_prime.crossing is None:
         result.undecided_reason = "walk_budget"
@@ -279,6 +298,7 @@ def run_coupling_many(
     meet_budget: int = 200_000,
     walk_budget: int = 200_000,
 ) -> list[CouplingResult]:
+    _check_arguments(law, eps, t, m, meet_budget, walk_budget)
     return [
         run_coupling(law, eps, t, m, rng, meet_budget=meet_budget, walk_budget=walk_budget)
         for _ in range(n)

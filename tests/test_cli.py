@@ -334,6 +334,7 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
     [
         ("--replicas", "-3", "--replicas: must be >= 0, got -3"),
         ("--budget", "-5", "--budget: must be >= 0, got -5"),
+        ("--m", "-1", "--m: must be >= 0, got -1"),
     ],
 )
 def test_couple_negative_counts_are_usage_errors(capsys, flag, value, message):
@@ -365,6 +366,23 @@ def test_counts_below_their_floor_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+@pytest.mark.parametrize(
+    "law, eps, t, message",
+    [
+        ("gw", "0", "-5", "need m >= 0 and t > 0"),
+        ("gw", "-1", "8", "eps must be >= 0"),
+        ("gw", "nan", "8", "eps and t must be finite"),
+        ("exp-uniform", "0", "8", "eps = 0 requires an arithmetic life-length law"),
+    ],
+)
+def test_couple_without_replicas_still_rejects_bad_arguments(capsys, law, eps, t, message):
+    argv = ["couple", "--law", law, "--eps", eps, "--t", t, "--seed", "1", "--replicas", "0"]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert message in captured.err

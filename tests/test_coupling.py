@@ -55,8 +55,9 @@ class _Walk:
         self.marks: list[PointMeasure] = []
         self.running_max = start
         self.crossing: Optional[int] = None  # first index with value >= t
+        self.crossing_element: Optional[int] = None  # its stream element
 
-    def push(self, xi: float, mark: PointMeasure, t: float) -> None:
+    def push(self, xi: float, mark: PointMeasure, t: float, element: int) -> None:
         val = self.values[-1] + xi
         self.values.append(val)
         self.steps.append(xi)
@@ -65,11 +66,13 @@ class _Walk:
             self.running_max = val
         if self.crossing is None and val >= t:
             self.crossing = len(self.values) - 1
+            self.crossing_element = element
 
 
 def literal_coupling(law, eps, t, m, rng, meet_budget, walk_budget):
-    """Reference replica, element by element; returns the result and the
-    number of stream elements it read."""
+    """Reference replica, element by element; returns the result, the
+    number of stream elements it read and the stream elements at which the
+    two walks crossed t."""
     alpha = 2.0 * float(law.life.sample(rng))
     alpha_prime = 2.0 * float(sample_vhat(law, rng))
     walk = _Walk(alpha)
@@ -86,17 +89,21 @@ def literal_coupling(law, eps, t, m, rng, meet_budget, walk_budget):
         k += 1
         diff -= sign * xi
         if sign > 0:
-            walk.push(xi, mark, t)
+            walk.push(xi, mark, t, stream.used - 1)
         else:
-            walk_prime.push(xi, mark, t)
+            walk_prime.push(xi, mark, t, stream.used - 1)
         if 0.0 <= diff <= eps:
             meet = k
     result = CouplingResult(
         status="undecided", eps=eps, t=t, m=m, alpha=alpha, alpha_prime=alpha_prime
     )
+
+    def replay():
+        return result, stream.used, (walk.crossing_element, walk_prime.crossing_element)
+
     if meet is None:
         result.undecided_reason = "meet_budget"
-        return result, stream.used
+        return replay()
 
     result.meet_time = meet
     result.sigma = len(walk.steps)
@@ -109,11 +116,11 @@ def literal_coupling(law, eps, t, m, rng, meet_budget, walk_budget):
         sign, xi, mark = stream.next()
         k += 1
         if sign > 0:
-            walk.push(xi, mark, t)
-            walk_prime.push(xi, mark, t)
+            walk.push(xi, mark, t, stream.used - 1)
+            walk_prime.push(xi, mark, t, stream.used - 1)
     if walk.crossing is None or walk_prime.crossing is None:
         result.undecided_reason = "walk_budget"
-        return result, stream.used
+        return replay()
 
     result.psi = walk.crossing
     result.psi_prime = walk_prime.crossing
@@ -129,7 +136,7 @@ def literal_coupling(law, eps, t, m, rng, meet_budget, walk_budget):
     )
     if not event:
         result.status = "no_event"
-        return result, stream.used
+        return replay()
 
     mismatches = []
     for back in range(m + 1):
@@ -146,7 +153,7 @@ def literal_coupling(law, eps, t, m, rng, meet_budget, walk_budget):
             )
     result.mismatches = mismatches
     result.status = "held" if not mismatches else "violated"
-    return result, stream.used
+    return replay()
 
 
 def _same(a, b) -> bool:
@@ -165,21 +172,59 @@ ORACLE_CASES = {
     "start-above-t": (GaltonWatsonUnitLaw(1.0), 0.0, 1.0, 3, 20_000, 20_000, 60),
     "m-zero": (ExponentialUniformLaw(rate=1.0), 0.5, 8.0, 0, 20_000, 20_000, 100),
     "mid-block-budgets": (GaltonWatsonUnitLaw(1.0), 0.0, 400.0, 3, 600, 410, 150),
+    # walks a few elements apart cross t near the end of the first block
+    "crossings-apart": (ExponentialUniformLaw(rate=1.0), 4.0, 240.0, 3, 200, 20_000, 600),
 }
 
-# what each case must actually reach, given the results and the number of
-# stream elements each replica read
+# each case's seed; a new case takes a seed of its own, so that adding it
+# changes no other case's replicas
+ORACLE_SEEDS = {
+    "exp-uniform": 0,
+    "gw": 1,
+    "m-zero": 2,
+    "meet-at-start": 3,
+    "mid-block-budgets": 4,
+    "no-walk-budget": 5,
+    "start-above-t": 6,
+    "tiny-budgets": 7,
+    "crossings-apart": 8,
+}
+
+
+def _late_meeting_after_a_crossing(r) -> bool:
+    return r.meet_time is not None and r.meet_time > 256 and r.gamma >= r.t
+
+
+def _crossings_in_two_post_meeting_blocks(r, crossed) -> bool:
+    e, e_prime = crossed
+    return (
+        e is not None
+        and e_prime is not None
+        and min(e, e_prime) >= r.meet_time
+        and e // 256 != e_prime // 256
+    )
+
+
+# what each case must actually reach, given the results, the number of
+# stream elements each replica read, and the elements where its walks crossed
 ORACLE_COVERS = {
-    "gw": lambda rs, used: any(r.status == "held" for r in rs) and max(used) > 2 * 256,
-    "exp-uniform": lambda rs, used: any(r.status == "held" for r in rs) and max(used) > 2 * 256,
-    "tiny-budgets": lambda rs, used: any(r.status == "undecided" for r in rs),
-    "no-walk-budget": lambda rs, used: any(r.undecided_reason == "walk_budget" for r in rs),
-    "meet-at-start": lambda rs, used: any(r.meet_time == 0 for r in rs),
-    "start-above-t": lambda rs, used: any(r.psi is not None for r in rs),
-    "m-zero": lambda rs, used: any(r.status == "held" for r in rs),
-    "mid-block-budgets": lambda rs, used: (
+    "gw": lambda rs, used, crossed: (
+        any(r.status == "held" for r in rs)
+        and max(used) > 2 * 256
+        and any(_late_meeting_after_a_crossing(r) for r in rs)
+    ),
+    "exp-uniform": lambda rs, used, crossed: any(r.status == "held" for r in rs) and max(used) > 2 * 256,
+    "tiny-budgets": lambda rs, used, crossed: any(r.status == "undecided" for r in rs),
+    "no-walk-budget": lambda rs, used, crossed: any(r.undecided_reason == "walk_budget" for r in rs),
+    "meet-at-start": lambda rs, used, crossed: any(r.meet_time == 0 for r in rs),
+    "start-above-t": lambda rs, used, crossed: any(r.psi is not None for r in rs),
+    "m-zero": lambda rs, used, crossed: any(r.status == "held" for r in rs),
+    "mid-block-budgets": lambda rs, used, crossed: (
         {r.undecided_reason for r, u in zip(rs, used) if u % 256} >= {"meet_budget", "walk_budget"}
         and max(used) > 2 * 256
+    ),
+    "crossings-apart": lambda rs, used, crossed: any(
+        _crossings_in_two_post_meeting_blocks(r, c) for r, c in zip(rs, crossed)
     ),
 }
 
@@ -187,20 +232,21 @@ ORACLE_COVERS = {
 @pytest.mark.parametrize("case", sorted(ORACLE_CASES))
 def test_block_replay_matches_literal_replay(case):
     law, eps, t, m, meet_budget, walk_budget, n = ORACLE_CASES[case]
-    seed = np.random.SeedSequence([2024, sorted(ORACLE_CASES).index(case)])
+    seed = np.random.SeedSequence([2024, ORACLE_SEEDS[case]])
     rng_fast, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
-    results, used = [], []
+    results, used, crossed = [], [], []
     for _ in range(n):
         got = run_coupling(law, eps, t, m, rng_fast, meet_budget, walk_budget)
-        want, elements = literal_coupling(law, eps, t, m, rng_ref, meet_budget, walk_budget)
+        want, elements, crossings = literal_coupling(law, eps, t, m, rng_ref, meet_budget, walk_budget)
         for f in dataclasses.fields(CouplingResult):
             a, b = getattr(got, f.name), getattr(want, f.name)
             assert _same(a, b), (case, f.name, a, b)
         results.append(want)
         used.append(elements)
+        crossed.append(crossings)
     # both replays drew the same blocks, so the generators are still in lockstep
     assert rng_fast.random() == rng_ref.random()
-    assert ORACLE_COVERS[case](results, used)
+    assert ORACLE_COVERS[case](results, used, crossed)
 
 
 def test_unit_lattice_coupling_never_violates(rng):
@@ -270,6 +316,14 @@ def test_eps_zero_requires_lattice(rng):
         run_coupling(ExponentialUniformLaw(rate=1.0), 0.0, 4.0, 1, rng)
     with pytest.raises(ValueError):
         run_coupling(GaltonWatsonUnitLaw(1.0), -0.5, 4.0, 1, rng)
+    for law, eps, t, m in (
+        (ExponentialUniformLaw(rate=1.0), 0.0, 4.0, 1),
+        (GaltonWatsonUnitLaw(1.0), -0.5, 4.0, 1),
+        (GaltonWatsonUnitLaw(1.0), 0.0, -5.0, 1),
+        (GaltonWatsonUnitLaw(1.0), 0.0, 4.0, -1),
+    ):
+        with pytest.raises(ValueError):
+            run_coupling_many(law, eps, t, m, rng, 0)
 
 
 def test_tiny_budget_yields_undecided(rng):
@@ -327,3 +381,56 @@ def test_rejects_non_finite_levels_and_negative_budgets(rng, eps, t, meet_budget
     with pytest.raises(ValueError):
         run_coupling(law, eps, t, 1, rng, meet_budget=meet_budget, walk_budget=walk_budget)
     assert rng.bit_generator.state == state  # rejected before any draw
+    # with no replicas to run, the arguments are still checked
+    with pytest.raises(ValueError):
+        run_coupling_many(law, eps, t, 1, rng, 0, meet_budget=meet_budget, walk_budget=walk_budget)
+    assert rng.bit_generator.state == state
+
+
+def test_walks_are_summed_once_before_the_meeting_and_never_past_their_crossing(monkeypatch, rng):
+    from chronoforest.stochastic import coupling
+
+    walks, pushes = [], []
+    init, push = coupling._WalkState.__init__, coupling._WalkState.push
+
+    def recording_init(self, start):
+        init(self, start)
+        walks.append(self)
+
+    def counting_push(self, steps, t):
+        n, crossed = self.n, self.crossing is not None
+        push(self, steps, t)
+        pushes.append((self, n, self.n, crossed))
+
+    monkeypatch.setattr(coupling._WalkState, "__init__", recording_init)
+    monkeypatch.setattr(coupling._WalkState, "push", counting_push)
+    seen = set()
+    for law, eps in ((GaltonWatsonUnitLaw(1.0), 0.0), (ExponentialUniformLaw(rate=1.0), 0.5)):
+        for _ in range(150):
+            walks.clear()
+            pushes.clear()
+            r = run_coupling(law, eps, 16.0, 3, rng, meet_budget=600, walk_budget=20_000)
+            assert not any(crossed for *_, crossed in pushes)
+            if r.undecided_reason == "meet_budget":
+                assert pushes == []
+                seen.add("no meeting")
+                continue
+            if r.meet_time == 0:
+                continue
+            # the first push of each walk takes all its pre-meeting steps,
+            # and every later one starts after them
+            sigmas = (r.sigma, r.sigma_prime)
+            for walk, sigma in zip(walks, sigmas):
+                counts = [(n, n_after) for w, n, n_after, _ in pushes if w is walk]
+                assert counts[0] == (0, sigma)
+                assert all(n >= sigma for n, _ in counts[1:])
+            if r.meet_time > 256:
+                seen.add("meeting after the first block")
+            early = [w.crossing is not None and w.crossing <= s for w, s in zip(walks, sigmas)]
+            if early[0] != early[1]:
+                seen.add("one walk crossed before the meeting, the other after")
+    assert seen == {
+        "no meeting",
+        "meeting after the first block",
+        "one walk crossed before the meeting, the other after",
+    }
