@@ -101,6 +101,7 @@ def _cmd_build(args) -> int:
             print("build: --law needs --seed", file=sys.stderr)
             return 2
         forest = build_forest(law.sample_batch(_rng(args.seed), args.n))
+    path = contour_path(forest)  # rejects an overflowing clock before any output
     if args.sticks_out:
         with open(args.sticks_out, "w", encoding="utf-8") as fh:
             fh.write(sticks_to_json(forest.batch.to_sticks()) + "\n")
@@ -111,7 +112,6 @@ def _cmd_build(args) -> int:
         if close:
             out.close()
     if args.contour_out:
-        path = contour_path(forest)
         with open(args.contour_out, "w", encoding="utf-8", newline="") as fh:
             write_contour_csv(path, fh)
     if not args.quiet:

@@ -309,13 +309,22 @@ class ContourPath:
         n+1, entry 0 being 0) and life lengths ``v`` (length n).
 
         Visit times follow the clock K(n) = 2 * (v[0] + ... + v[n-1]) -
-        heights[n].  Raises ``ValueError`` when the path would descend
-        above a peak, i.e. when some heights[n+1] exceeds heights[n] + v[n]
-        beyond rounding: no forest has such heights.
+        heights[n].  Raises ``ValueError`` when the doubled total life
+        length overflows, or when the path would descend above a peak, i.e.
+        when some heights[n+1] exceeds heights[n] + v[n] beyond rounding: no
+        forest has such heights.
         """
         visit_times = np.empty(len(heights))
         visit_times[0] = 0.0
-        visit_times[1:] = 2.0 * np.cumsum(v) - heights[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            visit_times[1:] = 2.0 * np.cumsum(v) - heights[1:]
+        # the doubled sums only grow, and a forest's heights stay below them,
+        # so the clock is finite throughout exactly when its last entry is
+        if not np.isfinite(visit_times[-1]):
+            raise ValueError(
+                "the doubled total life length 2 * sum(v) overflows a float"
+                f" (largest v: {float(v.max())!r})"
+            )
         descents = visit_times[1:] - visit_times[:-1] - v
         # each descent carries a few ulps of rounding of the visit times
         tol = 1e-9 + 8.0 * np.finfo(float).eps * float(np.abs(visit_times).max())

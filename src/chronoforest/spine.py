@@ -20,10 +20,12 @@ passages of the Lukasiewicz walk and then sums the birth ages with one
 numpy step per generation, the way grafting does.
 
 ``verify_identities`` cross-checks every walk/ladder formula in
-:mod:`chronoforest.lukasiewicz`, the kernel's forest and the contour path
-against the literal grafting of :mod:`chronoforest.forest` on a single
-stick sequence, and reports per-identity tallies with minimal reproducers
-instead of raising.  Every identity holds with ``==`` (age sums run root
+:mod:`chronoforest.lukasiewicz`, the kernel's forest, the contour path and
+result (2)'s index gap between the contour and length time changes against
+the literal grafting of :mod:`chronoforest.forest` on a single stick
+sequence, and reports per-identity tallies with minimal reproducers instead
+of raising.  A check that another identity already implies is not
+repeated.  Every identity holds with ``==`` (age sums run root
 first, as grafting adds them) but the four that subtract heights,
 ``height-difference-drop``, ``contour-min-via-drop``,
 ``shifted-spine-is-height-drop`` and ``adjacent-shift-bound``: they allow
@@ -52,7 +54,7 @@ from .lukasiewicz import (
     mrca,
     walk,
 )
-from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick, root_first_sum
+from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick
 
 __all__ = [
     "phi",
@@ -250,7 +252,9 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
     else:
         rec("first-child-passage", True)
 
-    for k in sorted({1, dec.height, max(1, dec.height // 2)} & set(range(1, dec.height + 1))):
+    # at k = height the base is the root, whose spine is empty: that splice
+    # is spine-equals-ladder-measures
+    for k in sorted({1, dec.height // 2} & set(range(1, dec.height))):
         base = j - dec.times[k - 1]
         rebuilt = SpineSeq(ctx.spines[base].elements + tuple(reversed(dec.measures[:k])))
         rec(
@@ -286,10 +290,6 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
     rec(
         "shifted-spine-from-ladder",
         SpineSeq(tuple(reversed(dec_n.measures[:c_weak]))) == shifted,
-    )
-    rec(
-        "shifted-spine-age-sum",
-        shifted.sup_support == root_first_sum(reversed(dec_n.ages[:c_weak])),
     )
     rec(
         "shifted-spine-is-height-drop",
@@ -378,19 +378,56 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
 
 
 def _profile_checks(ctx: _Context, report: IdentityReport) -> None:
-    batch = ctx.batch
-    h_fast, d_fast = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
-    kernel, graft = build_forest(batch).arrays, ctx.forest.arrays
+    kernel, graft = build_forest(ctx.batch).arrays, ctx.forest.arrays
     gen = build_forest(genealogical_map(ctx.sticks)).arrays
     checks = {
-        "kernel-profile-matches-forest": np.array_equal(h_fast, ctx.heights)
-        and np.array_equal(d_fast, ctx.depths),
         "kernel-forest-matches-graft": all(np.array_equal(k, g) for k, g in zip(kernel, graft)),
         "genealogical-collapse-depth": np.array_equal(gen.heights.astype(np.int64), ctx.depths)
         and np.array_equal(gen.depths, ctx.depths),
     }
     for name, ok in checks.items():
         report.record(name, bool(ok), None if ok else ctx.reproducer(check=name))
+
+
+def _gap_formula(ctx: _Context, vc2: np.ndarray, j0: int, raw_time: float) -> Optional[int]:
+    """Result (2)'s index gap at ``raw_time``, rebuilt without the contour.
+
+    The length time change (doubled length sums ``vc2``) passes ``raw_time``
+    at j0.  The gap is the first offset d >= 0 at which the doubled extra
+    length since j0 beats the height of the forest restarted at j0, minus
+    the ladder ages at j0 recoverable below the running minimum of the
+    restarted count walk, minus the length overshoot at j0; None if none.
+    """
+    b, s = ctx.batch, ctx.w.s
+    tail = forest_arrays(b.counts[j0:], b.offsets[j0:] - b.offsets[j0], b.ages[b.offsets[j0] :])
+    dec = ctx.decomp(j0)
+    overshoot = vc2[j0] - raw_time
+    run_min, drop = s[j0], 0.0
+    for d, tail_height in enumerate(tail.heights):
+        if s[j0 + d] < run_min:
+            run_min = s[j0 + d]
+            drop = dec.D(int(s[j0] - run_min))
+        doubled_extra = vc2[j0 + d - 1] - vc2[j0] if d else -2.0 * b.v[j0]
+        if doubled_extra - ctx.heights[j0] >= tail_height - drop - overshoot:
+            return d
+    return None
+
+
+def _gap_checks(ctx: _Context, report: IdentityReport) -> None:
+    """Result (2): the contour time change runs ahead of the length one by
+    the index gap ``_gap_formula`` rebuilds, checked midway between the
+    visits of j and j + 1, away from the ties at a visit time."""
+    n, visits, name = ctx.n_sticks, ctx.path.visit_times, "time-change-gap-formula"
+    vc2 = 2.0 * np.cumsum(ctx.batch.v)
+    for j in sorted({0, n // 2, n - 1}) if n else []:
+        raw_time = visits[j] / 2.0 + visits[j + 1] / 2.0  # halves: the sum may overflow
+        j0 = int(np.searchsorted(vc2, raw_time, side="left"))
+        direct = int(np.searchsorted(visits, raw_time, side="left")) - j0
+        formula = _gap_formula(ctx, vc2, j0, raw_time)
+        ok = formula == direct
+        detail = f"direct={direct} formula={formula}"
+        repro = None if ok else ctx.reproducer(raw_time=float(raw_time), check=name, detail=detail)
+        report.record(name, ok, repro)
 
 
 def _sample_pairs(
@@ -436,6 +473,7 @@ def verify_identities(
     else:
         pair_list = sorted(set((int(m), int(n)) for m, n in pairs))
     _profile_checks(ctx, report)
+    _gap_checks(ctx, report)
     for j in sorted({idx for mn in pair_list for idx in mn}):
         _check_index(ctx, report, j)
     for m, n in pair_list:

@@ -12,7 +12,9 @@ requested times t:
 * phibarp -- first index whose doubled length sum passes pt, over p;
 * deltaH  -- Hp minus (mean atom age of the size-biased stick) * Hcalp;
 * deltaC  -- Cp minus eps_p * height at index [pt / (2 mean_v)];
-* epsDelta-- eps_p * (raw index gap between the two time changes).
+* epsDelta-- eps_p * (raw index gap between the two time changes; its
+  exact formula is the identity ``time-change-gap-formula`` of
+  ``spine.verify_identities``).
 
 The rows are one structured array with exactly these columns as fields,
 written to CSV by ``forest.write_rows``; window minima of the two contours
@@ -29,8 +31,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..forest import ContourPath, write_rows
-from ..lukasiewicz import ladder_decomp, walk
-from ..measures import Stick, StickBatch
+from ..measures import StickBatch
 from ..spine import height_profile_arrays
 from .laws import StickLaw, parse_law
 
@@ -45,7 +46,6 @@ __all__ = [
     "ExperimentResult",
     "scaling_experiment",
     "max_rise_in_window",
-    "verify_time_change_gap",
 ]
 
 CSV_COLUMNS = [
@@ -459,49 +459,3 @@ def max_rise_in_window(path: ContourPath, width: float) -> float:
     )
     rise = heights[:n] + v - window_min
     return float(rise.max(initial=0.0))
-
-
-def verify_time_change_gap(sticks: Sequence[Stick], raw_time: float) -> tuple[int, int]:
-    """The index gap between the contour and length time changes, twice.
-
-    Returns (direct, formula): the direct count of extra sticks the contour
-    time change needs beyond the length one, and the same number rebuilt
-    from the spine height of the restarted sequence and the ladder-age
-    functional of the prefix.  The two must agree exactly.
-    """
-    sticks = list(sticks)
-    n = len(sticks)
-    batch = StickBatch.from_sticks(sticks)
-    heights, _ = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
-    k = ContourPath.from_heights(heights, batch.v).visit_times
-    vc2 = 2.0 * np.cumsum(batch.v)
-    if vc2[-1] < raw_time or k[-1] < raw_time:
-        raise ValueError("not enough sticks to cover the requested time")
-    j0 = int(np.searchsorted(vc2, raw_time, side="left"))
-    direct = int(np.searchsorted(k, raw_time, side="left")) - j0
-
-    # Rebuild: the gap is the first offset d >= 0 at which the doubled extra
-    # length since j0 beats the restarted spine height minus the ladder ages
-    # recoverable below the running minimum of the restarted count walk,
-    # minus the length overshoot at j0.
-    tail = StickBatch(batch.counts[j0:], batch.v[j0:], batch.ages[batch.offsets[j0] :])
-    tail_heights, _ = height_profile_arrays(tail.counts, tail.offsets, tail.ages)
-    w = walk(sticks)
-    decomp = ladder_decomp(w, j0)
-    overshoot = vc2[j0] - raw_time
-    if overshoot < 0.0:
-        raise RuntimeError(f"length time change undershoots raw time by {-overshoot}")
-    run_min = int(w.s[j0])
-    formula = None
-    for d in range(n - j0 + 1):
-        if d > 0:
-            run_min = min(run_min, int(w.s[j0 + d]))
-        level = int(w.s[j0]) - run_min
-        doubled_extra = (vc2[j0 + d - 1] - vc2[j0]) if d >= 1 else -2.0 * batch.v[j0]
-        rhs = tail_heights[d] - decomp.D(level) - overshoot
-        if doubled_extra - heights[j0] >= rhs:
-            formula = d
-            break
-    if formula is None:
-        raise RuntimeError("gap formula found no admissible offset")
-    return direct, formula

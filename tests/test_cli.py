@@ -128,6 +128,42 @@ def test_build_malformed_json(tmp_path, capsys):
     assert main(["build", "--input", str(missing)]) == 2
 
 
+# finite sticks whose doubled total life length, the end of the contour's
+# clock, is not a finite float
+OVERFLOWING_STICKS = [{"v": 1e308, "births": [1e308]}, {"v": 1e308, "births": [1e308]}, {"v": 1e308, "births": []}]
+OVERFLOWING_LAW = "const(v=1e308,ages=1e308)"
+
+
+# numpy warns as the kernel sums the overflowing birth times, before the
+# contour's clock rejects them
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--input", "{sticks}"],
+        ["build", "--input", "{sticks}", "--contour-out", "{contour}"],
+        ["build", "--law", OVERFLOWING_LAW, "--n", "3", "--seed", "0", "--contour-out", "{contour}"],
+        ["verify", "--input", "{sticks}"],
+        ["scale", "--law", OVERFLOWING_LAW, "--p", "10", "--replicates", "1"],
+    ],
+)
+def test_overflowing_sticks_are_rejected(tmp_path, capsys, argv):
+    # unchecked, the overflowing clock gives inf birth times and inf/nan
+    # contour rows (build), a false contour-min-via-drop failure (verify),
+    # and a nan end time that never covers the requested time, so that
+    # sampling goes on without end (scale)
+    sticks, contour = tmp_path / "sticks.json", tmp_path / "contour.csv"
+    sticks.write_text(json.dumps(OVERFLOWING_STICKS))
+    argv = [a.format(sticks=sticks, contour=contour) for a in argv]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the doubled total life length 2 * sum(v) overflows a float (largest v: 1e+308)\n"
+    )
+    assert not contour.exists()
+
+
 def test_verify_fixture(fixture_json, capsys):
     rc = main(["verify", "--input", str(fixture_json)])
     assert rc == 0
@@ -147,7 +183,7 @@ def test_verify_random(capsys):
 # SHA-256 of the README's ``verify`` report.  Any change to the identity
 # suite must leave its tallies byte for byte as they are; like
 # ``law_digests.json`` the value depends on numpy 2.4's generator streams.
-VERIFY_README_DIGEST = "d05d50bacdd3f665e7ff7961d033f9e9bae2663b4d97b80450cb703753ac1946"
+VERIFY_README_DIGEST = "7a7cd661f22269488172b189c6520abc96f57be88eaabfa558b1bf0839d81936"
 
 
 def test_verify_report_is_pinned(capsys):

@@ -22,7 +22,6 @@ from chronoforest.stochastic import (
     parse_law,
     resolve_scale,
     scaling_experiment,
-    verify_time_change_gap,
 )
 from chronoforest.stochastic import experiments
 from chronoforest.stochastic.experiments import CSV_COLUMNS, _range_min
@@ -221,29 +220,6 @@ def test_law_is_parsed_once(monkeypatch):
     res.summary()
     assert calls == ["gw(mean=1.0)"]
     assert res.law.describe()["name"] == "gw"
-
-
-@pytest.mark.parametrize(
-    "spec, seed",
-    [
-        ("geo-uniform(mean=1.0,v=1.0)", None),  # the ``rng`` fixture's stream
-        ("two-point", 3117),  # fixed ages (1.0, 0.5): ties in every stick
-        ("exp-uniform", 5281),
-    ],
-)
-def test_verify_time_change_gap_agrees(spec, seed, rng):
-    # the gap formula decides with an exact ``>=``: the drop functional sums
-    # its ladder ages root first, as grafting does
-    law = parse_law(spec)
-    if seed is not None:
-        rng = np.random.default_rng(seed)
-    for _ in range(25):
-        sticks = law.sample_batch(rng, 300).to_sticks()
-        total = 2.0 * sum(s.v for s in sticks)
-        raw_time = float(rng.uniform(0.1, 0.8)) * total
-        direct, formula = verify_time_change_gap(sticks, raw_time)
-        assert direct == formula
-        assert direct >= 0
 
 
 def test_max_rise_matches_apex_scan(rng):

@@ -213,6 +213,50 @@ def test_no_module_imports_csv():
     assert not found, "csv imported in: " + ", ".join(found)
 
 
+def _lukasiewicz_imports(tree: ast.AST) -> list[int]:
+    """Lines that import ``lukasiewicz`` or from it, absolutely or
+    relatively, or name the module."""
+    lines = set(_names(tree, "lukasiewicz"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules = [node.module or ""]
+        else:
+            continue
+        if any("lukasiewicz" in module.split(".") for module in modules):
+            lines.add(node.lineno)
+    return sorted(lines)
+
+
+def test_experiments_use_no_oracle_types():
+    # the experiments run on flat arrays; the exact index-gap formula of
+    # result (2) is an identity of ``spine.verify_identities``, which holds
+    # the walk, the ladder and the stick objects
+    for snippet in [
+        "from ..lukasiewicz import ladder_decomp",
+        "from chronoforest.lukasiewicz import walk",
+        "from .. import lukasiewicz",
+        "from chronoforest import lukasiewicz as lk",
+        "import chronoforest.lukasiewicz",
+        "w = chronoforest.lukasiewicz.walk(s)",
+    ]:
+        assert _lukasiewicz_imports(ast.parse(snippet)) == [1], snippet
+    for snippet in ["from ..spine import height_profile_arrays", "import lukasiewiczx", "x = 'walk'"]:
+        assert _lukasiewicz_imports(ast.parse(snippet)) == [], snippet
+    for name in ("Stick", "PointMeasure"):
+        for snippet in [f"from ..measures import {name}", f"x = measures.{name}(1.0)", f"def f(s: {name}): pass"]:
+            assert _names(ast.parse(snippet), name) != [], snippet
+    for snippet in ["from ..measures import StickBatch", "sticks = batch.to_sticks()", "Sticks = 1"]:
+        assert _names(ast.parse(snippet), "Stick") == [], snippet
+    path = Path(chronoforest.__file__).resolve().parent / "stochastic" / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    found = [f"lukasiewicz:{line}" for line in _lukasiewicz_imports(tree)] + [
+        f"{name}:{line}" for name in ("Stick", "PointMeasure") for line in _names(tree, name)
+    ]
+    assert not found, "stochastic/experiments.py names the oracle types: " + ", ".join(found)
+
+
 def _walk_input_violations(tree: ast.AST) -> list[str]:
     """Functions of a module that take the marked walk in any form but one
     ``Walk`` first argument: a public module-level function other than

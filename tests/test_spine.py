@@ -19,6 +19,7 @@ from chronoforest.measures import (
     StickBatch,
 )
 from chronoforest.spine import (
+    IdentityReport,
     height_profile_arrays,
     phi,
     shifted_spine,
@@ -39,12 +40,10 @@ IDENTITY_CHECKS = {
     "height-difference-drop",
     "height-is-ladder-age-sum",
     "kernel-forest-matches-graft",
-    "kernel-profile-matches-forest",
     "mrca-at-m-iff-no-drop",
     "mrca-from-ladder-epochs",
     "mrca-measure-both-routes",
     "mrca-walk-matches-forest",
-    "shifted-spine-age-sum",
     "shifted-spine-at-mrca",
     "shifted-spine-from-ladder",
     "shifted-spine-is-height-drop",
@@ -53,6 +52,7 @@ IDENTITY_CHECKS = {
     "spine-splice-at-ladder-epochs",
     "spine-splice-at-mrca",
     "subtree-preserves-spine-prefix",
+    "time-change-gap-formula",
 }
 
 
@@ -236,8 +236,9 @@ def test_kernel_forest_identity_catches_a_wrong_kernel(reference_sticks, monkeyp
 def test_one_ulp_on_a_ladder_age_fails_the_exact_identities(reference_sticks, monkeypatch):
     # An absolute tolerance of 1e-9 would let this bump pass unseen.  The
     # decomposition at index 1 has one epoch, the root's birth at 1.5, so
-    # its height sum is that one age; the splice identity rebuilds the spine
-    # from the same ladder measures, and the pair (1, 1) reads none of them.
+    # its height sum is that one age and its spine that one measure; the
+    # splice at that epoch would restate the spine identity, so it is not
+    # checked, and the pair (1, 1) reads none of the ladder.
     import chronoforest.spine as spine_module
 
     exact = spine_module.ladder_decomp
@@ -255,8 +256,41 @@ def test_one_ulp_on_a_ladder_age_fails_the_exact_identities(reference_sticks, mo
     assert {n: t.failures for n, t in report.tallies.items() if t.failures} == {
         "height-is-ladder-age-sum": 1,
         "spine-equals-ladder-measures": 1,
-        "spine-splice-at-ladder-epochs": 1,
     }
+
+
+@pytest.mark.parametrize(
+    "spec, seed",
+    [
+        ("geo-uniform(mean=1.0,v=1.0)", None),  # the ``rng`` fixture's stream
+        ("two-point", 3117),  # fixed ages (1.0, 0.5): ties in every stick
+        ("exp-uniform", 5281),
+    ],
+)
+def test_time_change_gap_formula_agrees(spec, seed, rng):
+    # the gap formula decides with an exact ``>=``: the drop functional sums
+    # its ladder ages root first, as grafting does
+    law = parse_law(spec)
+    if seed is not None:
+        rng = np.random.default_rng(seed)
+    total = IdentityReport()
+    for _ in range(25):
+        total.merge(verify_identities(law.sample_batch(rng, 300).to_sticks(), pairs=[]))
+    tally = total.tallies["time-change-gap-formula"]
+    assert (tally.passes, tally.failures) == (75, 0), tally.examples
+    assert total.ok
+
+
+def test_gap_formula_identity_catches_an_off_by_one(reference_sticks, monkeypatch):
+    import chronoforest.spine as spine_module
+
+    exact = spine_module._gap_formula
+    monkeypatch.setattr(spine_module, "_gap_formula", lambda *args: exact(*args) + 1)
+    report = verify_identities(reference_sticks, max_pairs=5, rng=np.random.default_rng(0))
+    tally = report.tallies["time-change-gap-formula"]
+    assert (tally.passes, tally.failures) == (0, 3)  # raw times between visits 0-1, 5-6, 9-10
+    assert [n for n, t in report.tallies.items() if t.failures] == ["time-change-gap-formula"]
+    assert "raw_time" in tally.examples[0] and "formula=" in tally.examples[0]["detail"]
 
 
 def test_contour_min_identity_reads_the_contour(reference_sticks, monkeypatch):
