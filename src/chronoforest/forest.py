@@ -57,6 +57,16 @@ __all__ = [
 ]
 
 
+def _clock_overflow(v: np.ndarray) -> ValueError:
+    """The error for sticks of life lengths ``v`` whose doubled total 2 *
+    sum(v) overflows a float, as it does whenever a birth time does (each
+    is at most the total life length of its ancestors)."""
+    return ValueError(
+        "the doubled total life length 2 * sum(v) overflows a float"
+        f" (largest v: {float(v.max())!r})"
+    )
+
+
 class ForestArrays(NamedTuple):
     """A forest of n individuals as flat arrays."""
 
@@ -144,9 +154,12 @@ def forest_arrays(counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray) -> 
     order = np.argsort(by_depth, kind="stable")
     bounds = np.cumsum(np.bincount(by_depth)).tolist()
     heights = np.zeros(span)
-    for lo, hi in zip(bounds, bounds[1:]):  # generations 1, 2, ...
-        idx = order[lo:hi]
-        heights[idx] = heights[parent[idx]] + birth_age[idx]
+    # a sum past the largest float is inf, which ``ChronForest`` and the
+    # contour reject with the overflow error
+    with np.errstate(over="ignore"):
+        for lo, hi in zip(bounds, bounds[1:]):  # generations 1, 2, ...
+            idx = order[lo:hi]
+            heights[idx] = heights[parent[idx]] + birth_age[idx]
 
     roots = depths[:n] == 0
     pending = len(ages) - n + int(np.count_nonzero(roots))
@@ -160,10 +173,13 @@ class ChronForest:
 
     ``arrays`` carries every individual's parent, birth age, birth time,
     generation and tree id (read-only), and the terminal entries and
-    pending stubs; ``batch.to_sticks()`` gives its sticks back.
+    pending stubs; ``batch.to_sticks()`` gives its sticks back.  Raises
+    ``ValueError`` when a birth time is not finite.
     """
 
     def __init__(self, batch: StickBatch, arrays: ForestArrays):
+        if not np.isfinite(arrays.heights).all():
+            raise _clock_overflow(batch.v)
         for a in arrays[:-1]:
             a.flags.writeable = False
         self.batch = batch
@@ -321,10 +337,7 @@ class ContourPath:
         # the doubled sums only grow, and a forest's heights stay below them,
         # so the clock is finite throughout exactly when its last entry is
         if not np.isfinite(visit_times[-1]):
-            raise ValueError(
-                "the doubled total life length 2 * sum(v) overflows a float"
-                f" (largest v: {float(v.max())!r})"
-            )
+            raise _clock_overflow(v)
         descents = visit_times[1:] - visit_times[:-1] - v
         # each descent carries a few ulps of rounding of the visit times
         tol = 1e-9 + 8.0 * np.finfo(float).eps * float(np.abs(visit_times).max())

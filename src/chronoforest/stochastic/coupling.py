@@ -21,6 +21,10 @@ are summed by each walk that has not yet crossed t.  A cumsum is a left
 fold, so one sum over a run of steps gives the same floats as step by
 step.  The step/mark check stays literal: it compares the step sizes and
 the flat age slices of the stream elements behind the last m + 1 steps.
+Only that check reads marks, so a block keeps its stick draw as drawn and
+is laid out (its ages arranged and its ``StickBatch`` checked) the first
+time one of its marks is read: a replica that ends undecided or without
+the event lays out no block.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from ..measures import StickBatch
 from .laws import StickLaw
 from .renewal import sample_vhat
 
@@ -78,15 +83,17 @@ _BLOCK = 256  # stream elements drawn at a time
 
 class _Blocks:
     """The i.i.d. stream of (sign, doubled life length 2V, mark), drawn
-    lazily in blocks of ``_BLOCK`` elements: one ``sample_batch`` and then
-    one block of fair signs, each time an element beyond the drawn ones is
+    lazily in blocks of ``_BLOCK`` elements: one ``law.draw`` and then one
+    block of fair signs, each time an element beyond the drawn ones is
     needed.  Element e is position e % _BLOCK of block e // _BLOCK; its mark
-    is the flat age slice of its stick in that block's batch."""
+    is the flat age slice of its stick in that block's ``StickBatch``, which
+    ``law.layout`` makes from the block's draw when a mark of the block is
+    first read and which then replaces the draw."""
 
     def __init__(self, law: StickLaw, rng: np.random.Generator):
         self.law = law
         self.rng = rng
-        self.batches: list = []
+        self.blocks: list = []  # each block's draw, or its StickBatch once laid out
         self.signs: list[np.ndarray] = []
         self.steps: list[np.ndarray] = []
 
@@ -94,11 +101,11 @@ class _Blocks:
         """Signs and steps of elements pos..stop-1, all inside one block;
         draws that block if it is the next one."""
         b = pos // _BLOCK
-        if b == len(self.batches):
-            batch = self.law.sample_batch(self.rng, _BLOCK)
-            self.batches.append(batch)
+        if b == len(self.blocks):
+            counts, v, ages = self.law.draw(self.rng, _BLOCK)
+            self.blocks.append((counts, v, ages))
             self.signs.append(self.rng.integers(0, 2, _BLOCK) * 2 - 1)
-            self.steps.append(2.0 * batch.v)
+            self.steps.append(2.0 * v)
         lo, hi = pos - b * _BLOCK, stop - b * _BLOCK
         return self.signs[b][lo:hi], self.steps[b][lo:hi]
 
@@ -109,7 +116,10 @@ class _Blocks:
         return float(self.steps[e // _BLOCK][e % _BLOCK])
 
     def mark(self, e: int) -> np.ndarray:
-        batch, i = self.batches[e // _BLOCK], e % _BLOCK
+        b, i = divmod(e, _BLOCK)
+        batch = self.blocks[b]
+        if not isinstance(batch, StickBatch):
+            batch = self.blocks[b] = self.law.layout(*batch)
         return batch.ages[batch.offsets[i] : batch.offsets[i + 1]]
 
 

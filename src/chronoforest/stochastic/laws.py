@@ -11,8 +11,17 @@ draws, its means and its parameter checks:
   counts, and lengths biased by their length (the stick covering a
   stationary inspection time);
 * an age part (uniform or lattice on (0, v], fixed atoms, one first atom
-  then ones): birth ages given counts and lives, non-increasing within
-  each stick.
+  then ones): birth ages given counts and lives, and their arrangement
+  non-increasing within each stick.
+
+A batch is made in two steps.  ``StickLaw.draw`` makes every generator
+call: the counts, then the lives, then the ages in draw order.
+``StickLaw.layout`` makes none: the age part's ``arrange`` puts each
+stick's ages in non-increasing order (a sort for uniform ages, nothing for
+parts that draw them in that order), and ``StickBatch`` checks the layout.
+``sample_batch`` is the two in a row; a caller that reads only some
+batches, such as the coupling stream, keeps the draws and lays a batch out
+when it first reads it.
 
 ``StickLaw(name, counts, life, ages)`` assembles the draws and derives the
 descriptors the scaling limits are built from: ``mean_offspring``,
@@ -328,9 +337,14 @@ class OnePlusCountLife(_Life):
 
 
 class _Ages:
+    def arrange(self, ages, counts):
+        """Each stick's drawn ages in non-increasing order; here they are
+        drawn in that order already."""
+        return ages
+
     def pick(self, rng, counts, v):
         """Age of one uniformly chosen atom per stick (counts >= 1)."""
-        ages = self.sample(rng, counts, v)
+        ages = self.arrange(self.sample(rng, counts, v), counts)
         return ages[StickBatch.offsets_for(counts)[:-1] + rng.integers(0, counts)]
 
 
@@ -346,9 +360,11 @@ class UniformAges(_Ages):
     def sample(self, rng, counts, v):
         reps = np.repeat(np.asarray(v, dtype=float), counts)
         if self.lattice is None:
-            ages = reps * (1.0 - rng.random(reps.shape))
-        else:
-            ages = reps * rng.integers(1, self.lattice + 1, size=len(reps)) / self.lattice
+            return reps * (1.0 - rng.random(reps.shape))
+        return reps * rng.integers(1, self.lattice + 1, size=len(reps)) / self.lattice
+
+    def arrange(self, ages, counts):
+        # i.i.d. draws come in any order: sort them within each stick
         return _sort_ages_desc(ages, counts)
 
     def mean_total(self, counts, life) -> float:
@@ -429,10 +445,19 @@ class StickLaw:
         self.span = life.span
         self.eps_rule = counts.eps_rule
 
-    def sample_batch(self, rng: np.random.Generator, n: int) -> StickBatch:
+    def draw(self, rng: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Counts, life lengths and flat ages of n sticks, each stick's
+        ages in draw order: every generator call of ``sample_batch``."""
         counts = self.counts.sample(rng, n)
         v = np.asarray(self.life.given(rng, counts), dtype=float)
-        return StickBatch(counts, v, self.ages.sample(rng, counts, v))
+        return counts, v, self.ages.sample(rng, counts, v)
+
+    def layout(self, counts: np.ndarray, v: np.ndarray, ages: np.ndarray) -> StickBatch:
+        """The checked ``StickBatch`` of a ``draw``; no generator call."""
+        return StickBatch(counts, v, self.ages.arrange(ages, counts))
+
+    def sample_batch(self, rng: np.random.Generator, n: int) -> StickBatch:
+        return self.layout(*self.draw(rng, n))
 
     def sample_stick(self, rng: np.random.Generator) -> Stick:
         return self.sample_batch(rng, 1).stick(0)

@@ -434,3 +434,43 @@ def test_walks_are_summed_once_before_the_meeting_and_never_past_their_crossing(
         "meeting after the first block",
         "one walk crossed before the meeting, the other after",
     }
+
+
+def test_only_blocks_whose_marks_are_read_are_laid_out(monkeypatch, rng):
+    from chronoforest.stochastic import coupling
+
+    draws, layouts, marked = [], [], []
+    draw, layout, mark = StickLaw.draw, StickLaw.layout, coupling._Blocks.mark
+
+    def counting_draw(self, rng, n):
+        draws.append(n)
+        return draw(self, rng, n)
+
+    def counting_layout(self, counts, v, ages):
+        layouts.append(len(counts))
+        return layout(self, counts, v, ages)
+
+    def recording_mark(self, e):
+        marked.append(e)
+        return mark(self, e)
+
+    monkeypatch.setattr(StickLaw, "draw", counting_draw)
+    monkeypatch.setattr(StickLaw, "layout", counting_layout)
+    monkeypatch.setattr(coupling._Blocks, "mark", recording_mark)
+    m, seen = 3, set()
+    for law, eps in ((GaltonWatsonUnitLaw(1.0), 0.0), (ExponentialUniformLaw(rate=1.0), 0.5)):
+        for _ in range(150):
+            draws.clear()
+            layouts.clear()
+            marked.clear()
+            r = run_coupling(law, eps, 16.0, m, rng, meet_budget=600, walk_budget=20_000)
+            seen.add(r.undecided_reason or r.status)
+            # a block is laid out once, on the first read of one of its marks
+            assert len(layouts) == len({e // 256 for e in marked}) <= len(draws)
+            if r.status == "held":
+                assert len(marked) == 2 * (m + 1)
+            elif r.status != "violated":
+                assert layouts == [] and marked == []
+            if r.undecided_reason == "meet_budget":
+                assert len(draws) == 3  # 600 elements drawn, none laid out
+    assert seen >= {"meet_budget", "held", "no_event"}

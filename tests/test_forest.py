@@ -2,6 +2,7 @@
 
 import csv
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -91,6 +92,23 @@ def test_contour_clock_exact_on_constant_v_forest():
     path = contour_path(forest)
     heights = forest.arrays.heights
     assert np.array_equal(path.visit_times, 2.0 * np.arange(len(sticks) + 1) - heights)
+
+
+def test_overflowing_birth_times_are_rejected():
+    # the second stick's birth time is 1e308 and the third's 2e308, which is
+    # inf; both constructions raise the contour clock's own error, and the
+    # kernel's sum does not warn on the way
+    sticks = [Stick(1e308, PointMeasure([1e308]))] * 2 + [Stick(1e308, PointMeasure())]
+    message = "the doubled total life length 2 * sum(v) overflows a float (largest v: 1e+308)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for construct in (build_forest, graft_forest):
+            with pytest.raises(ValueError) as info:
+                construct(sticks)
+            assert str(info.value) == message, construct.__name__
+        with pytest.raises(ValueError) as info:
+            ContourPath.from_heights(np.zeros(4), np.full(3, 1e308))
+        assert str(info.value) == message
 
 
 def test_contour_rejects_heights_above_a_peak():

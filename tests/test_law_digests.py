@@ -145,3 +145,18 @@ def test_golden_specs_use_every_name_and_key():
 @pytest.mark.parametrize("spec", list(GOLDEN["digests"]))
 def test_law_draws_match_golden_digests(spec):
     assert law_digests(spec) == GOLDEN["digests"][spec]
+
+
+@pytest.mark.parametrize("n", [0, 1, 256])
+@pytest.mark.parametrize("spec", list(GOLDEN["digests"]))
+def test_layout_of_draw_is_sample_batch(spec, n):
+    # the specs above use every name and key; drawing and laying out apart
+    # gives the batch, field by field and bit for bit, and the generator
+    # state of one sample_batch call
+    law = parse_law(spec)
+    rng, rng2 = np.random.default_rng([2026, n]), np.random.default_rng([2026, n])
+    split, whole = law.layout(*law.draw(rng, n)), law.sample_batch(rng2, n)
+    for name in ("counts", "v", "ages", "offsets"):
+        a, b = getattr(split, name), getattr(whole, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert rng.bit_generator.state == rng2.bit_generator.state

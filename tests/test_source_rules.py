@@ -94,21 +94,22 @@ def test_public_exports_resolve():
         exec(f"from {package} import *", {})
 
 
+def _node_names(node: ast.AST) -> set:
+    """What one node names: an identifier, attribute, definition, import
+    alias or string constant."""
+    return {
+        getattr(node, "id", None),
+        getattr(node, "attr", None),
+        getattr(node, "name", None),
+        getattr(node, "asname", None),
+        getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
+    }
+
+
 def _names(tree: ast.AST, name: str) -> list[int]:
     """Lines where ``tree`` names ``name``: as an identifier, attribute,
     definition, import alias or string constant."""
-    lines = []
-    for node in ast.walk(tree):
-        names = {
-            getattr(node, "id", None),
-            getattr(node, "attr", None),
-            getattr(node, "name", None),
-            getattr(node, "asname", None),
-            getattr(node, "value", None) if isinstance(node, ast.Constant) else None,
-        }
-        if name in names:
-            lines.append(getattr(node, "lineno", "?"))
-    return lines
+    return [getattr(node, "lineno", "?") for node in ast.walk(tree) if name in _node_names(node)]
 
 
 def _named_outside(name: str, allowed: set[str]) -> list[str]:
@@ -146,6 +147,56 @@ def test_unchecked_measure_constructor_stays_in_measures():
             assert _names(ast.parse(snippet), name) == [], snippet
         found = _named_outside(name, {"measures.py"})
         assert not found, f"{name} referenced outside measures.py: " + ", ".join(found)
+
+
+def _sort_outside_arrange(tree: ast.AST) -> list[int]:
+    """Lines that name ``_sort_ages_desc`` other than its module-level
+    definition and the calls made in the body of an ``arrange`` method."""
+    allowed = {
+        id(node.func)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for method in cls.body
+        if isinstance(method, ast.FunctionDef) and method.name == "arrange"
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call)
+    }
+    allowed |= {id(node) for node in getattr(tree, "body", []) if isinstance(node, ast.FunctionDef)}
+    return [
+        getattr(node, "lineno", "?")
+        for node in ast.walk(tree)
+        if id(node) not in allowed and "_sort_ages_desc" in _node_names(node)
+    ]
+
+
+def test_ages_are_sorted_only_by_the_age_parts_arrange():
+    # ``StickLaw.draw`` returns ages in draw order and ``StickLaw.layout``
+    # arranges them, so the sort has one caller: the age part's ``arrange``
+    for snippet, expected in [
+        ("def _sort_ages_desc(ages, counts): pass", []),
+        ("class U:\n    def arrange(self, a, c):\n        return _sort_ages_desc(a, c)", []),
+        ("class U:\n    def sample(self, a, c):\n        return _sort_ages_desc(a, c)", [3]),
+        ("def arrange(a, c):\n    return _sort_ages_desc(a, c)", [2]),
+        ("class U:\n    arrange = staticmethod(_sort_ages_desc)", [2]),
+        ("ages = laws._sort_ages_desc(ages, counts)", [1]),
+        ("from .laws import _sort_ages_desc", [1]),
+    ]:
+        assert _sort_outside_arrange(ast.parse(snippet)) == expected, snippet
+    path = Path(chronoforest.__file__).resolve().parent / "stochastic" / "laws.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _names(tree, "_sort_ages_desc")
+    found = [f"stochastic/laws.py:{line}" for line in _sort_outside_arrange(tree)]
+    found += _named_outside("_sort_ages_desc", {"stochastic/laws.py"})
+    assert not found, "_sort_ages_desc named outside an age part's arrange: " + ", ".join(found)
+
+
+def test_coupling_stream_draws_without_laying_out():
+    # the coupling stream keeps each block's ``draw`` and lays a block out
+    # only when it reads one of its marks; ``sample_batch`` would lay out
+    # every block
+    path = Path(chronoforest.__file__).resolve().parent / "stochastic" / "coupling.py"
+    found = _names(ast.parse(path.read_text(), filename=str(path)), "sample_batch")
+    assert not found, "stochastic/coupling.py names sample_batch at lines " + ", ".join(map(str, found))
 
 
 def _imports(tree: ast.AST, package: str) -> list[int]:
