@@ -104,7 +104,7 @@ def _cmd_build(args) -> int:
     path = contour_path(forest)  # rejects an overflowing clock before any output
     if args.sticks_out:
         with open(args.sticks_out, "w", encoding="utf-8") as fh:
-            fh.write(sticks_to_json(forest.batch.to_sticks()) + "\n")
+            fh.write(sticks_to_json(forest.batch) + "\n")
     out, close = _open_out(args.forest_out)
     try:
         write_forest_csv(forest, out)
@@ -127,7 +127,7 @@ def _cmd_verify(args) -> int:
     rng = _rng(args.seed)
     report = IdentityReport()
     if args.input is not None:
-        sticks = sticks_from_json(_read_text(args.input))
+        sticks = sticks_from_json(_read_text(args.input)).to_sticks()
         report.merge(verify_identities(sticks, max_pairs=args.pairs, rng=rng))
     else:
         for _ in range(args.forests):

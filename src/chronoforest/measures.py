@@ -21,14 +21,13 @@ element).  The zero measure acts as the neutral element for concatenation,
 and the ``sup_support`` functional extends additively to sequences, summed
 root first as grafting sums birth times (``root_first_sum``).
 
-A *stick batch* is the flat-array form of a stick sequence that the samplers
-and the height kernel work on; ``StickBatch`` owns its layout.
-``StickBatch.to_sticks`` checks a whole batch once, in arrays, and reports
-the first bad stick through the checking constructors, so its error is the
-one ``Stick`` and ``PointMeasure`` raise.  That array check replaces the
-per-stick constructor checks: a checked batch becomes sticks through the
-module-private ``_unchecked_stick``, which fills the slots of ``Stick``
-without running ``__init__``, and every childless stick shares ``ZERO``.
+A *stick batch* is the flat-array form of a stick sequence that the samplers,
+the height kernel and stick files work on; ``StickBatch`` owns its layout and
+its JSON form.  ``Stick`` and ``PointMeasure`` are the oracle's per-stick
+types: ``StickBatch.to_sticks`` checks a whole batch once, in arrays, and the
+first bad stick raises their constructors' error.  That array check replaces
+the per-stick constructor checks: the module-private ``_unchecked_stick``
+fills the slots of ``Stick`` without running ``__init__``.
 """
 
 from __future__ import annotations
@@ -151,21 +150,6 @@ class Stick:
                 f"birth age {self.births.sup_support!r} exceeds life length {self.v!r}"
             )
 
-    def to_json(self) -> dict:
-        return {"v": self.v, "births": list(self.births.atoms)}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "Stick":
-        """The stick of ``{"v": number, "births": [number, ...]}``."""
-        if not isinstance(obj, dict) or "v" not in obj or "births" not in obj:
-            raise ValueError(f"stick must be an object with 'v' and 'births', got {obj!r}")
-        v, births = obj["v"], obj["births"]
-        if not _is_number(v):
-            raise ValueError(f"'v' must be a number, got {v!r}")
-        if not isinstance(births, list) or not all(map(_is_number, births)):
-            raise ValueError(f"'births' must be an array of numbers, got {births!r}")
-        return cls(float(v), PointMeasure(births))
-
 
 _set_stick_v, _set_stick_births = Stick.v.__set__, Stick.births.__set__
 
@@ -179,9 +163,10 @@ def _unchecked_stick(v: float, births: PointMeasure) -> Stick:
     return s
 
 
-def _is_number(x) -> bool:
+def _all_of(kind, values) -> bool:
+    # ``all(isinstance(x, kind) for x in values)``, one test per distinct type;
     # ``bool`` subclasses ``int``, but JSON's true and false are not numbers
-    return isinstance(x, (int, float)) and not isinstance(x, bool)
+    return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
 
 
 @dataclass
@@ -230,9 +215,10 @@ class StickBatch:
         np.cumsum(counts, out=offsets[1:])
         return offsets
 
-    @property
-    def n(self) -> int:
+    def __len__(self) -> int:
         return len(self.counts)
+
+    n = property(__len__)
 
     def measure(self, i: int) -> PointMeasure:
         return PointMeasure(self.ages[self.offsets[i] : self.offsets[i + 1]])
@@ -240,32 +226,67 @@ class StickBatch:
     def stick(self, i: int) -> Stick:
         return Stick(float(self.v[i]), self.measure(i))
 
-    def to_sticks(self) -> list[Stick]:
-        """``[self.stick(k) for k in range(self.n)]``, checked once in arrays.
-
-        The array tests are exactly those of ``PointMeasure`` and ``Stick``:
-        ages finite and positive, ``0 < v < inf``, each stick's first
-        (largest) age at most its ``v``.  The first stick failing one is
-        rebuilt by ``stick(k)``, so the constructors raise their own error.
-        Once the batch passes, the array check replaces the per-stick
-        constructor checks: each stick is made by ``_unchecked_stick``, its
-        atom tuple is a slice of the non-increasing layout, and every
-        childless stick shares ``ZERO``.
-        """
+    def _first_bad_stick(self) -> int:
+        """The first stick (or -1) that breaks a rule of ``PointMeasure`` or ``Stick``: ages
+        finite and positive, ``0 < v < inf``, each stick's first (largest) age at most its ``v``."""
         v, ages, offsets = self.v, self.ages, self.offsets
         bad = ~((v > 0.0) & (v < math.inf))
         full = self.counts > 0
         bad[full] |= ages[offsets[:-1][full]] > v[full]
         bad_ages = np.flatnonzero(~(np.isfinite(ages) & (ages > 0.0)))
         bad[np.searchsorted(offsets, bad_ages, side="right") - 1] = True
-        if bad.any():
-            self.stick(int(bad.argmax()))  # raises the constructors' error
-        flat, bounds = ages.tolist(), offsets.tolist()
+        return int(bad.argmax()) if bad.any() else -1
+
+    def to_sticks(self) -> list[Stick]:
+        """``[self.stick(k) for k in range(self.n)]``, checked once in arrays by
+        ``_first_bad_stick``; that stick is rebuilt by ``stick(k)``, so the
+        constructors raise their own error.  Once the batch passes, the array
+        check replaces the per-stick constructor checks: each stick is made by
+        ``_unchecked_stick``, its atom tuple is a slice of the non-increasing
+        layout, and every childless stick shares ``ZERO``."""
+        k = self._first_bad_stick()
+        if k >= 0:
+            self.stick(k)  # raises the constructors' error
+        flat, bounds = self.ages.tolist(), self.offsets.tolist()
         measure, stick = PointMeasure._from_sorted, _unchecked_stick
         return [
             stick(life, ZERO if a == b else measure(tuple(flat[a:b])))
-            for life, a, b in zip(v.tolist(), bounds, bounds[1:])
+            for life, a, b in zip(self.v.tolist(), bounds, bounds[1:])
         ]
+
+    def to_json(self) -> list[dict]:
+        """One ``{"v": number, "births": [number, ...]}`` object per stick, births largest first."""
+        flat, bounds = self.ages.tolist(), self.offsets.tolist()
+        return [{"v": life, "births": flat[a:b]} for life, a, b in zip(self.v.tolist(), bounds, bounds[1:])]
+
+    @classmethod
+    def from_json(cls, data) -> "StickBatch":
+        """The checked batch of ``[{"v": number, "births": [number, ...]}, ...]``, births sorted
+        as ``PointMeasure`` sorts them.  Types are checked per distinct type and the stick rules
+        in arrays; if either fails, the first bad stick in file order raises its own error."""
+        if not isinstance(data, list):
+            raise ValueError("stick file must contain a JSON array")
+        try:
+            v, births = [obj["v"] for obj in data], [obj["births"] for obj in data]
+            typed = _all_of(dict, data) and _all_of((int, float), v) and _all_of(list, births)
+            if typed and _all_of((int, float), chain.from_iterable(births)):
+                births = [sorted(map(float, b), reverse=True) for b in births]
+                batch = cls(list(map(len, births)), list(map(float, v)), list(chain.from_iterable(births)))
+                if batch._first_bad_stick() < 0:
+                    return batch
+        except (KeyError, TypeError, OverflowError, ValueError):  # a non-object, a missing key, a big int, a nan
+            pass
+        for i, obj in enumerate(data):  # reached only when some stick is bad
+            try:
+                if not isinstance(obj, dict) or "v" not in obj or "births" not in obj:
+                    raise ValueError(f"stick must be an object with 'v' and 'births', got {obj!r}")
+                if not _all_of((int, float), [obj["v"]]):
+                    raise ValueError(f"'v' must be a number, got {obj['v']!r}")
+                if not isinstance(obj["births"], list) or not _all_of((int, float), obj["births"]):
+                    raise ValueError(f"'births' must be an array of numbers, got {obj['births']!r}")
+                Stick(float(obj["v"]), PointMeasure(obj["births"]))  # the constructors raise their own error
+            except (ValueError, OverflowError) as exc:  # an int too big for a float
+                raise ValueError(f"stick {i}: {exc}") from exc
 
     @classmethod
     def from_sticks(cls, sticks: Sequence[Stick]) -> "StickBatch":
@@ -331,23 +352,13 @@ def root_first_sum(ages: Iterable[float]) -> float:
     return reduce(operator.add, ages, 0.0)
 
 
-def sticks_to_json(sticks: Sequence[Stick]) -> str:
-    return json.dumps([s.to_json() for s in sticks])
+def sticks_to_json(batch: StickBatch) -> str:
+    return json.dumps(batch.to_json())
 
 
-def sticks_from_json(text: str) -> list[Stick]:
-    """Parse a JSON array of ``{"v": ..., "births": [...]}`` objects.
-
-    Errors carry the offending stick index (JSON syntax errors already carry
-    line/column information from the json module).
-    """
-    data = json.loads(text)
-    if not isinstance(data, list):
-        raise ValueError("stick file must contain a JSON array")
-    sticks = []
-    for i, obj in enumerate(data):
-        try:
-            sticks.append(Stick.from_json(obj))
-        except (ValueError, TypeError, OverflowError) as exc:  # an int too big for a float
-            raise ValueError(f"stick {i}: {exc}") from exc
-    return sticks
+def sticks_from_json(text: str) -> StickBatch:
+    """``StickBatch.from_json`` of a JSON text (syntax errors carry the json module's line and column)."""
+    try:
+        return StickBatch.from_json(json.loads(text))
+    except RecursionError:
+        raise ValueError("stick file nests too deeply") from None

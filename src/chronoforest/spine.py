@@ -214,9 +214,7 @@ class _Context:
         return self._shifted[key]
 
     def reproducer(self, **kw) -> dict:
-        out = {"sticks": [s.to_json() for s in self.sticks]}
-        out.update(kw)
-        return out
+        return {"sticks": self.batch.to_json(), **kw}
 
 
 def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:

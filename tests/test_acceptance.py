@@ -267,7 +267,7 @@ def test_criterion_7_example_families():
                         batch.counts, batch.offsets, batch.ages
                     )
                     assert np.array_equal(heights, depths.astype(float))
-                path = contour_path(build_forest(batch.to_sticks()))
+                path = contour_path(build_forest(batch))
                 # window width eps_p in the rescaled clock = p * eps_p raw
                 vals.append(eps * max_rise_in_window(path, p * eps))
             stats.append(float(np.median(vals)))

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from chronoforest.cli import main
-from chronoforest.measures import sticks_from_json, sticks_to_json
+from chronoforest.measures import StickBatch, sticks_from_json, sticks_to_json
 from chronoforest.stochastic.laws import _LAWS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -36,7 +36,7 @@ GOLDEN_FOREST_ROWS = [
 @pytest.fixture
 def fixture_json(tmp_path, reference_sticks):
     path = tmp_path / "sticks.json"
-    path.write_text(sticks_to_json(reference_sticks))
+    path.write_text(sticks_to_json(StickBatch.from_sticks(reference_sticks)))
     return path
 
 
@@ -81,9 +81,9 @@ def test_build_sampled_law(tmp_path):
     )
     assert rc == 0
     assert len(forest_out.read_text().strip().splitlines()) == 41
-    sticks = sticks_from_json(sticks_out.read_text())
-    assert len(sticks) == 40
-    assert all(s.v == 1.0 for s in sticks)
+    batch = sticks_from_json(sticks_out.read_text())
+    assert len(batch) == 40
+    assert (batch.v == 1.0).all()
 
 
 def test_build_sticks_out_round_trips(tmp_path):
@@ -607,6 +607,7 @@ BAD_STICKS_JSON = [
     ('[{"v": 1, "births": [true]}]', "stick 0: 'births' must be an array of numbers, got [True]"),
     ('[{"v": true, "births": []}]', "stick 0: 'v' must be a number, got True"),
     ('[{"v": 2, "births": [' + BIG_INT + ']}]', "stick 0: int too large to convert to float"),
+    ('[{"v": 1, "births": []}, {"v": ' + BIG_INT + ', "births": []}]', "stick 1: int too large to convert to float"),
 ]
 
 
@@ -620,6 +621,32 @@ def test_sticks_json_needs_numbers(tmp_path, monkeypatch, capsys, text, message)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+
+
+def test_deeply_nested_stick_file_is_bad_input(tmp_path, monkeypatch, capsys):
+    # json's recursion limit is bad input (exit 2), not a traceback and the
+    # "violation found" status 1
+    text = "[" * 100_000
+    path = tmp_path / "sticks.json"
+    path.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(text))
+    for argv in (["build", "--input", "-"], ["verify", "--input", str(path)]):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: stick file nests too deeply\n"
+
+
+# SHA-256 of the stick file of ``build --law "geo-uniform(mean=1.0,v=1.0)"
+# --n 2000 --seed 2131 --sticks-out``, as the per-stick writer wrote it
+STICKS_OUT_DIGEST = "a2f45cef90a6a56d3138b91d1978a54faca6baec4353883a34eefe06cc08494d"
+
+
+def test_sticks_out_file_is_pinned(tmp_path):
+    sticks_out = tmp_path / "sticks.json"
+    argv = ["build", "--law", "geo-uniform(mean=1.0,v=1.0)", "--n", "2000", "--seed", "2131"]
+    assert main([*argv, "--sticks-out", str(sticks_out), "--forest-out", str(tmp_path / "f.csv"), "--quiet"]) == 0
+    assert hashlib.sha256(sticks_out.read_bytes()).hexdigest() == STICKS_OUT_DIGEST
 
 
 def test_import_does_not_load_scipy_special():

@@ -5,7 +5,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from chronoforest.measures import (
@@ -14,6 +14,7 @@ from chronoforest.measures import (
     PointMeasure,
     SpineSeq,
     Stick,
+    StickBatch,
     sticks_from_json,
     sticks_to_json,
 )
@@ -96,10 +97,10 @@ def test_nonfinite_values_rejected(bad):
 
 
 def test_stick_json_round_trip(reference_sticks):
-    text = sticks_to_json(reference_sticks)
+    text = sticks_to_json(StickBatch.from_sticks(reference_sticks))
     back = sticks_from_json(text)
-    assert back == reference_sticks
-    assert sticks_from_json(sticks_to_json([])) == []
+    assert back.to_sticks() == reference_sticks
+    assert sticks_from_json(sticks_to_json(StickBatch([], [], []))).n == 0
     # The payload is plain JSON: a list of {v, births} objects.
     payload = json.loads(text)
     assert payload[0]["v"] == 2.0
@@ -147,3 +148,143 @@ def test_atoms_round_trip_as_array(atoms):
     assert arr.shape == (len(atoms),)
     if len(atoms) > 1:
         assert np.all(np.diff(arr) <= 0)
+
+
+# The per-stick codec that ``StickBatch.from_json`` and ``to_json`` replace,
+# kept as their oracle: one ``Stick`` per JSON object, checked by its
+# constructors.
+
+
+def _is_number(x) -> bool:
+    # ``bool`` subclasses ``int``, but JSON's true and false are not numbers
+    return isinstance(x, (int, float)) and not isinstance(x, bool)
+
+
+def oracle_stick_from_json(obj) -> Stick:
+    if not isinstance(obj, dict) or "v" not in obj or "births" not in obj:
+        raise ValueError(f"stick must be an object with 'v' and 'births', got {obj!r}")
+    v, births = obj["v"], obj["births"]
+    if not _is_number(v):
+        raise ValueError(f"'v' must be a number, got {v!r}")
+    if not isinstance(births, list) or not all(map(_is_number, births)):
+        raise ValueError(f"'births' must be an array of numbers, got {births!r}")
+    return Stick(float(v), PointMeasure(births))
+
+
+def oracle_sticks_from_json(text: str) -> list[Stick]:
+    data = json.loads(text)
+    if not isinstance(data, list):
+        raise ValueError("stick file must contain a JSON array")
+    sticks = []
+    for i, obj in enumerate(data):
+        try:
+            sticks.append(oracle_stick_from_json(obj))
+        except (ValueError, TypeError, OverflowError) as exc:  # an int too big for a float
+            raise ValueError(f"stick {i}: {exc}") from exc
+    return sticks
+
+
+def oracle_sticks_to_json(sticks: list[Stick]) -> str:
+    return json.dumps([{"v": s.v, "births": list(s.births.atoms)} for s in sticks])
+
+
+@st.composite
+def stick_objects(draw) -> dict:
+    """A valid stick object: ``v`` an int or a float, births unsorted, some
+    of them ints and exact ties on a lattice."""
+    v = draw(st.one_of(st.integers(1, 4), st.floats(min_value=1e-3, max_value=1e3)))
+    ages = st.floats(min_value=1e-3, max_value=v)  # an atom exactly at death is fine
+    lattice = [a for a in (0.25, 0.5, 1, 1.5, 2, 3, 4) if a <= v]
+    if lattice:
+        ages = ages | st.sampled_from(lattice)
+    return {"v": v, "births": draw(st.lists(ages, max_size=8))}
+
+
+LONG_STICK = {"v": 2, "births": [(k * 7919) % 400 / 200 + 0.005 for k in range(10_000)] + [1, 2]}
+
+
+@seed(2137)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(stick_objects(), max_size=30))
+@example([])
+@example([{"v": 1, "births": []}, {"v": 2.5, "births": []}, {"v": 1e-3, "births": []}])
+@example([{"v": 5, "births": [1, 3, 2, 5, 3]}, {"v": 1.0, "births": [0.5, 1, 0.25, 0.5]}])
+@example([LONG_STICK])
+def test_stick_codec_matches_the_per_stick_oracle(objs):
+    text = json.dumps(objs)
+    batch = sticks_from_json(text)
+    sticks = oracle_sticks_from_json(text)
+    expected = StickBatch.from_sticks(sticks)
+    for name in ("counts", "v", "ages", "offsets"):
+        got, want = getattr(batch, name), getattr(expected, name)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), name
+    assert sticks_to_json(batch) == oracle_sticks_to_json(sticks)
+    assert batch.to_json() == json.loads(oracle_sticks_to_json(sticks))
+
+
+BIG_INT = 10**400
+BAD_STICK_OBJECTS = [
+    {"v": 1, "births": [math.nan]},
+    {"v": 2, "births": [1.0, math.nan, 0.5, 2.0, math.inf]},  # the sort sees nan
+    {"v": 2, "births": [math.inf, 0.5]},
+    {"v": 2, "births": [0.5, -math.inf]},
+    {"v": 1, "births": [0.5, 0.0]},
+    {"v": 1, "births": [-0.5]},
+    {"v": 0, "births": []},
+    {"v": -1.5, "births": [0.5]},
+    {"v": math.inf, "births": []},
+    {"v": math.nan, "births": [0.5]},
+    {"v": 1, "births": [1.5, 0.5]},  # a birth after death
+    {"v": 1, "births": [math.nan, 1.5]},
+    {"v": True, "births": []},
+    {"v": 1, "births": [0.5, False]},
+    {"v": "2", "births": []},
+    {"v": 2, "births": ["1"]},
+    {"v": 2, "births": "12"},
+    {"v": 2, "births": {"a": 1}},
+    {"v": BIG_INT, "births": []},
+    {"v": 2, "births": [0.5, BIG_INT]},
+    {"v": 2, "births": [-BIG_INT]},
+    {"v": 0, "births": [BIG_INT]},
+    {"v": None, "births": []},
+    [2, [0.5]],
+    3,
+    "stick",
+    None,
+    {"births": [0.5]},
+    {"v": 1},
+    {},
+]
+
+
+@seed(2139)
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(stick_objects(), max_size=12),
+    st.lists(st.tuples(st.integers(0, 12), st.sampled_from(BAD_STICK_OBJECTS)), min_size=1, max_size=2),
+)
+def test_stick_codec_errors_match_the_oracle(objs, bad):
+    # one or two bad sticks among good ones: the error names the first bad
+    # stick in file order, with the text the per-stick reader gives
+    for i, obj in bad:
+        objs.insert(i, obj)
+    text = json.dumps(objs)
+    with pytest.raises(ValueError) as want:
+        oracle_sticks_from_json(text)
+    with pytest.raises(ValueError) as got:
+        sticks_from_json(text)
+    assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("text", ["{}", '{"v": 1, "births": []}', "3", '"sticks"', "null", "[1, 2"])
+def test_stick_file_must_be_an_array(text):
+    with pytest.raises(ValueError) as want:
+        oracle_sticks_from_json(text)
+    with pytest.raises(ValueError) as got:
+        sticks_from_json(text)
+    assert str(got.value) == str(want.value)
+
+
+def test_too_deeply_nested_stick_file_is_a_value_error():
+    with pytest.raises(ValueError, match="^stick file nests too deeply$"):
+        sticks_from_json("[" * 100_000)

@@ -149,6 +149,46 @@ def test_unchecked_measure_constructor_stays_in_measures():
         assert not found, f"{name} referenced outside measures.py: " + ", ".join(found)
 
 
+def _per_stick_codec(tree: ast.AST) -> list[str]:
+    """Where the stick JSON form leaves ``StickBatch``: ``to_json`` or
+    ``from_json`` named in class ``Stick``, or ``to_sticks``, ``Stick`` or
+    ``PointMeasure`` named in ``_cmd_build``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and node.name == "Stick":
+            found += [f"Stick.{name}:{line}" for name in ("to_json", "from_json") for line in _names(node, name)]
+        elif isinstance(node, ast.FunctionDef) and node.name == "_cmd_build":
+            names = ("to_sticks", "Stick", "PointMeasure")
+            found += [f"_cmd_build.{name}:{line}" for name in names for line in _names(node, name)]
+    return found
+
+
+def test_stick_files_are_read_and_written_as_batches():
+    # a stick file is one ``StickBatch`` from file to forest: ``Stick`` has
+    # no JSON form of its own, and ``build`` makes no per-stick objects
+    for snippet, expected in [
+        ("class Stick:\n    def to_json(self): pass", ["Stick.to_json:2"]),
+        ("class Stick:\n    @classmethod\n    def from_json(cls, obj): pass", ["Stick.from_json:3"]),
+        ("class Stick:\n    to_json = _stick_json", ["Stick.to_json:2"]),
+        ("class StickBatch:\n    def to_json(self): pass\n    def from_json(cls, d): pass", []),
+        ("def _cmd_build(args):\n    w(sticks_to_json(forest.batch.to_sticks()))", ["_cmd_build.to_sticks:2"]),
+        ("def _cmd_build(args):\n    from .measures import Stick", ["_cmd_build.Stick:2"]),
+        ("def _cmd_build(args):\n    m = measures.PointMeasure(a)", ["_cmd_build.PointMeasure:2"]),
+        ("def _cmd_build(args):\n    f = build_forest(StickBatch.from_json(d))", []),
+        ("def _cmd_verify(args):\n    sticks = batch.to_sticks()", []),
+    ]:
+        assert _per_stick_codec(ast.parse(snippet)) == expected, snippet
+    root = Path(chronoforest.__file__).resolve().parent
+    tree = ast.parse((root / "cli.py").read_text(), filename="cli.py")
+    assert any(isinstance(node, ast.FunctionDef) and node.name == "_cmd_build" for node in ast.walk(tree))
+    found = [
+        f"{path.relative_to(root)}:{where}"
+        for path in sorted(root.rglob("*.py"))
+        for where in _per_stick_codec(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, "per-stick JSON or objects in the stick file path: " + ", ".join(found)
+
+
 def _sort_outside_arrange(tree: ast.AST) -> list[int]:
     """Lines that name ``_sort_ages_desc`` other than its module-level
     definition and the calls made in the body of an ``arrange`` method."""
