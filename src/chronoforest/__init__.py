@@ -9,10 +9,8 @@ probe the large-population behaviour of those processes.
 """
 
 from .measures import (
-    EMPTY_SPINE,
     ZERO,
     PointMeasure,
-    SpineSeq,
     Stick,
     sticks_from_json,
     sticks_to_json,
@@ -42,6 +40,7 @@ from .spine import (
     height_profile_arrays,
     phi,
     shifted_spine,
+    spine_height,
     spine_states,
     verify_identities,
 )
@@ -49,10 +48,8 @@ from .spine import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "EMPTY_SPINE",
     "ZERO",
     "PointMeasure",
-    "SpineSeq",
     "Stick",
     "sticks_from_json",
     "sticks_to_json",
@@ -76,6 +73,7 @@ __all__ = [
     "height_profile_arrays",
     "phi",
     "shifted_spine",
+    "spine_height",
     "spine_states",
     "verify_identities",
     "__version__",

@@ -1,4 +1,4 @@
-"""Finite point measures of birth ages, sticks, and spine sequences.
+"""Finite point measures of birth ages, sticks, and stick batches.
 
 The elementary datum of the whole package is a *stick*: a life length ``v``
 together with a finite point measure of birth ages supported on ``(0, v]``.
@@ -12,14 +12,8 @@ A forest is grown from a sequence of sticks, and every functional downstream
 
 Atoms are kept sorted in non-increasing order.  The sort is stable, so equal
 ages keep their insertion order; that pins down a deterministic answer for
-``truncate_largest`` under ties.
-
-A *spine sequence* is a finite sequence of non-zero point measures.  It
-records, for a focal individual, the unexplored birth ages carried by each of
-its ancestors, from the most ancient (element 0) down to its parent (last
-element).  The zero measure acts as the neutral element for concatenation,
-and the ``sup_support`` functional extends additively to sequences, summed
-root first as grafting sums birth times (``root_first_sum``).
+``truncate_largest`` under ties.  Ages along a line of descent are summed
+root first, as grafting sums birth times (``root_first_sum``).
 
 A *stick batch* is the flat-array form of a stick sequence that the samplers,
 the height kernel and stick files work on; ``StickBatch`` owns its layout and
@@ -47,8 +41,6 @@ __all__ = [
     "ZERO",
     "Stick",
     "StickBatch",
-    "SpineSeq",
-    "EMPTY_SPINE",
     "sticks_to_json",
     "sticks_from_json",
 ]
@@ -169,6 +161,19 @@ def _all_of(kind, values) -> bool:
     return all(issubclass(t, kind) and t is not bool for t in set(map(type, values)))
 
 
+_JSON_TYPES = {dict: "object", list: "array", str: "string", int: "number", float: "number", bool: "boolean"}
+
+
+def _json_type(x) -> str:
+    return _JSON_TYPES.get(type(x), "null" if x is None else type(x).__name__)
+
+
+def _shown(x) -> str:
+    # a scalar as it is, an array or object by its JSON type: an error line
+    # never quotes a whole stick or its births
+    return _json_type(x) if isinstance(x, (list, dict)) else repr(x)
+
+
 @dataclass
 class StickBatch:
     """A batch of sticks in flat-array form.
@@ -278,13 +283,20 @@ class StickBatch:
             pass
         for i, obj in enumerate(data):  # reached only when some stick is bad
             try:
-                if not isinstance(obj, dict) or "v" not in obj or "births" not in obj:
-                    raise ValueError(f"stick must be an object with 'v' and 'births', got {obj!r}")
-                if not _all_of((int, float), [obj["v"]]):
-                    raise ValueError(f"'v' must be a number, got {obj['v']!r}")
-                if not isinstance(obj["births"], list) or not _all_of((int, float), obj["births"]):
-                    raise ValueError(f"'births' must be an array of numbers, got {obj['births']!r}")
-                Stick(float(obj["v"]), PointMeasure(obj["births"]))  # the constructors raise their own error
+                if not isinstance(obj, dict):
+                    raise ValueError(f"stick must be an object with 'v' and 'births', got {_json_type(obj)}")
+                for key in ("v", "births"):
+                    if key not in obj:
+                        raise ValueError(f"missing key {key!r}")
+                v, births = obj["v"], obj["births"]
+                if not _all_of((int, float), [v]):
+                    raise ValueError(f"'v' must be a number, got {_shown(v)}")
+                if not isinstance(births, list):
+                    raise ValueError(f"'births' must be an array of numbers, got {_shown(births)}")
+                for k, age in enumerate(births):
+                    if not _all_of((int, float), [age]):
+                        raise ValueError(f"births[{k}] must be a number, got {_shown(age)}")
+                Stick(float(v), PointMeasure(births))  # the constructors raise their own error
             except (ValueError, OverflowError) as exc:  # an int too big for a float
                 raise ValueError(f"stick {i}: {exc}") from exc
 
@@ -296,54 +308,6 @@ class StickBatch:
         v = np.fromiter(map(operator.attrgetter("v"), sticks), dtype=float, count=n)
         ages = np.fromiter(chain.from_iterable(atoms), dtype=float, count=int(counts.sum()))
         return cls(counts, v, ages)
-
-
-@dataclass(frozen=True)
-class SpineSeq:
-    """A finite sequence of non-zero point measures.
-
-    Element 0 belongs to the most ancient ancestor on the spine, the last
-    element to the parent of the focal individual.  The empty sequence plays
-    the role of the zero measure.
-    """
-
-    elements: tuple[PointMeasure, ...] = ()
-
-    def __post_init__(self):
-        if any(m.is_zero for m in self.elements):
-            raise ValueError("spine sequences may not contain the zero measure")
-
-    @property
-    def length(self) -> int:
-        return len(self.elements)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.elements
-
-    @property
-    def sup_support(self) -> float:
-        """Sum of the elements' largest atoms (additive extension), root first."""
-        return root_first_sum(m.sup_support for m in self.elements)
-
-    def __iter__(self) -> Iterator[PointMeasure]:
-        return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __bool__(self) -> bool:
-        return bool(self.elements)
-
-    def __getitem__(self, k):
-        return self.elements[k]
-
-    def __repr__(self) -> str:
-        return f"SpineSeq({[list(m.atoms) for m in self.elements]!r})"
-
-
-#: The empty spine sequence.
-EMPTY_SPINE = SpineSeq()
 
 
 def root_first_sum(ages: Iterable[float]) -> float:

@@ -1,23 +1,24 @@
 """Spine recursion, the height/depth kernel, and the identity test-bench.
 
 The spine of the n-th individual lists, ancestor by ancestor, the birth ages
-that are still unexplored when n is grafted.  It evolves by one deterministic
-move per stick:
+that are still unexplored when n is grafted: a plain tuple of non-zero
+``PointMeasure``s, the most ancient ancestor's first and the parent's last,
+with ``()`` the empty spine.  It evolves by one deterministic move per stick:
 
-* a stick with births appends its birth measure to the sequence (we step to
+* a stick with births appends its birth measure to the spine (we step to
   its first, highest-born child next);
 * a childless stick backtracks: every trailing ancestor holding a single
   remaining atom is exhausted and dropped, and the deepest ancestor holding
   at least two atoms loses its largest one (that atom was the birth age of
   the branch just closed; the next largest is where the next stick grafts).
 
-The sequence's total of largest atoms is the birth time of n, its length the
-generation of n.  ``phi``, ``spine_states`` and ``forest.graft_forest`` are
-the literal oracles.  ``height_profile_arrays`` is the array kernel the
-experiments run: it returns the birth times and generations of
-``forest.forest_arrays``, which reads every parent and generation off first
-passages of the Lukasiewicz walk and then sums the birth ages with one
-numpy step per generation, the way grafting does.
+Its ``spine_height``, the largest atoms summed root first, is the birth time
+of n, and its length the generation of n.  ``phi``, ``spine_states`` and
+``forest.graft_forest`` are the literal oracles.  ``height_profile_arrays``
+is the array kernel the experiments run: it returns the birth times and
+generations of ``forest.forest_arrays``, which reads every parent and
+generation off first passages of the Lukasiewicz walk and then sums the
+birth ages with one numpy step per generation, the way grafting does.
 
 ``verify_identities`` cross-checks every walk/ladder formula in
 :mod:`chronoforest.lukasiewicz`, the kernel's forest, the contour path and
@@ -35,6 +36,8 @@ one rounding bound per forest, ``max(1, max depth) * eps * max|heights|``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -54,10 +57,11 @@ from .lukasiewicz import (
     mrca,
     walk,
 )
-from .measures import EMPTY_SPINE, PointMeasure, SpineSeq, Stick
+from .measures import PointMeasure, Stick, root_first_sum
 
 __all__ = [
     "phi",
+    "spine_height",
     "spine_states",
     "shifted_spine",
     "height_profile_arrays",
@@ -67,42 +71,36 @@ __all__ = [
 ]
 
 
-def phi(y: SpineSeq, births: PointMeasure) -> SpineSeq:
+def phi(y: tuple[PointMeasure, ...], births: PointMeasure) -> tuple[PointMeasure, ...]:
     """One spine move: append a birth measure, or backtrack on a leaf."""
     if not births.is_zero:
-        return SpineSeq(y.elements + (births,))
-    elems = y.elements
-    k = len(elems)
-    while k and elems[k - 1].mass == 1:
+        return y + (births,)
+    k = len(y)
+    while k and y[k - 1].mass == 1:
         k -= 1
-    if k == 0:
-        return EMPTY_SPINE
-    return SpineSeq(elems[: k - 1] + (elems[k - 1].truncate_largest(1),))
+    return y[: k - 1] + (y[k - 1].truncate_largest(1),) if k else ()
 
 
-def spine_states(sticks: Sequence[Stick]) -> list[SpineSeq]:
-    """All spine sequences along the construction: entry n is individual n's."""
-    out = [EMPTY_SPINE]
-    y = EMPTY_SPINE
-    for s in sticks:
-        y = phi(y, s.births)
-        out.append(y)
-    return out
+def spine_height(y: tuple[PointMeasure, ...]) -> float:
+    """The spine's largest atoms summed root first: the birth time of its individual."""
+    return root_first_sum(m.sup_support for m in y)
 
 
-def shifted_spine(sticks: Sequence[Stick], m: int, n: int) -> SpineSeq:
+def spine_states(sticks: Sequence[Stick]) -> list[tuple[PointMeasure, ...]]:
+    """All spines along the construction: entry n is individual n's."""
+    return list(accumulate((s.births for s in sticks), phi, initial=()))
+
+
+def shifted_spine(sticks: Sequence[Stick], m: int, n: int) -> tuple[PointMeasure, ...]:
     """Spine of n relative to the forest restarted at stick m.
 
-    Runs the recursion on sticks m..n-1 from the empty sequence; its total
-    of largest atoms is the height of n above the running minimum of the
+    Runs the recursion on sticks m..n-1 from the empty spine; its
+    ``spine_height`` is the height of n above the running minimum of the
     contour between the visits of m and n.
     """
     if not 0 <= m <= n <= len(sticks):
         raise ValueError(f"need 0 <= m <= n <= {len(sticks)}, got ({m}, {n})")
-    y = EMPTY_SPINE
-    for i in range(m, n):
-        y = phi(y, sticks[i].births)
-    return y
+    return reduce(phi, (s.births for s in sticks[m:n]), ())
 
 
 def height_profile_arrays(
@@ -200,14 +198,14 @@ class _Context:
         depth, top = max(1, int(self.depths.max())), float(np.abs(self.heights).max())
         self.bound = depth * np.finfo(float).eps * top
         self._decomps: dict[int, object] = {}
-        self._shifted: dict[tuple[int, int], SpineSeq] = {}
+        self._shifted: dict[tuple[int, int], tuple[PointMeasure, ...]] = {}
 
     def decomp(self, j: int):
         if j not in self._decomps:
             self._decomps[j] = ladder_decomp(self.w, j)
         return self._decomps[j]
 
-    def shifted(self, m: int, n: int) -> SpineSeq:
+    def shifted(self, m: int, n: int) -> tuple[PointMeasure, ...]:
         key = (m, n)
         if key not in self._shifted:
             self._shifted[key] = shifted_spine(self.sticks, m, n)
@@ -226,17 +224,17 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
 
     rec(
         "depth-is-ladder-count",
-        dec.height == spine.length == int(ctx.depths[j]),
-        detail=f"ladder={dec.height} spine={spine.length} forest={int(ctx.depths[j])}",
+        dec.height == len(spine) == int(ctx.depths[j]),
+        detail=f"ladder={dec.height} spine={len(spine)} forest={int(ctx.depths[j])}",
     )
     rec(
         "height-is-ladder-age-sum",
-        dec.height_sum() == spine.sup_support == ctx.heights[j],
-        detail=f"ladder={dec.height_sum()} spine={spine.sup_support} forest={ctx.heights[j]}",
+        dec.height_sum() == spine_height(spine) == ctx.heights[j],
+        detail=f"ladder={dec.height_sum()} spine={spine_height(spine)} forest={ctx.heights[j]}",
     )
     rec(
         "spine-equals-ladder-measures",
-        SpineSeq(tuple(reversed(dec.measures))) == spine,
+        tuple(reversed(dec.measures)) == spine,
     )
     if j < ctx.n_sticks:
         # the dual ladder epochs pick out the ancestors, parent first
@@ -254,7 +252,7 @@ def _check_index(ctx: _Context, report: IdentityReport, j: int) -> None:
     # is spine-equals-ladder-measures
     for k in sorted({1, dec.height // 2} & set(range(1, dec.height))):
         base = j - dec.times[k - 1]
-        rebuilt = SpineSeq(ctx.spines[base].elements + tuple(reversed(dec.measures[:k])))
+        rebuilt = ctx.spines[base] + tuple(reversed(dec.measures[:k]))
         rec(
             "spine-splice-at-ladder-epochs",
             rebuilt == spine,
@@ -287,11 +285,11 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
     c_weak = dec_n.count_upto(n - m)
     rec(
         "shifted-spine-from-ladder",
-        SpineSeq(tuple(reversed(dec_n.measures[:c_weak]))) == shifted,
+        tuple(reversed(dec_n.measures[:c_weak])) == shifted,
     )
     rec(
         "shifted-spine-is-height-drop",
-        abs(shifted.sup_support - (ctx.heights[n] - ctx.heights[m : n + 1].min())) <= bound,
+        abs(spine_height(shifted) - (ctx.heights[n] - ctx.heights[m : n + 1].min())) <= bound,
     )
 
     k_strict = dec_n.first_epoch_at_or_after(n - m)
@@ -311,27 +309,25 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
                 rec("mrca-measure-both-routes", dec_n.measures[k_strict - 1] == mu_m)
 
     if r_walk is not None:
-        above_mrca = SpineSeq((mu_m,) + shifted.elements) if level > 0 else shifted
+        above_mrca = (mu_m,) + shifted if level > 0 else shifted
         rec(
             "spine-splice-at-mrca",
-            SpineSeq(ctx.spines[r_walk].elements + above_mrca.elements) == ctx.spines[n],
+            ctx.spines[r_walk] + above_mrca == ctx.spines[n],
         )
         if k_strict is not None:
             rec(
                 "shifted-spine-at-mrca",
-                SpineSeq(tuple(reversed(dec_n.measures[:k_strict]))) == above_mrca,
+                tuple(reversed(dec_n.measures[:k_strict])) == above_mrca,
             )
         if level > 0 and r_walk < m:
             c_m = dec_m.count_upto(j_dual)
-            rebuilt = SpineSeq(
-                ctx.spines[r_walk].elements + tuple(reversed(dec_m.measures[:c_m]))
-            )
+            rebuilt = ctx.spines[r_walk] + tuple(reversed(dec_m.measures[:c_m]))
             rec("spine-decomp-below-mrca", rebuilt == ctx.spines[m])
 
     drop = dec_m.D(level)
     rec(
         "height-difference-drop",
-        abs((ctx.heights[n] - ctx.heights[m]) - (shifted.sup_support - drop)) <= bound,
+        abs((ctx.heights[n] - ctx.heights[m]) - (spine_height(shifted) - drop)) <= bound,
         detail=f"level={level} drop={drop}",
     )
     if n < ctx.n_sticks:
@@ -343,7 +339,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
         )
 
     if m >= 1:
-        gap = ctx.shifted(m - 1, n).sup_support - shifted.sup_support
+        gap = spine_height(ctx.shifted(m - 1, n)) - spine_height(shifted)
         rec(
             "adjacent-shift-bound",
             -bound <= gap <= sticks[m - 1].births.sup_support + bound,
@@ -353,24 +349,23 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
     if n > m and m < ctx.n_sticks:
         x = chi(w, m)
         if x is None or n < x:
-            dm = ctx.spines[m].length
+            dm = len(ctx.spines[m])
             rec(
                 "subtree-preserves-spine-prefix",
-                ctx.spines[n].length > dm
-                and SpineSeq(ctx.spines[n].elements[:dm]) == ctx.spines[m],
+                len(ctx.spines[n]) > dm and ctx.spines[n][:dm] == ctx.spines[m],
             )
         cnt = w.births[m].mass
         for k in sorted({0, cnt - 1}) if cnt else []:
             c = chi(w, m, k)
             if c is None or c > ctx.n_sticks:
                 continue
-            dm = ctx.spines[m].length
+            dm = len(ctx.spines[m])
             child_spine = ctx.spines[c]
             rec(
                 "child-step-spine",
-                child_spine.length == dm + 1
-                and child_spine.elements[dm] == sticks[m].births.truncate_largest(k)
-                and SpineSeq(child_spine.elements[:dm]) == ctx.spines[m],
+                len(child_spine) == dm + 1
+                and child_spine[dm] == sticks[m].births.truncate_largest(k)
+                and child_spine[:dm] == ctx.spines[m],
                 detail=f"rank={k} child={c}",
             )
 

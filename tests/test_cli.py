@@ -604,7 +604,11 @@ BAD_STICKS_JSON = [
     ('[{"v": 3, "births": "12"}, {"v": 1, "births": []}, {"v": 1, "births": []}]',
      "stick 0: 'births' must be an array of numbers, got '12'"),
     ('[{"v": 1, "births": []}, {"v": "2", "births": []}]', "stick 1: 'v' must be a number, got '2'"),
-    ('[{"v": 1, "births": [true]}]', "stick 0: 'births' must be an array of numbers, got [True]"),
+    ('[{"v": 1, "births": [true]}]', "stick 0: births[0] must be a number, got True"),
+    ('[{"v": 2, "births": [' + "0.5, " * 10_000 + '"x"]}]', "stick 0: births[10000] must be a number, got 'x'"),
+    ('[{"v": 1, "births": []}, [1, [0.5]]]', "stick 1: stick must be an object with 'v' and 'births', got array"),
+    ('[{"v": 1, "births": {"a": [0.5]}}]', "stick 0: 'births' must be an array of numbers, got object"),
+    ('[{"births": [0.5]}]', "stick 0: missing key 'v'"),
     ('[{"v": true, "births": []}]', "stick 0: 'v' must be a number, got True"),
     ('[{"v": 2, "births": [' + BIG_INT + ']}]', "stick 0: int too large to convert to float"),
     ('[{"v": 1, "births": []}, {"v": ' + BIG_INT + ', "births": []}]', "stick 1: int too large to convert to float"),

@@ -9,15 +9,14 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from chronoforest.measures import (
-    EMPTY_SPINE,
     ZERO,
     PointMeasure,
-    SpineSeq,
     Stick,
     StickBatch,
     sticks_from_json,
     sticks_to_json,
 )
+from chronoforest.spine import spine_height
 
 atoms_strategy = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
@@ -107,30 +106,17 @@ def test_stick_json_round_trip(reference_sticks):
     assert payload[0]["births"] == [1.5, 0.5]
 
 
-def test_spine_seq_rejects_zero_measure():
-    with pytest.raises(ValueError):
-        SpineSeq((PointMeasure([1.0]), ZERO))
-
-
-def test_spine_seq_concat_and_mass():
-    a = SpineSeq((PointMeasure([1.0]),))
-    b = SpineSeq((PointMeasure([2.0, 0.5]),))
-    joined = SpineSeq(a.elements + b.elements)
-    assert len(joined) == 2
-    assert joined.elements[0].atoms == (1.0,)
-    assert SpineSeq(EMPTY_SPINE.elements + a.elements) == a
-    assert joined.sup_support == pytest.approx(3.0)
-    assert joined.length == 2
-
-
 @given(st.lists(atoms_strategy.filter(lambda a: len(a) > 0), max_size=5))
+@example([[1.0], [2.0, 0.5]])
 def test_spine_height_adds_supremum_atoms(atom_lists):
-    seq = SpineSeq(tuple(PointMeasure(a) for a in atom_lists))
+    # a spine is a tuple of measures: it joins by concatenation, () the empty spine
+    spine = tuple(PointMeasure(a) for a in atom_lists)
     expected = 0.0
     for a in atom_lists:  # root first, one rounding per addition
         expected += max(a)
-    assert seq.sup_support == expected
-    assert seq.length == len(atom_lists)
+    assert spine_height(spine) == expected
+    assert spine_height(() + spine[:1] + spine[1:]) == expected
+    assert spine_height(()) == 0.0
 
 
 def test_measures_hashable_and_equal():
@@ -160,14 +146,29 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool)
 
 
+JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int: "number", float: "number",
+              type(None): "null"}
+
+
+def _shown(x) -> str:
+    # an error names an array or object by its JSON type and quotes a scalar
+    return JSON_TYPES[type(x)] if isinstance(x, (list, dict)) else repr(x)
+
+
 def oracle_stick_from_json(obj) -> Stick:
-    if not isinstance(obj, dict) or "v" not in obj or "births" not in obj:
-        raise ValueError(f"stick must be an object with 'v' and 'births', got {obj!r}")
+    if not isinstance(obj, dict):
+        raise ValueError(f"stick must be an object with 'v' and 'births', got {JSON_TYPES[type(obj)]}")
+    for key in ("v", "births"):
+        if key not in obj:
+            raise ValueError(f"missing key {key!r}")
     v, births = obj["v"], obj["births"]
     if not _is_number(v):
-        raise ValueError(f"'v' must be a number, got {v!r}")
-    if not isinstance(births, list) or not all(map(_is_number, births)):
-        raise ValueError(f"'births' must be an array of numbers, got {births!r}")
+        raise ValueError(f"'v' must be a number, got {_shown(v)}")
+    if not isinstance(births, list):
+        raise ValueError(f"'births' must be an array of numbers, got {_shown(births)}")
+    for k, age in enumerate(births):
+        if not _is_number(age):
+            raise ValueError(f"births[{k}] must be a number, got {_shown(age)}")
     return Stick(float(v), PointMeasure(births))
 
 
@@ -247,8 +248,11 @@ BAD_STICK_OBJECTS = [
     {"v": 2, "births": [-BIG_INT]},
     {"v": 0, "births": [BIG_INT]},
     {"v": None, "births": []},
+    {"v": [2], "births": []},
+    {"v": 2, "births": [0.5, [1, 0.25]]},
     [2, [0.5]],
     3,
+    True,
     "stick",
     None,
     {"births": [0.5]},

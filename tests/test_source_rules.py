@@ -149,6 +149,25 @@ def test_unchecked_measure_constructor_stays_in_measures():
         assert not found, f"{name} referenced outside measures.py: " + ", ".join(found)
 
 
+def test_a_spine_is_a_plain_tuple():
+    # a spine is a tuple of measures and () the empty spine: no module
+    # brings back the wrapper class or its empty constant (the names are
+    # spelled in halves, so a text search finds only a reintroduction)
+    for name in ("Spine" "Seq", "EMPTY" "_SPINE"):
+        for snippet in [
+            f"class {name}:\n    elements: tuple = ()",
+            f"{name} = make_spine()",
+            f"from .measures import {name}",
+            f"from .measures import PointMeasure, {name} as S",
+            f"y = measures.{name}",
+        ]:
+            assert _names(ast.parse(snippet), name) != [], snippet
+        for snippet in ["y = ()", "from .spine import phi, spine_height", f"{name}s = 1"]:
+            assert _names(ast.parse(snippet), name) == [], snippet
+        found = _named_outside(name, set())
+        assert not found, f"{name} named in: " + ", ".join(found)
+
+
 def _per_stick_codec(tree: ast.AST) -> list[str]:
     """Where the stick JSON form leaves ``StickBatch``: ``to_json`` or
     ``from_json`` named in class ``Stick``, or ``to_sticks``, ``Stick`` or

@@ -10,19 +10,13 @@ from hypothesis import strategies as st
 
 from chronoforest.forest import build_forest, forest_arrays, graft_forest
 from chronoforest.lukasiewicz import ladder_decomp, walk
-from chronoforest.measures import (
-    EMPTY_SPINE,
-    ZERO,
-    PointMeasure,
-    SpineSeq,
-    Stick,
-    StickBatch,
-)
+from chronoforest.measures import ZERO, PointMeasure, Stick, StickBatch
 from chronoforest.spine import (
     IdentityReport,
     height_profile_arrays,
     phi,
     shifted_spine,
+    spine_height,
     spine_states,
     verify_identities,
 )
@@ -57,18 +51,19 @@ IDENTITY_CHECKS = {
 
 
 def test_phi_appends_nonzero_measures():
-    y = SpineSeq((PointMeasure([1.5, 0.5]), PointMeasure([0.9])))
+    y = (PointMeasure([1.5, 0.5]), PointMeasure([0.9]))
     out = phi(y, PointMeasure([2.0]))
+    assert type(out) is tuple
     assert [m.atoms for m in out] == [(1.5, 0.5), (0.9,), (2.0,)]
 
 
 def test_phi_backtracks_on_zero():
     # A childless step pops exhausted single-atom tail measures and then
     # consumes the largest atom of the deepest multi-atom measure.
-    y = SpineSeq((PointMeasure([1.5, 0.5]), PointMeasure([0.9])))
-    assert [m.atoms for m in phi(y, ZERO)] == [(0.5,)]
-    assert phi(EMPTY_SPINE, ZERO) == EMPTY_SPINE
-    assert phi(SpineSeq((PointMeasure([1.0]),)), ZERO) == EMPTY_SPINE
+    y = (PointMeasure([1.5, 0.5]), PointMeasure([0.9]))
+    assert phi(y, ZERO) == (PointMeasure([0.5]),)
+    assert phi((), ZERO) == ()
+    assert phi((PointMeasure([1.0]),), ZERO) == ()
 
 
 def test_spine_process_reference_values(reference_sticks):
@@ -88,24 +83,26 @@ def test_spine_process_reference_values(reference_sticks):
     states = spine_states(reference_sticks)
     assert len(states) == 11
     for n, want in enumerate(expected):
+        assert type(states[n]) is tuple
         assert [m.atoms for m in states[n]] == want
         assert shifted_spine(reference_sticks, 0, n) == states[n]
-    assert states[5].sup_support == pytest.approx(0.5)
-    assert states[9].sup_support == pytest.approx(2.5)
-    assert states[9].length == 3
+    assert spine_height(states[5]) == 0.5
+    assert spine_height(states[9]) == 0.5 + 1.0 + 1.0
+    assert len(states[9]) == 3
 
 
 def test_spine_matches_forest_chronology(reference_sticks):
     f = build_forest(reference_sticks)
     for n, state in enumerate(spine_states(reference_sticks)):
-        assert state.sup_support == f.arrays.heights[n]
-        assert state.length == f.arrays.depths[n]
+        assert spine_height(state) == f.arrays.heights[n]
+        assert len(state) == f.arrays.depths[n]
 
 
 def test_shifted_spine_reference_values(reference_sticks):
     assert [m.atoms for m in shifted_spine(reference_sticks, 4, 9)] == [(1.0,), (1.0,)]
-    assert shifted_spine(reference_sticks, 2, 4) == EMPTY_SPINE
-    assert shifted_spine(reference_sticks, 5, 5) == EMPTY_SPINE
+    assert type(shifted_spine(reference_sticks, 4, 9)) is tuple
+    assert shifted_spine(reference_sticks, 2, 4) == ()
+    assert shifted_spine(reference_sticks, 5, 5) == ()
     # Shift by the root: the whole spine of n.
     full = shifted_spine(reference_sticks, 0, 9)
     assert full == spine_states(reference_sticks)[9]
@@ -259,6 +256,26 @@ def test_one_ulp_on_a_ladder_age_fails_the_exact_identities(reference_sticks, mo
     }
 
 
+def test_a_zero_measure_in_a_rebuilt_spine_is_a_recorded_failure(reference_sticks, monkeypatch):
+    # a spine is a plain tuple with no check of its own: a zero measure
+    # spliced in above the common ancestor fails the identities that read
+    # it, as data, and nothing raises
+    import chronoforest.spine as spine_module
+
+    exact = spine_module.dual_passage
+
+    def zero_measure(w, m, level):
+        passage = exact(w, m, level)
+        return None if passage is None else (passage[0], ZERO)
+
+    monkeypatch.setattr(spine_module, "dual_passage", zero_measure)
+    report = verify_identities(reference_sticks, pairs=[(m, n) for m in range(11) for n in range(m, 11)])
+    # 27: the pairs of the 10 sticks with a drop and a common ancestor
+    failing = {n: t.failures for n, t in report.tallies.items() if t.failures}
+    assert failing == {"mrca-measure-both-routes": 27, "shifted-spine-at-mrca": 27, "spine-splice-at-mrca": 27}
+    assert len(report.tallies["spine-splice-at-mrca"].examples) == 3
+
+
 @pytest.mark.parametrize(
     "spec, seed",
     [
@@ -348,18 +365,17 @@ measure_strategy = st.lists(
 ).map(PointMeasure)
 
 
-@given(st.lists(measure_strategy, max_size=5).map(lambda ms: SpineSeq(tuple(ms))),
-       st.one_of(st.just(ZERO), measure_strategy))
+@given(st.lists(measure_strategy, max_size=5).map(tuple), st.one_of(st.just(ZERO), measure_strategy))
 @settings(max_examples=60)
 def test_phi_output_never_contains_zero(seq, births):
     out = phi(seq, births)
     assert all(not m.is_zero for m in out)
     if births.is_zero:
         assert len(out) <= len(seq)
-        assert out.sup_support <= seq.sup_support + 1e-12
+        assert spine_height(out) <= spine_height(seq) + 1e-12
     else:
         assert len(out) == len(seq) + 1
-        assert out.elements[-1] == births
+        assert out[-1] == births
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -370,5 +386,5 @@ def test_spine_recursion_tracks_forest_on_random_laws(seed):
     sticks = law.sample_batch(rng, int(rng.integers(1, 50))).to_sticks()
     f = build_forest(sticks)
     for n, state in enumerate(spine_states(sticks)):
-        assert state.length == f.arrays.depths[n]
-        assert state.sup_support == f.arrays.heights[n]
+        assert len(state) == f.arrays.depths[n]
+        assert spine_height(state) == f.arrays.heights[n]
