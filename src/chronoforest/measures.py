@@ -169,9 +169,14 @@ def _json_type(x) -> str:
 
 
 def _shown(x) -> str:
-    # a scalar as it is, an array or object by its JSON type: an error line
-    # never quotes a whole stick or its births
-    return _json_type(x) if isinstance(x, (list, dict)) else repr(x)
+    # a scalar as it is, a long string clipped with its length, an array or
+    # object by its JSON type: an error line never quotes a whole stick, its
+    # births or a long string
+    if isinstance(x, (list, dict)):
+        return _json_type(x)
+    if isinstance(x, str) and len(x) > 20:
+        return f"{x[:10]!r}… (string of {len(x)} characters)"
+    return repr(x)
 
 
 @dataclass

@@ -16,17 +16,22 @@ requested times t:
   exact formula is the identity ``time-change-gap-formula`` of
   ``spine.verify_identities``).
 
-The rows are one structured array with exactly these columns as fields,
-written to CSV by ``forest.write_rows``; window minima of the two contours
-over a fixed scaled interval are aggregated in the summary.
+One call of ``simulate_replicate`` is one replicate: it seeds itself from
+(p index, replicate) and returns its rows, a ``ROW_DTYPE`` structured array
+with exactly these columns as fields (written to CSV by
+``forest.write_rows``), and one ``REPLICATE_DTYPE`` record: the window
+minima of the two contours over a fixed scaled interval and the life
+length at phibar, which the summary averages per p.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -42,6 +47,7 @@ __all__ = [
     "resolve_scale",
     "CSV_COLUMNS",
     "ROW_DTYPE",
+    "REPLICATE_DTYPE",
     "simulate_replicate",
     "ExperimentResult",
     "scaling_experiment",
@@ -66,6 +72,12 @@ CSV_COLUMNS = [
 # one field per CSV column: the integer keys p and replicate, the rest floats
 ROW_DTYPE = np.dtype(
     [(c, np.int64 if c in ("p", "replicate") else np.float64) for c in CSV_COLUMNS]
+)
+
+# one record per replicate: its keys, its contours' window minima, its life at phibar
+REPLICATE_DTYPE = np.dtype(
+    [("p", np.int64), ("replicate", np.int64)]
+    + [(f, np.float64) for f in ("min_contour", "min_gen_contour", "v_at_phibar")]
 )
 
 
@@ -204,20 +216,11 @@ def resolve_scale(rule: str, p: int) -> float:
     return scale
 
 
-@dataclass
-class _Population:
-    """Raw simulated arrays for one replicate, long enough for all asks."""
-
-    s: np.ndarray  # count walk, length n+1
-    vc2: np.ndarray  # doubled cumulative life lengths, length n
-    path: ContourPath  # the contour: chronological heights and life lengths
-    gen_path: ContourPath  # the generation contour: depths as floats (exact below 2^53)
-
-
 def _simulate_population(
     law: StickLaw, rng: np.random.Generator, min_sticks: int, raw_time: float, raw_gen_time: float
-) -> _Population:
-    """Sample sticks until index, contour and generation-contour coverage."""
+) -> tuple[StickBatch, ContourPath, ContourPath]:
+    """Sample sticks until index, contour and generation-contour coverage; return the
+    batch, its contour and its generation contour (depths as floats, exact below 2^53)."""
     # cushion: the contour visit times lag the doubled length sums by the
     # running height, which for a critical forest grows like sqrt(n)
     base = max(min_sticks, int(raw_time / (2.0 * law.mean_v)) + 1, 64)
@@ -229,10 +232,7 @@ def _simulate_population(
         path = ContourPath.from_heights(heights, batch.v)
         gen_path = ContourPath.from_heights(depths.astype(float), np.ones(n))
         if n >= min_sticks and path.end_time >= raw_time and gen_path.end_time >= raw_gen_time:
-            s = np.zeros(n + 1, dtype=np.int64)
-            np.cumsum(batch.counts - 1, out=s[1:])
-            vc2 = 2.0 * np.cumsum(batch.v)
-            return _Population(s, vc2, path, gen_path)
+            return batch, path, gen_path
         chunk = max(chunk // 2, 256)
         more = law.sample_batch(rng, chunk)
         batch = StickBatch(
@@ -243,79 +243,66 @@ def _simulate_population(
 
 
 def simulate_replicate(
-    law: StickLaw,
-    p: int,
-    times: Sequence[float],
-    eps: float,
-    epsbar: float,
-    interval: tuple[float, float],
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, dict]:
-    """One replicate: its rows and its window-minimum extras.
+    law: StickLaw, config: ExperimentConfig, p_idx: int, rep: int
+) -> tuple[np.ndarray, np.void]:
+    """Replicate ``rep`` at ``p = config.p_values[p_idx]``: its rows and its record.
 
     The rows are a ``ROW_DTYPE`` array, one entry per requested time in the
-    given order, all computed at once; ``replicate`` reads -1 for the caller
-    to fill in.
+    given order, all computed at once; the record is one ``REPLICATE_DTYPE``
+    entry.  The Philox generator is keyed by (p index, replicate), so the
+    replicate draws the same sticks in any process and in any order.
     """
-    t_max = max(*times, interval[1])
+    p, times, (u, w) = config.p_values[p_idx], config.times, config.interval
+    eps_rule = config.eps_rule or law.eps_rule
+    eps = resolve_scale(eps_rule, p)
+    epsbar = resolve_scale(config.epsbar_rule or eps_rule, p)
+    seq = np.random.SeedSequence(config.seed, spawn_key=(p_idx, rep))
+    rng = np.random.Generator(np.random.Philox(seq))
+    t_max = max(*times, w)
     beta = law.mean_v
-    ystar = law.mean_ystar
     min_sticks = int(math.floor(p * t_max * max(1.0, 1.0 / (2.0 * beta)))) + 2
-    pop = _simulate_population(
-        law, rng, min_sticks, p * t_max, p * interval[1] / beta
-    )
-    path, gen_path = pop.path, pop.gen_path
+    batch, path, gen_path = _simulate_population(law, rng, min_sticks, p * t_max, p * w / beta)
     t = np.asarray(times, dtype=float)
     s_raw = p * t
     j = np.floor(s_raw).astype(np.int64)
     phi = np.searchsorted(path.visit_times, s_raw, side="left")
-    phibar = np.searchsorted(pop.vc2, s_raw, side="left")
+    phibar = np.searchsorted(2.0 * np.cumsum(batch.v), s_raw, side="left")
     ahead = np.flatnonzero(phi < phibar)
     if ahead.size:
         k = ahead[0]
         raise RuntimeError(
             f"contour time change {phi[k]} ran ahead of the length one {phibar[k]} at t={t[k]}"
         )
+    s = np.concatenate(([0], np.cumsum(batch.counts - 1)))  # the count walk
     hp = eps * path.heights[j]
     hcalp = eps * gen_path.heights[j]
     cp = eps * path.eval(s_raw)
     j_slow = np.floor(s_raw / (2.0 * beta)).astype(np.int64)
     rows = np.empty(len(t), dtype=ROW_DTYPE)
-    rows["p"], rows["t"], rows["replicate"] = p, t, -1
+    rows["p"], rows["t"], rows["replicate"] = p, t, rep
     rows["Hp"], rows["Hcalp"], rows["Cp"] = hp, hcalp, cp
-    rows["Sp"] = pop.s[j] / (p * eps)
+    rows["Sp"] = s[j] / (p * eps)
     rows["phip"], rows["phibarp"] = phi / p, phibar / p
-    rows["deltaH"] = hp - ystar * hcalp
+    rows["deltaH"] = hp - law.mean_ystar * hcalp
     rows["deltaC"] = cp - eps * path.heights[j_slow]
     rows["epsDelta"] = eps * (phi - phibar)
-    u, w = interval
-    extras = {
-        "min_contour": eps * path.min_on(p * u, p * w),
-        "min_gen_contour": epsbar * gen_path.min_on(p * u / beta, p * w / beta),
-        "v_at_phibar": float(path.v[min(phibar[t.argmax()], len(path.v) - 1)]),
-    }
-    return rows, extras
-
-
-def _run_task(args) -> tuple[tuple[int, int], np.ndarray, dict]:
-    (law, p, p_idx, rep, times, eps, epsbar, interval, seed) = args
-    seq = np.random.SeedSequence(seed, spawn_key=(p_idx, rep))
-    rng = np.random.Generator(np.random.Philox(seq))
-    rows, extras = simulate_replicate(law, p, times, eps, epsbar, interval, rng)
-    rows["replicate"] = rep
-    return (p_idx, rep), rows, extras
+    min_contour = eps * path.min_on(p * u, p * w)
+    min_gen_contour = epsbar * gen_path.min_on(p * u / beta, p * w / beta)
+    v_at_phibar = path.v[min(phibar[t.argmax()], len(path.v) - 1)]
+    record = np.array((p, rep, min_contour, min_gen_contour, v_at_phibar), dtype=REPLICATE_DTYPE)
+    return rows, record[()]
 
 
 @dataclass
 class ExperimentResult:
     """A scaling grid's results: ``rows`` is one ``ROW_DTYPE`` array ordered
-    by p index, then replicate, then requested time; ``extras`` maps each
-    (p index, replicate) to its window minima."""
+    by p index, then replicate, then requested time; ``replicates`` is one
+    ``REPLICATE_DTYPE`` array ordered by p index, then replicate."""
 
     config: ExperimentConfig
     law: StickLaw  # parsed once from ``config.law``
     rows: np.ndarray
-    extras: dict[tuple[int, int], dict]
+    replicates: np.ndarray
 
     def write_csv(self, fp) -> None:
         columns = [self.rows[c] for c in CSV_COLUMNS]
@@ -355,64 +342,51 @@ class ExperimentResult:
                         },
                     }
                 out["cells"].append(cell)
-        for p_idx, p in enumerate(self.config.p_values):
-            mins = [self.extras[(p_idx, rep)] for rep in range(self.config.replicates)]
-            mc = np.array([m["min_contour"] for m in mins])
-            mg = np.array([m["min_gen_contour"] for m in mins])
-            target = self.law.mean_ystar * mg
+        by_p = self.replicates.reshape(len(self.config.p_values), self.config.replicates)
+        for p, records in zip(self.config.p_values, by_p):
+            mc = records["min_contour"]
+            target = self.law.mean_ystar * records["min_gen_contour"]
             out["interval_minima"].append(
                 {
                     "p": p,
                     "min_contour_mean": float(mc.mean()),
                     "scaled_gen_min_mean": float(target.mean()),
                     "abs_gap_mean": float(np.abs(mc - target).mean()),
-                    "v_at_phibar_mean": float(
-                        np.mean([m["v_at_phibar"] for m in mins])
-                    ),
+                    "v_at_phibar_mean": float(records["v_at_phibar"].mean()),
                 }
             )
         return out
 
 
 def scaling_experiment(config: ExperimentConfig, workers: int = 1) -> ExperimentResult:
-    """Run the full grid of (p, replicate) simulations.
+    """Run ``simulate_replicate`` over the full grid of (p index, replicate).
 
-    Each task gets a Philox generator keyed by (p index, replicate), so the
-    result is byte-identical for any worker count.  The law is parsed once
-    and handed to every task (pickled for the worker pool).
+    Each replicate seeds itself, so the result is byte-identical for any
+    worker count.  The law is parsed once and handed to every replicate
+    (pickled for the worker pool).
     """
     law = parse_law(config.law)
     if not 0.0 <= law.mean_offspring <= 1.0 + 1e-12:
         raise ValueError("scaling experiments need a (sub)critical law")
-    eps_rule = config.eps_rule or law.eps_rule
-    epsbar_rule = config.epsbar_rule or eps_rule
-    tasks = []
-    for p_idx, p in enumerate(config.p_values):
-        eps = resolve_scale(eps_rule, p)
-        epsbar = resolve_scale(epsbar_rule, p)
-        for rep in range(config.replicates):
-            tasks.append(
-                (
-                    law,
-                    p,
-                    p_idx,
-                    rep,
-                    tuple(config.times),
-                    eps,
-                    epsbar,
-                    config.interval,
-                    config.seed,
-                )
-            )
-    # in task order, that is by p index, then replicate
+    # a replicate draws [p * t / (2 mean_v)] sticks or more, t up to the
+    # interval's end: a count no array can hold must fail before any draw
+    p_max, t_max = max(config.p_values), max(*config.times, config.interval[1])
+    if not p_max * t_max / (2.0 * law.mean_v) < 2**63:
+        raise ValueError(
+            f"the law's mean life length {law.mean_v!r} is too short: p * t / (2 * mean_v)"
+            f" must stay below 2**63, got p={p_max}, t={t_max!r}"
+        )
+    # bound here, so a wrapper set on the module's simulate_replicate runs
+    replicate = functools.partial(simulate_replicate, law, config)
+    grid = [(p_idx, rep) for p_idx in range(len(config.p_values)) for rep in range(config.replicates)]
     if workers > 1:
         with multiprocessing.get_context("fork").Pool(workers) as pool:
-            results = pool.map(_run_task, tasks)
+            results = pool.starmap(replicate, grid)
     else:
-        results = [_run_task(task) for task in tasks]
-    rows = np.concatenate([rows for _, rows, _ in results])
-    extras = {key: extras for key, _, extras in results}
-    return ExperimentResult(config, law, rows, extras)
+        results = list(itertools.starmap(replicate, grid))
+    rows = np.concatenate([rows for rows, _ in results])
+    replicates = np.array([record for _, record in results], dtype=REPLICATE_DTYPE)
+    return ExperimentResult(config, law, rows, replicates)
 
 
 def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:

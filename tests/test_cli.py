@@ -496,6 +496,24 @@ def test_scale_oversized_values_are_rejected(tmp_path, capsys, monkeypatch, p, t
 
 
 @pytest.mark.parametrize(
+    "spec, mean_v",
+    [("geo-uniform(v=1e-320)", "1e-320"), ("geo-uniform(v=1e-300)", "1e-300"), ("exp-uniform(rate=1e300)", "1e-300")],
+)
+def test_scale_life_too_short_for_the_stick_count_is_rejected(capsys, monkeypatch, spec, mean_v):
+    # a replicate draws p * t / (2 * mean_v) sticks or more: an infinite
+    # count ended in an OverflowError traceback, a huge one in numpy's
+    # "Maximum allowed dimension exceeded"; both are now refused before any draw
+    monkeypatch.setattr("chronoforest.stochastic.experiments.simulate_replicate", None)
+    assert main(["scale", "--law", spec, "--p", "10", "--replicates", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the law's mean life length {mean_v} is too short: p * t / (2 * mean_v)"
+        " must stay below 2**63, got p=10, t=1.0\n"
+    )
+
+
+@pytest.mark.parametrize(
     "line, message",
     [
         ("eps = nan", "eps: scale rule 'nan' gives nan at p=200"),
@@ -612,6 +630,11 @@ BAD_STICKS_JSON = [
     ('[{"v": true, "births": []}]', "stick 0: 'v' must be a number, got True"),
     ('[{"v": 2, "births": [' + BIG_INT + ']}]', "stick 0: int too large to convert to float"),
     ('[{"v": 1, "births": []}, {"v": ' + BIG_INT + ', "births": []}]', "stick 1: int too large to convert to float"),
+    pytest.param('[{"v": "' + "x" * 100_000 + '", "births": []}]',
+                 "stick 0: 'v' must be a number, got 'xxxxxxxxxx'… (string of 100000 characters)", id="long-v"),
+    pytest.param('[{"v": 2, "births": [0.5, "' + "y" * 50_000 + '"]}]',
+                 "stick 0: births[1] must be a number, got 'yyyyyyyyyy'… (string of 50000 characters)",
+                 id="long-birth"),
 ]
 
 
@@ -625,6 +648,7 @@ def test_sticks_json_needs_numbers(tmp_path, monkeypatch, capsys, text, message)
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: {message}\n"
+        assert len(captured.err.encode()) < 200  # a bad stick is never quoted at length
 
 
 def test_deeply_nested_stick_file_is_bad_input(tmp_path, monkeypatch, capsys):

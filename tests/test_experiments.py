@@ -158,17 +158,33 @@ def test_workers_do_not_change_output():
         par = scaling_experiment(cfg, workers=2)
         assert csv_text(seq) == csv_text(par), spec
         assert json.dumps(seq.summary(), indent=2) == json.dumps(par.summary(), indent=2), spec
-        assert seq.extras == par.extras, spec
+        assert seq.replicates.tobytes() == par.replicates.tobytes(), spec
 
 
-def test_extras_structure():
-    cfg = small_config()
+def test_replicate_records():
+    res = scaling_experiment(small_config())
+    records = res.replicates
+    assert records.dtype == experiments.REPLICATE_DTYPE
+    assert records.dtype.names == ("p", "replicate", "min_contour", "min_gen_contour", "v_at_phibar")
+    # by p index, then replicate, both keys filled in
+    assert records["p"].tolist() == [50] * 4 + [200] * 4
+    assert records["replicate"].tolist() == [0, 1, 2, 3] * 2
+    assert np.all(records["min_contour"] >= 0.0)
+    assert np.all(records["v_at_phibar"] > 0.0)
+
+
+@pytest.mark.parametrize("spec", ["gw(mean=1.0)", "exp-uniform", "family2"])
+def test_grid_is_the_direct_replicate_calls(spec):
+    # each replicate seeds itself, so one call reproduces its slice of the grid
+    cfg = small_config(law=spec, p_values=(50, 200, 120), times=(1.0, 0.25), replicates=3, eps_rule=None)
     res = scaling_experiment(cfg)
-    assert set(res.extras) == {(i, r) for i in range(2) for r in range(4)}
-    for info in res.extras.values():
-        assert set(info) == {"min_contour", "min_gen_contour", "v_at_phibar"}
-        assert info["min_contour"] >= 0.0
-        assert info["v_at_phibar"] > 0.0
+    law = parse_law(spec)
+    grid = [(p_idx, rep) for p_idx in range(3) for rep in range(3)]
+    for i, (p_idx, rep) in enumerate(grid):
+        rows, record = experiments.simulate_replicate(law, cfg, p_idx, rep)
+        assert rows.dtype == experiments.ROW_DTYPE and record.dtype == experiments.REPLICATE_DTYPE
+        assert rows.tobytes() == res.rows[2 * i : 2 * i + 2].tobytes(), (p_idx, rep)
+        assert record.tobytes() == res.replicates[i].tobytes(), (p_idx, rep)
 
 
 def test_summary_shapes():
@@ -206,6 +222,26 @@ def test_summary_cells_match_per_column_reduction(replicates):
     cfg = small_config(law="geo-uniform(mean=1.0,v=1.0)", replicates=replicates)
     res = scaling_experiment(cfg)
     assert json.dumps(res.summary()["cells"]) == json.dumps(summary_cells_per_column(res))
+
+
+@pytest.mark.parametrize("replicates", [1, 7, 200])
+def test_interval_minima_are_means_of_contiguous_copies(replicates):
+    res = scaling_experiment(small_config(law="geo-uniform(mean=1.0,v=1.0)", replicates=replicates))
+    want = []
+    for p in res.config.p_values:
+        records = res.replicates[res.replicates["p"] == p]
+        mc, mg, v = (np.ascontiguousarray(records[f]) for f in ("min_contour", "min_gen_contour", "v_at_phibar"))
+        target = res.law.mean_ystar * mg
+        want.append(
+            {
+                "p": p,
+                "min_contour_mean": float(mc.mean()),
+                "scaled_gen_min_mean": float(target.mean()),
+                "abs_gap_mean": float(np.abs(mc - target).mean()),
+                "v_at_phibar_mean": float(v.mean()),
+            }
+        )
+    assert json.dumps(res.summary()["interval_minima"]) == json.dumps(want)
 
 
 def test_law_is_parsed_once(monkeypatch):

@@ -151,8 +151,13 @@ JSON_TYPES = {dict: "object", list: "array", str: "string", bool: "boolean", int
 
 
 def _shown(x) -> str:
-    # an error names an array or object by its JSON type and quotes a scalar
-    return JSON_TYPES[type(x)] if isinstance(x, (list, dict)) else repr(x)
+    # an error names an array or object by its JSON type and quotes a scalar,
+    # a string of more than 20 characters by its first 10 and its length
+    if isinstance(x, (list, dict)):
+        return JSON_TYPES[type(x)]
+    if isinstance(x, str) and len(x) > 20:
+        return f"{x[:10]!r}… (string of {len(x)} characters)"
+    return repr(x)
 
 
 def oracle_stick_from_json(obj) -> Stick:
@@ -240,7 +245,10 @@ BAD_STICK_OBJECTS = [
     {"v": True, "births": []},
     {"v": 1, "births": [0.5, False]},
     {"v": "2", "births": []},
+    {"v": "x" * 20, "births": []},  # the longest string quoted whole
+    {"v": "x" * 21, "births": []},
     {"v": 2, "births": ["1"]},
+    {"v": 2, "births": [0.5, "'\"" * 300]},
     {"v": 2, "births": "12"},
     {"v": 2, "births": {"a": 1}},
     {"v": BIG_INT, "births": []},

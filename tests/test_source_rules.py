@@ -454,3 +454,67 @@ def test_identity_modules_take_no_approximate_path():
         for where in _approximate_paths(ast.parse((root / name).read_text(), filename=name))
     ]
     assert not found, "approximate float paths in the identity modules: " + ", ".join(found)
+
+
+def _seed_sequences_outside_replicate(tree: ast.AST) -> list[int]:
+    """Lines that name ``SeedSequence`` outside the module-level function
+    ``simulate_replicate``."""
+    inside = {
+        id(node)
+        for fn in getattr(tree, "body", [])
+        if isinstance(fn, ast.FunctionDef) and fn.name == "simulate_replicate"
+        for node in ast.walk(fn)
+    }
+    return [
+        getattr(node, "lineno", "?")
+        for node in ast.walk(tree)
+        if id(node) not in inside and "SeedSequence" in _node_names(node)
+    ]
+
+
+def _dict_fields(tree: ast.AST, cls_name: str) -> list[str]:
+    """Fields of class ``cls_name`` whose annotation names ``dict`` or
+    ``Dict``, also inside a string annotation."""
+    found = []
+    for cls in ast.walk(tree):
+        if not (isinstance(cls, ast.ClassDef) and cls.name == cls_name):
+            continue
+        for stmt in cls.body:
+            if not isinstance(stmt, ast.AnnAssign):
+                continue
+            ann = stmt.annotation
+            if isinstance(ann, ast.Constant) and isinstance(ann.value, str):
+                ann = ast.parse(ann.value, mode="eval")
+            if {"dict", "Dict"} & set().union(*map(_node_names, ast.walk(ann))):
+                found.append(f"{cls_name}.{stmt.target.id}:{stmt.lineno}")
+    return found
+
+
+def test_a_scaling_replicate_is_one_call():
+    # ``simulate_replicate`` keys its own generator by (p index, replicate),
+    # and the per-replicate values travel as one structured array, not as a
+    # dict keyed by (p index, replicate)
+    for snippet, expected in [
+        ("def simulate_replicate(law, config, p_idx, rep):\n    s = np.random.SeedSequence(config.seed)", []),
+        ("def _run_task(args):\n    seq = np.random.SeedSequence(seed, spawn_key=key)", [2]),
+        ("rng = np.random.default_rng(np.random.SeedSequence(seed))", [1]),
+        ("from numpy.random import SeedSequence as Seeds", [1]),
+        ("def run():\n    def simulate_replicate():\n        return SeedSequence(0)", [3]),
+        ("def simulate_replicate(law, config, p_idx, rep):\n    rng = np.random.default_rng(seed)", []),
+    ]:
+        assert _seed_sequences_outside_replicate(ast.parse(snippet)) == expected, snippet
+    for snippet, expected in [
+        ("class ExperimentResult:\n    extras: dict[tuple[int, int], dict]", ["ExperimentResult.extras:2"]),
+        ("class ExperimentResult:\n    extras: typing.Dict[int, float]", ["ExperimentResult.extras:2"]),
+        ("class ExperimentResult:\n    extras: 'dict[int, float]'", ["ExperimentResult.extras:2"]),
+        ("class ExperimentResult:\n    extras: Optional[dict] = None", ["ExperimentResult.extras:2"]),
+        ("class ExperimentResult:\n    rows: np.ndarray\n    def summary(self) -> dict: pass", []),
+        ("class ExperimentConfig:\n    options: dict", []),
+    ]:
+        assert _dict_fields(ast.parse(snippet), "ExperimentResult") == expected, snippet
+    path = Path(chronoforest.__file__).resolve().parent / "stochastic" / "experiments.py"
+    tree = ast.parse(path.read_text(), filename=str(path))
+    assert _names(tree, "SeedSequence") and _names(tree, "ExperimentResult")
+    found = [f"SeedSequence:{line}" for line in _seed_sequences_outside_replicate(tree)]
+    found += _dict_fields(tree, "ExperimentResult")
+    assert not found, "stochastic/experiments.py: " + ", ".join(found)
