@@ -31,6 +31,7 @@ from .measures import sticks_from_json, sticks_to_json
 from .spine import IdentityReport, verify_identities
 from .stochastic import (
     ExperimentConfig,
+    StableFamilyLaw,
     mean_age_integral_mc,
     parse_config,
     parse_law,
@@ -141,12 +142,29 @@ def _cmd_verify(args) -> int:
     return 0 if report.ok else 1
 
 
+# counts that the ladder walks of ``renewal`` may draw: at most about 40 s on a 2-core Xeon
+RENEWAL_COUNT_BOUND = 1.5e8
+
+
 def _cmd_renewal(args) -> int:
     law = parse_law(args.law)
+    walks = min(args.draws, 10000)
+    # with stable counts P(tau > n) ~ n^-(1-1/alpha): a walk draws about step_cap^(1/alpha)
+    alpha = law.alpha if isinstance(law, StableFamilyLaw) else 2.0
+    work = walks * args.step_cap ** (1.0 / alpha)
+    if alpha < 2.0 and work > RENEWAL_COUNT_BOUND:
+        largest = math.floor((RENEWAL_COUNT_BOUND / walks) ** alpha)
+        print(
+            f"renewal: with stable counts (alpha={alpha}) P(tau > n) decays like n^-(1-1/alpha), so"
+            f" {walks} ladder walks at --step-cap {args.step_cap} would draw about {work:.3g} counts,"
+            f" over the bound of {RENEWAL_COUNT_BOUND:.3g}; use --step-cap {largest} or less",
+            file=sys.stderr,
+        )
+        return 2
     rng = _rng(args.seed)
     ys = law.sample_ystars(rng, args.draws)
     mc_mean, mc_se = mean_age_integral_mc(law, rng, args.draws)
-    stats = sample_ladder_stats(law, rng, min(args.draws, 10000), step_cap=args.step_cap)
+    stats = sample_ladder_stats(law, rng, walks, step_cap=args.step_cap)
     acc = stats.tau[stats.accepted]
     vh = sample_vhat(law, rng, args.draws)
     doc = {
@@ -157,7 +175,7 @@ def _cmd_renewal(args) -> int:
         },
         "age_integral": {"mc_mean": mc_mean, "mc_se": mc_se},
         "ladder": {
-            "acceptance_rate": stats.acceptance_rate(),
+            "acceptance_rate": float(stats.accepted.mean()),
             "mean_tau_accepted": float(acc.mean()) if acc.size else None,
             "step_cap": args.step_cap,
             "abandoned_envelope": int(stats.abandoned.sum()),

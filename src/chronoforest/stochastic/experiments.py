@@ -219,19 +219,18 @@ def resolve_scale(rule: str, p: int) -> float:
 def _simulate_population(
     law: StickLaw, rng: np.random.Generator, min_sticks: int, raw_time: float, raw_gen_time: float
 ) -> tuple[StickBatch, ContourPath, ContourPath]:
-    """Sample sticks until index, contour and generation-contour coverage; return the
-    batch, its contour and its generation contour (depths as floats, exact below 2^53)."""
+    """Sample at least ``min_sticks`` sticks, and more until both contours reach their times;
+    return the batch, its contour and its generation contour (depths as floats, exact below 2^53)."""
     # cushion: the contour visit times lag the doubled length sums by the
     # running height, which for a critical forest grows like sqrt(n)
-    base = max(min_sticks, int(raw_time / (2.0 * law.mean_v)) + 1, 64)
+    base = max(min_sticks, 64)
     chunk = base + int(6.0 * math.sqrt(base)) + 64
     batch = law.sample_batch(rng, chunk)
     while True:
         heights, depths = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
-        n = batch.n
         path = ContourPath.from_heights(heights, batch.v)
-        gen_path = ContourPath.from_heights(depths.astype(float), np.ones(n))
-        if n >= min_sticks and path.end_time >= raw_time and gen_path.end_time >= raw_gen_time:
+        gen_path = ContourPath.from_heights(depths.astype(float), np.ones(batch.n))
+        if path.end_time >= raw_time and gen_path.end_time >= raw_gen_time:
             return batch, path, gen_path
         chunk = max(chunk // 2, 256)
         more = law.sample_batch(rng, chunk)

@@ -19,7 +19,6 @@ from typing import Optional
 
 import numpy as np
 
-from ..measures import PointMeasure
 from .laws import StickLaw
 
 __all__ = [
@@ -27,8 +26,6 @@ __all__ = [
     "ladder_trio_pmf",
     "LadderStats",
     "sample_ladder_stats",
-    "LadderPair",
-    "sample_ladder_pair",
     "mean_age_integral_mc",
     "sample_vhat",
     "sample_covering_v",
@@ -105,8 +102,8 @@ class LadderStats:
 
     ``accepted[i]`` is False when walk i was rejected; those rows hold -1 in
     tau/zeta/jump_count.  A rejected walk either fell below the envelope and
-    was abandoned early (``abandoned[i]``) or was still negative after
-    ``step_cap`` steps.
+    was abandoned early (``abandoned[i]``) or was still negative after the
+    sampler's ``step_cap`` steps.
     """
 
     tau: np.ndarray
@@ -114,10 +111,6 @@ class LadderStats:
     jump_count: np.ndarray
     accepted: np.ndarray
     abandoned: np.ndarray
-    step_cap: int
-
-    def acceptance_rate(self) -> float:
-        return float(self.accepted.mean())
 
 
 # The walks advance in blocks of steps: the first block is short, each next
@@ -187,41 +180,7 @@ def sample_ladder_stats(
         done += b
         block = min(block * 2, _MAX_BLOCK)
     accepted = tau >= 0
-    return LadderStats(tau, zeta, jump, accepted, abandoned, step_cap)
-
-
-@dataclass
-class LadderPair:
-    """One draw of (ascent time, ladder measure) with its source stick."""
-
-    tau: int
-    zeta: int
-    measure: PointMeasure
-    stick_v: float
-    accepted: bool
-
-
-def sample_ladder_pair(
-    law: StickLaw, rng: np.random.Generator, step_cap: int = 1_000_000
-) -> LadderPair:
-    """Draw the first (ascent time, retained measure) pair of the dual walk.
-
-    The retained measure keeps the jump stick's ages after dropping its
-    ``zeta`` largest atoms; the stick itself is drawn conditionally on its
-    count, as in the forest construction.
-    """
-    stats = sample_ladder_stats(law, rng, 1, step_cap=step_cap)
-    if not stats.accepted[0]:
-        return LadderPair(-1, -1, PointMeasure(), math.nan, False)
-    count = np.array([stats.jump_count[0]], dtype=np.int64)
-    v = np.asarray(law.life.given(rng, count), dtype=float)
-    ages = law.ages.sample(rng, count, v)
-    measure = PointMeasure(ages).truncate_largest(int(stats.zeta[0]))
-    if measure.mass < 1:
-        raise RuntimeError(
-            f"undershoot {int(stats.zeta[0])} removed all {int(count[0])} atoms of the jump stick"
-        )
-    return LadderPair(int(stats.tau[0]), int(stats.zeta[0]), measure, float(v[0]), True)
+    return LadderStats(tau, zeta, jump, accepted, abandoned)
 
 
 def mean_age_integral_mc(

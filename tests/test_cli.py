@@ -10,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from chronoforest.cli import main
+from chronoforest.cli import _rng, main
 from chronoforest.measures import StickBatch, sticks_from_json, sticks_to_json
+from chronoforest.stochastic import parse_law, run_coupling_many
 from chronoforest.stochastic.laws import _LAWS
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -115,11 +117,6 @@ def test_build_empty_input(tmp_path, capsys):
     assert out.strip() == "index,parent,birth_time,depth,v,tree_id"
 
 
-def test_build_input_and_law_conflict(fixture_json, capsys):
-    rc = main(["build", "--input", str(fixture_json), "--law", "gw(mean=1.0)"])
-    assert rc == 2
-
-
 def test_build_malformed_json(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -204,6 +201,77 @@ def test_renewal_diagnostics(capsys):
     assert report["ladder"]["rejected_step_cap"] == round(2000 * (1.0 - report["ladder"]["acceptance_rate"]))
 
 
+class _LadderDrawn(Exception):
+    pass
+
+
+def _refuse_to_draw(*args, **kwargs):
+    raise _LadderDrawn
+
+
+HEAVY_TAIL_REFUSAL = (
+    "renewal: with stable counts (alpha=1.2) P(tau > n) decays like n^-(1-1/alpha), so 10000"
+    " ladder walks at --step-cap {cap} would draw about {work} counts, over the bound of"
+    " 1.5e+08; use --step-cap 102638 or less\n"
+)
+
+
+@pytest.mark.parametrize(
+    "spec, flags, work",
+    [
+        ("family2(alpha=1.2)", [], "1e+09"),
+        ("family2(alpha=1.2)", ["--step-cap", "102639"], "1.5e+08"),
+    ],
+)
+def test_renewal_refuses_a_heavy_tail_before_drawing(monkeypatch, capsys, spec, flags, work):
+    # these walks would draw more counts than the bound (at the defaults
+    # about 1e9, some four minutes): exit 2 before any draw
+    monkeypatch.setattr("chronoforest.cli.sample_ladder_stats", _refuse_to_draw)
+    monkeypatch.setattr("chronoforest.cli._rng", _refuse_to_draw)
+    assert main(["renewal", "--law", spec, "--seed", "1", *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    cap = flags[1] if flags else "1000000"
+    assert captured.err == HEAVY_TAIL_REFUSAL.format(cap=cap, work=work)
+
+
+@pytest.mark.parametrize(
+    "spec, flags",
+    [
+        ("family2(alpha=1.2)", ["--step-cap", "102638"]),
+        ("family2(alpha=1.5)", []),
+        ("family1", []),
+        ("family-gen", []),
+        ("family2(alpha=2)", []),
+    ],
+)
+def test_renewal_draws_a_heavy_tail_within_the_bound(monkeypatch, capsys, spec, flags):
+    # the cap the refusal names fits, and so do the stable laws at their
+    # default alpha = 1.5 (about 1e8 counts)
+    monkeypatch.setattr("chronoforest.cli.sample_ladder_stats", _refuse_to_draw)
+    with pytest.raises(_LadderDrawn):
+        main(["renewal", "--law", spec, "--seed", "1", *flags])
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["build", "--input", "sticks.json", "--law", "gw(mean=1.0)"], "build: need exactly one of --input or --law\n"),
+        (["build", "--n", "5"], "build: need exactly one of --input or --law\n"),
+        (["build", "--law", "gw", "--n", "5"], "build: --law needs --seed\n"),
+        (["scale", "--law", "gw"], "scale: need --config, or --law and --p\n"),
+        (["scale", "--p", "10"], "scale: need --config, or --law and --p\n"),
+        (["scale"], "scale: need --config, or --law and --p\n"),
+    ],
+)
+def test_missing_arguments_are_usage_errors(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_couple_exit_codes(capsys):
     rc = main(
         [
@@ -220,6 +288,33 @@ def test_couple_exit_codes(capsys):
     report = json.loads(capsys.readouterr().out)
     assert report["violated"] == 0
     assert report["replicas"] == 50
+
+
+def test_couple_lists_a_violated_replica(monkeypatch, capsys):
+    # the first compared mark gets one extra atom, so the first replica that
+    # reaches its event is violated: exit 1 and its index under "violations"
+    from chronoforest.stochastic import coupling
+
+    law, seed = "gw", 2418
+    honest = run_coupling_many(parse_law(law), 0.0, 16.0, 3, _rng(seed), 20)
+    first = next(i for i, r in enumerate(honest) if r.event)
+    mark, changed = coupling._Blocks.mark, []
+
+    def changed_once(self, e):
+        out = mark(self, e)
+        if not changed:
+            changed.append(e)
+            out = np.append(out, -1.0)
+        return out
+
+    monkeypatch.setattr(coupling._Blocks, "mark", changed_once)
+    argv = ["couple", "--law", law, "--eps", "0", "--t", "16", "--m", "3", "--replicas", "20"]
+    assert main(argv + ["--seed", str(seed)]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert report["violated"] == 1
+    assert report["violations"] == [
+        {"replica": first, "mismatches": [{"back": 0, "step": [2.0, 2.0], "marks_equal": False}]}
+    ]
 
 
 def test_scale_deterministic(tmp_path):

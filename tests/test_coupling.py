@@ -474,3 +474,37 @@ def test_only_blocks_whose_marks_are_read_are_laid_out(monkeypatch, rng):
             if r.undecided_reason == "meet_budget":
                 assert len(draws) == 3  # 600 elements drawn, none laid out
     assert seen >= {"meet_budget", "held", "no_event"}
+
+
+def test_a_changed_mark_is_a_recorded_violation(monkeypatch):
+    # the first compared mark gets one extra atom: the first replica that
+    # reaches its event turns from held to violated at back 0, and no other
+    # replica changes (laying a block out draws nothing)
+    from chronoforest.stochastic import coupling
+
+    law = GaltonWatsonUnitLaw(1.0)
+
+    def replay():
+        return run_coupling_many(law, 0.0, 16.0, 3, np.random.default_rng(2417), 20)
+
+    honest = replay()
+    first = next(i for i, r in enumerate(honest) if r.event)
+    assert honest[first].status == "held"
+    mark, changed = coupling._Blocks.mark, []
+
+    def changed_once(self, e):
+        out = mark(self, e)
+        if not changed:
+            changed.append(e)
+            out = np.append(out, -1.0)
+        return out
+
+    monkeypatch.setattr(coupling._Blocks, "mark", changed_once)
+    results = replay()
+    assert [r.status for r in results] == [
+        "violated" if i == first else r.status for i, r in enumerate(honest)
+    ]
+    assert results[first].mismatches == [{"back": 0, "step": (2.0, 2.0), "marks_equal": False}]
+    summary = summarize_coupling(results)
+    assert summary["violated"] == 1
+    assert summary["held"] == summarize_coupling(honest)["held"] - 1

@@ -17,6 +17,7 @@ from chronoforest.stochastic import (
     ExperimentConfig,
     GeometricUniformLaw,
     StableFamilyLaw,
+    StickLaw,
     max_rise_in_window,
     parse_config,
     parse_law,
@@ -185,6 +186,33 @@ def test_grid_is_the_direct_replicate_calls(spec):
         assert rows.dtype == experiments.ROW_DTYPE and record.dtype == experiments.REPLICATE_DTYPE
         assert rows.tobytes() == res.rows[2 * i : 2 * i + 2].tobytes(), (p_idx, rep)
         assert record.tobytes() == res.replicates[i].tobytes(), (p_idx, rep)
+
+
+def test_a_short_first_draw_is_extended(monkeypatch):
+    # const(v=0.5,ages=0.5) is a chain with no randomness: stick j is born
+    # at H(j) = j/2 at depth j, and the contour visits it at time j/2, so the
+    # first draw, sized by p * t = 1000, ends its contour at about 627 and
+    # two extension rounds, each half the size of the last, reach 1000
+    sizes = []
+    sample_batch = StickLaw.sample_batch
+
+    def counted(law, rng, n):
+        sizes.append(n)
+        return sample_batch(law, rng, n)
+
+    monkeypatch.setattr(StickLaw, "sample_batch", counted)
+    spec = "const(v=0.5,ages=0.5)"
+    cfg = ExperimentConfig(law=spec, p_values=(1000,), times=(0.5, 1.0), replicates=1)
+    rows, record = experiments.simulate_replicate(parse_law(spec), cfg, 0, 0)
+    assert sizes == [1255, 627, 313]
+    eps = resolve_scale("invsqrt", 1000)
+    j = np.array([500.0, 1000.0])
+    assert rows["Hp"].tolist() == (eps * (j / 2)).tolist()
+    assert rows["Hcalp"].tolist() == rows["Cp"].tolist() == (eps * j).tolist()
+    assert rows["deltaH"].tolist() == rows["Sp"].tolist() == [0.0, 0.0]
+    assert rows["phip"].tolist() == [1.0, 2.0]
+    assert rows["phibarp"].tolist() == [0.499, 0.999]
+    assert record["v_at_phibar"] == 0.5
 
 
 def test_summary_shapes():

@@ -14,7 +14,6 @@ from chronoforest.stochastic import (
     ladder_trio_pmf,
     mean_age_integral_mc,
     sample_covering_v,
-    sample_ladder_pair,
     sample_ladder_stats,
     sample_vhat,
     tau_minus_pmf,
@@ -86,9 +85,6 @@ def test_ladder_stats_trivial_law(rng):
     assert np.all(stats.zeta == 0)
     assert np.all(stats.jump_count == 1)
     assert np.all(stats.accepted)
-    pair = sample_ladder_pair(law, rng)
-    assert (pair.tau, pair.zeta, pair.stick_v) == (1, 0, 2.0)
-    assert pair.measure.atoms == (0.7,)
 
 
 def test_ladder_stats_match_trio_pmf(rng):

@@ -367,6 +367,31 @@ def test_experiments_use_no_oracle_types():
     assert not found, "stochastic/experiments.py names the oracle types: " + ", ".join(found)
 
 
+def test_only_the_laws_make_oracle_objects_in_stochastic():
+    # the samplers, the coupling and the experiments run on arrays; in
+    # ``stochastic/`` only ``laws.py`` makes a Stick or a PointMeasure (the
+    # oracle's ``sample_stick`` and the ``FixedAges`` check)
+    for name in ("Stick", "PointMeasure"):
+        for snippet in [
+            f"from ..measures import StickBatch, {name}",
+            f"x = measures.{name}(ages)",
+            f"measure: {name}",
+            f"def f(law) -> {name}: pass",
+        ]:
+            assert _names(ast.parse(snippet), name) == [1], snippet
+        for snippet in ["from ..measures import StickBatch", "sticks = batch.to_sticks()", f"{name}s = 1"]:
+            assert _names(ast.parse(snippet), name) == [], snippet
+    root = Path(chronoforest.__file__).resolve().parent / "stochastic"
+    found = [
+        f"{path.name}:{line}"
+        for path in sorted(root.glob("*.py"))
+        if path.name != "laws.py"
+        for name in ("Stick", "PointMeasure")
+        for line in _names(ast.parse(path.read_text(), filename=str(path)), name)
+    ]
+    assert not found, "stochastic modules other than laws.py name the oracle types: " + ", ".join(found)
+
+
 def _walk_input_violations(tree: ast.AST) -> list[str]:
     """Functions of a module that take the marked walk in any form but one
     ``Walk`` first argument: a public module-level function other than
