@@ -29,7 +29,6 @@ from .lukasiewicz import (
     Walk,
     chi,
     dual_passage,
-    forward_ladder,
     ladder_decomp,
     max_drop,
     mrca,
@@ -64,7 +63,6 @@ __all__ = [
     "Walk",
     "chi",
     "dual_passage",
-    "forward_ladder",
     "ladder_decomp",
     "max_drop",
     "mrca",

@@ -29,7 +29,7 @@ The *contour* of the forest is the piecewise-linear excursion traced by
 exploring sticks depth-first at slope +-1: it climbs from the n-th
 individual's birth time up its full stick and descends to the birth time of
 individual n+1.  Individual n is visited at time ``K(n) = 2 * total life
-length of sticks 0..n-1 - birth_time(n)``; ``ContourPath.from_heights``
+length of sticks 0..n-1 - birth_time(n)``; ``ContourPath(heights, v)``
 is the one place that clock is computed.
 """
 
@@ -306,30 +306,21 @@ def genealogical_map(sticks: Sequence[Stick]) -> list[Stick]:
 class ContourPath:
     """The exploration contour as arrays, with exact evaluation.
 
-    ``visit_times[n]`` is the time K(n) at which individual ``n``'s birth
-    point is visited; ``heights[n]`` its birth time; ``v[n]`` its life
-    length.  The path climbs at slope +1 from (K(n), heights[n]) for v[n]
-    time units, then descends at slope -1 down to heights[n+1].  The arrays
-    carry one trailing entry: ``visit_times[n_sticks]`` closes the path at
-    the terminal graft height.
+    ``ContourPath(heights, v)`` is the contour of individuals with birth
+    times ``heights`` (length n+1, entry 0 being 0) and life lengths ``v``
+    (length n).  ``visit_times[n]`` is the time K(n) = 2 * (v[0] + ... +
+    v[n-1]) - heights[n] at which individual ``n``'s birth point is visited.
+    The path climbs at slope +1 from (K(n), heights[n]) for v[n] time units,
+    then descends at slope -1 down to heights[n+1].  The arrays carry one
+    trailing entry: ``visit_times[n_sticks]`` closes the path at the
+    terminal graft height.
+
+    Raises ``ValueError`` when the doubled total life length overflows, or
+    when the path would descend above a peak, i.e. when some heights[n+1]
+    exceeds heights[n] + v[n] beyond rounding: no forest has such heights.
     """
 
-    def __init__(self, visit_times: np.ndarray, heights: np.ndarray, v: np.ndarray):
-        self.visit_times = visit_times
-        self.heights = heights
-        self.v = v
-
-    @classmethod
-    def from_heights(cls, heights: np.ndarray, v: np.ndarray) -> "ContourPath":
-        """The contour of individuals with birth times ``heights`` (length
-        n+1, entry 0 being 0) and life lengths ``v`` (length n).
-
-        Visit times follow the clock K(n) = 2 * (v[0] + ... + v[n-1]) -
-        heights[n].  Raises ``ValueError`` when the doubled total life
-        length overflows, or when the path would descend above a peak, i.e.
-        when some heights[n+1] exceeds heights[n] + v[n] beyond rounding: no
-        forest has such heights.
-        """
+    def __init__(self, heights: np.ndarray, v: np.ndarray):
         visit_times = np.empty(len(heights))
         visit_times[0] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
@@ -347,7 +338,9 @@ class ContourPath:
                 f"contour would descend above its peak after individual {n}:"
                 f" height {heights[n + 1]!r} exceeds {heights[n]!r} + {v[n]!r}"
             )
-        return cls(visit_times, heights, v)
+        self.visit_times = visit_times
+        self.heights = heights
+        self.v = v
 
     @property
     def end_time(self) -> float:
@@ -406,7 +399,7 @@ def contour_path(forest: ChronForest) -> ContourPath:
     The forest may be incomplete (pending stubs); the path then ends at the
     terminal graft height instead of 0.
     """
-    return ContourPath.from_heights(forest.arrays.heights, forest.batch.v)
+    return ContourPath(forest.arrays.heights, forest.batch.v)
 
 
 # rows formatted into one string per write, which bounds its memory

@@ -38,7 +38,6 @@ __all__ = [
     "chi",
     "LadderDecomp",
     "ladder_decomp",
-    "forward_ladder",
     "dual_passage",
     "mrca",
 ]
@@ -183,26 +182,6 @@ def ladder_decomp(w: Walk, n: int) -> LadderDecomp:
             ages.append(m.sup_support)
             stick_indices.append(n - j)
     return LadderDecomp(n, times, zetas, measures, ages, stick_indices, w)
-
-
-def forward_ladder(w: Walk) -> list[tuple[int, int, int, PointMeasure]]:
-    """Weak ascending ladder epochs of the forward walk.
-
-    Returns (epoch time, gap since previous epoch, undershoot, truncated
-    measure) tuples; the walk of a (sub)critical stick law has finitely many
-    such epochs, i.i.d. in their increments up to the last one.
-    """
-    out = []
-    level = 0
-    prev_t = 0
-    for t in range(1, w.n + 1):
-        if w.s[t] >= level:
-            zeta = int(level - w.s[t - 1])
-            meas = w.births[t - 1].truncate_largest(zeta)
-            out.append((t, t - prev_t, zeta, meas))
-            level = int(w.s[t])
-            prev_t = t
-    return out
 
 
 def dual_passage(w: Walk, m: int, level: int) -> Optional[tuple[int, PointMeasure]]:

@@ -32,7 +32,7 @@ import operator
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -97,12 +97,6 @@ class PointMeasure:
         if k < 0:
             raise ValueError(f"k must be >= 0, got {k}")
         return PointMeasure._from_sorted(self._atoms[k:])
-
-    def __iter__(self) -> Iterator[float]:
-        return iter(self._atoms)
-
-    def __len__(self) -> int:
-        return len(self._atoms)
 
     def __bool__(self) -> bool:
         return bool(self._atoms)

@@ -181,8 +181,8 @@ def run_coupling(
     feasible when life lengths are arithmetic.
     """
     _check_arguments(law, eps, t, m, meet_budget, walk_budget)
-    alpha = 2.0 * float(law.life.sample(rng))
-    alpha_prime = 2.0 * float(sample_vhat(law, rng))
+    alpha = 2.0 * float(law.life.sample(rng, 1)[0])
+    alpha_prime = 2.0 * float(sample_vhat(law, rng, 1)[0])
     walk = _WalkState(alpha)
     walk_prime = _WalkState(alpha_prime)
     stream = _Blocks(law, rng)

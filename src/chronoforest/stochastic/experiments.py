@@ -228,8 +228,8 @@ def _simulate_population(
     batch = law.sample_batch(rng, chunk)
     while True:
         heights, depths = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
-        path = ContourPath.from_heights(heights, batch.v)
-        gen_path = ContourPath.from_heights(depths.astype(float), np.ones(batch.n))
+        path = ContourPath(heights, batch.v)
+        gen_path = ContourPath(depths.astype(float), np.ones(batch.n))
         if path.end_time >= raw_time and gen_path.end_time >= raw_gen_time:
             return batch, path, gen_path
         chunk = max(chunk // 2, 256)

@@ -14,6 +14,9 @@ draws, its means and its parameter checks:
   then ones): birth ages given counts and lives, and their arrangement
   non-increasing within each stick.
 
+Every draw of a count or life part takes ``(rng, size)`` and returns an
+``ndarray`` of shape ``size``: ``int64`` counts, ``float64`` lengths.
+
 A batch is made in two steps.  ``StickLaw.draw`` makes every generator
 call: the counts, then the lives, then the ages in draw order.
 ``StickLaw.layout`` makes none: the age part's ``arrange`` puts each
@@ -96,10 +99,10 @@ class GeometricCounts:
         self.mean = float(mean)
         self.q = 1.0 / (1.0 + self.mean)
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.geometric(self.q, size=size) - 1
 
-    def sizebiased(self, rng, size=None):
+    def sizebiased(self, rng, size):
         # k * q(1-q)^k / mean == (j+1) q^2 (1-q)^j at k = j+1: negative
         # binomial with 2 successes, shifted by one.
         if self.mean == 0:
@@ -124,12 +127,12 @@ class FixedCounts:
         self.p = float(p) if self.coin else 1.0
         self.mean = self.k * self.p
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         if self.coin:
             return self.k * (rng.random(size) < self.p).astype(np.int64)
-        return np.full(size if size is not None else (), self.k, dtype=np.int64)
+        return np.full(size, self.k, dtype=np.int64)
 
-    def sizebiased(self, rng, size=None):
+    def sizebiased(self, rng, size):
         # biased by its size, a count of k or 0 is always k
         if self.mean == 0:
             raise _no_children()
@@ -225,12 +228,12 @@ class StableCounts:
         self.z_a1 = _zeta(self.alpha + 1.0)
         self.p0 = 1.0 - self.z_a1 / self.z_a
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         nonzero = rng.random(size) < self.z_a1 / self.z_a
         z = rng.zipf(self.alpha + 1.0, size=size)
         return np.where(nonzero, z, 0).astype(np.int64)
 
-    def sizebiased(self, rng, size=None):
+    def sizebiased(self, rng, size):
         # k * p_k has pmf k^-alpha / zeta(alpha): a plain Zipf(alpha) draw.
         return rng.zipf(self.alpha, size=size)
 
@@ -266,7 +269,7 @@ class StableCounts:
 class _Life:
     def given(self, rng, counts):
         """Life lengths given the counts (independent of them here)."""
-        return self.sample(rng, np.shape(counts) if np.ndim(counts) else None)
+        return self.sample(rng, np.shape(counts))
 
 
 class ConstantLife(_Life):
@@ -277,8 +280,8 @@ class ConstantLife(_Life):
         self.arithmetic = bool(arithmetic)
         self.span = self.v if arithmetic else None
 
-    def sample(self, rng, size=None):
-        return np.full(size, self.v) if size is not None else self.v
+    def sample(self, rng, size):
+        return np.full(size, self.v)
 
     length_biased = sample
 
@@ -293,10 +296,10 @@ class ExponentialLife(_Life):
         self.rate = _positive_finite("rate", rate)
         self.mean = 1.0 / self.rate
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return rng.exponential(1.0 / self.rate, size=size)
 
-    def length_biased(self, rng, size=None):
+    def length_biased(self, rng, size):
         # density v * rate * exp(-rate v) / E V = Gamma(2, 1/rate)
         return rng.gamma(2.0, 1.0 / self.rate, size=size)
 
@@ -311,26 +314,25 @@ class OnePlusCountLife(_Life):
         self.counts = counts
         self.mean = 1.0 + counts.mean
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size):
         return 1.0 + self.counts.sample(rng, size)
 
     def given(self, rng, counts):
-        return 1.0 + np.asarray(counts, dtype=float)
+        return 1.0 + counts
 
-    def length_biased(self, rng, size=None):
+    def length_biased(self, rng, size):
         # (1+k) p_k / 2 splits into thirds: zero counts, a Zipf(alpha+1)
         # part, and a Zipf(alpha) part.
         c = self.counts
-        u = rng.random(size if size is not None else 1)
+        u = rng.random(size)
         w_zero = c.p0 / 2.0
         w_z1 = c.z_a1 / (2.0 * c.z_a)
         k = np.where(
             u < w_zero,
             0,
-            np.where(u < w_zero + w_z1, rng.zipf(c.alpha + 1.0, np.shape(u)), rng.zipf(c.alpha, np.shape(u))),
+            np.where(u < w_zero + w_z1, rng.zipf(c.alpha + 1.0, size), rng.zipf(c.alpha, size)),
         )
-        out = 1.0 + k
-        return float(out[0]) if size is None else out
+        return 1.0 + k
 
 
 # -- age parts -----------------------------------------------------------
@@ -449,7 +451,7 @@ class StickLaw:
         """Counts, life lengths and flat ages of n sticks, each stick's
         ages in draw order: every generator call of ``sample_batch``."""
         counts = self.counts.sample(rng, n)
-        v = np.asarray(self.life.given(rng, counts), dtype=float)
+        v = self.life.given(rng, counts)
         return counts, v, self.ages.sample(rng, counts, v)
 
     def layout(self, counts: np.ndarray, v: np.ndarray, ages: np.ndarray) -> StickBatch:
@@ -467,7 +469,7 @@ class StickLaw:
         counts = self.counts.sizebiased(rng, n)
         if np.any(counts < 1):
             raise ValueError("size-biased counts must be >= 1")
-        v = np.asarray(self.life.given(rng, counts), dtype=float)
+        v = self.life.given(rng, counts)
         return self.ages.pick(rng, counts, v)
 
     def describe(self) -> dict:

@@ -154,7 +154,7 @@ def sample_ladder_stats(
     block = _FIRST_BLOCK
     while active.size and done < step_cap:
         b = min(block, step_cap - done, max(_MAX_SLOTS // active.size, 1))
-        counts = np.asarray(law.counts.sample(rng, (active.size, b)), dtype=np.int64)
+        counts = law.counts.sample(rng, (active.size, b))
         cum = np.cumsum(counts - 1, axis=1)
         cum += s_active[:, None]
         hit = cum >= 0
@@ -195,15 +195,16 @@ def mean_age_integral_mc(
     return mean, se
 
 
-def sample_vhat(law: StickLaw, rng: np.random.Generator, size=None):
-    """Stationary overshoot of the life-length renewal process.
+def sample_vhat(law: StickLaw, rng: np.random.Generator, size) -> np.ndarray:
+    """Stationary overshoot of the life-length renewal process: a float64
+    array of shape ``size``, like every draw of the law parts.
 
     Draw a length-biased life length and place the inspection point
     uniformly inside it: uniform on [0, v) in the non-arithmetic case, and
     uniform on the lattice {0, h, ..., v - h} when lengths live on a span-h
     lattice.
     """
-    v = np.asarray(law.life.length_biased(rng, size), dtype=float)
+    v = law.life.length_biased(rng, size)
     if law.arithmetic:
         h = law.span
         if h is None or not h > 0:
@@ -211,10 +212,8 @@ def sample_vhat(law: StickLaw, rng: np.random.Generator, size=None):
         steps = np.rint(v / h).astype(np.int64)
         if not np.all(np.abs(steps * h - v) <= 1e-9 * np.maximum(v, 1.0)):
             raise ValueError(f"life lengths of law {law.name} stray off its span-{h} lattice")
-        out = h * rng.integers(0, steps)
-    else:
-        out = rng.random(np.shape(v)) * v
-    return float(out) if size is None else out
+        return h * rng.integers(0, steps)
+    return rng.random(size) * v
 
 
 def sample_covering_v(
@@ -232,7 +231,7 @@ def sample_covering_v(
     out = np.empty(n)
     pending = np.arange(n)
     while pending.size:
-        v = np.asarray(law.life.sample(rng, (pending.size, cols)), dtype=float)
+        v = law.life.sample(rng, (pending.size, cols))
         cs = np.cumsum(v, axis=1)
         covered = cs[:, -1] > t
         idx = (cs <= t).sum(axis=1)

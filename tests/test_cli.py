@@ -694,6 +694,16 @@ def test_scale_config_rejects_a_repeated_key(tmp_path, capsys, monkeypatch, text
     assert captured.err == f"error: {message}\n"
 
 
+def test_scale_config_line_without_equals_is_usage_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr("chronoforest.cli.scaling_experiment", None)
+    cfg = tmp_path / "config.txt"
+    cfg.write_text("law = gw\np 1000\n")
+    assert main(["scale", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: line 2: expected key = value, got 'p 1000'\n"
+
+
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -834,6 +844,7 @@ BAD_LAWS = [
     ("gw(mean=nan)", "mean offspring must be >= 0 and finite, got nan"),
     ("gw(mean=0.5,mean=0.8)", "law 'gw': key 'mean' given twice"),
     ("two-point(a1=1.0,a2=0.5,a1=0.9)", "law 'two-point': key 'a1' given twice"),
+    ("gw(mean)", "law argument 'mean' is not key=value"),
 ]
 LAW_COMMANDS = {
     "scale": ["--p", "10", "--replicates", "1"],

@@ -73,8 +73,8 @@ def literal_coupling(law, eps, t, m, rng, meet_budget, walk_budget):
     """Reference replica, element by element; returns the result, the
     number of stream elements it read and the stream elements at which the
     two walks crossed t."""
-    alpha = 2.0 * float(law.life.sample(rng))
-    alpha_prime = 2.0 * float(sample_vhat(law, rng))
+    alpha = 2.0 * float(law.life.sample(rng, 1)[0])
+    alpha_prime = 2.0 * float(sample_vhat(law, rng, 1)[0])
     walk = _Walk(alpha)
     walk_prime = _Walk(alpha_prime)
     stream = _Stream(law, rng)

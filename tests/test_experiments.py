@@ -67,6 +67,11 @@ def test_parse_config_rejects_unknown_keys():
         parse_config("law = gw(mean=1.0)\np = 10\nbogus = 3\n")
 
 
+def test_parse_config_rejects_a_line_without_equals():
+    with pytest.raises(ValueError, match="line 1: expected key = value, got 'p 1000'"):
+        parse_config("p 1000")
+
+
 def test_resolve_scale_rules():
     assert resolve_scale("invsqrt", 10_000) == pytest.approx(0.01)
     assert resolve_scale("stable:2.0", 10_000) == pytest.approx(0.01)
@@ -75,6 +80,8 @@ def test_resolve_scale_rules():
     assert resolve_scale("0.125", 77) == 0.125
     with pytest.raises(ValueError):
         resolve_scale("nonsense", 100)
+    with pytest.raises(ValueError, match="unknown scale rule 'foo:1'"):
+        resolve_scale("foo:1", 10)
 
 
 @pytest.mark.parametrize(

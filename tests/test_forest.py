@@ -107,14 +107,14 @@ def test_overflowing_birth_times_are_rejected():
                 construct(sticks)
             assert str(info.value) == message, construct.__name__
         with pytest.raises(ValueError) as info:
-            ContourPath.from_heights(np.zeros(4), np.full(3, 1e308))
+            ContourPath(np.zeros(4), np.full(3, 1e308))
         assert str(info.value) == message
 
 
 def test_contour_rejects_heights_above_a_peak():
     # Individual 1 cannot be born at 3.0 when individual 0 dies at 1.0.
     with pytest.raises(ValueError, match="descend above its peak"):
-        ContourPath.from_heights(np.array([0.0, 3.0, 0.0]), np.array([1.0, 3.0]))
+        ContourPath(np.array([0.0, 3.0, 0.0]), np.array([1.0, 3.0]))
 
 
 def test_contour_eval_at_visits_and_peaks(reference_sticks):

@@ -55,11 +55,11 @@ def item_pmf(law, rng):
 
 
 def item_life(law, rng):
-    return [law.life.sample(rng, 500), float(law.life.sample(rng)), law.life.sample(rng, (4, 9))]
+    return [law.life.sample(rng, 500), float(law.life.sample(rng, 1)[0]), law.life.sample(rng, (4, 9))]
 
 
 def item_length_biased(law, rng):
-    return [law.life.length_biased(rng, 500), float(law.life.length_biased(rng))]
+    return [law.life.length_biased(rng, 500), float(law.life.length_biased(rng, 1)[0])]
 
 
 def item_ystars(law, rng):
@@ -67,7 +67,7 @@ def item_ystars(law, rng):
 
 
 def item_vhat(law, rng):
-    return [sample_vhat(law, rng, 500), float(sample_vhat(law, rng))]
+    return [sample_vhat(law, rng, 500), float(sample_vhat(law, rng, 1)[0])]
 
 
 def item_covering(law, rng):

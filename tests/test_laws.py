@@ -288,6 +288,18 @@ def test_parse_law_rejects_junk():
             parse_law(bad)
 
 
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        pytest.param(lambda: parse_law("gw(mean)"), "law argument 'mean' is not key=value", id="no-equals"),
+        pytest.param(lambda: StableFamilyLaw("3"), "unknown variant '3'", id="family-variant"),
+    ],
+)
+def test_malformed_law_arguments_are_named(make, message):
+    with pytest.raises(ValueError, match=message):
+        make()
+
+
 def test_const_law_validation():
     with pytest.raises(ValueError):
         ConstantStickLaw(1.0, [1.5])  # age beyond the life length

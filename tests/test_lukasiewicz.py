@@ -12,13 +12,13 @@ from chronoforest.lukasiewicz import (
     Walk,
     chi,
     dual_passage,
-    forward_ladder,
     ladder_decomp,
     max_drop,
     mrca,
     walk,
 )
 from chronoforest.measures import ZERO, PointMeasure, Stick
+from chronoforest.spine import shifted_spine
 from chronoforest.stochastic import GeometricUniformLaw
 
 from conftest import REFERENCE_WALK
@@ -175,6 +175,23 @@ def test_dual_passage_checks_m(m):
         dual_passage(w, m, 0)
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        pytest.param(lambda w, s: max_drop(w, 2, 1), "need 0 <= m <= n <= 3, got (2, 1)", id="max_drop"),
+        pytest.param(lambda w, s: mrca(w, 0, 4), "need 0 <= m <= n <= 3, got (0, 4)", id="mrca"),
+        pytest.param(lambda w, s: shifted_spine(s, 2, 1), "need 0 <= m <= n <= 3, got (2, 1)", id="shifted_spine"),
+        pytest.param(lambda w, s: chi(w, 3), "need 0 <= m < 3, got 3", id="chi"),
+        pytest.param(lambda w, s: ladder_decomp(w, 2).D(-1), "level must be >= 0", id="D"),
+        pytest.param(lambda w, s: dual_passage(w, 1, -1), "level must be >= 0", id="dual_passage"),
+    ],
+)
+def test_functionals_reject_arguments_out_of_range(call, message):
+    sticks = unit_sticks([1, 1, 0])
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call(walk(sticks), sticks)
+
+
 def test_drop_functional(reference_sticks):
     w = walk(reference_sticks)
     assert ladder_decomp(w, 5).D(0) == 0.0
@@ -188,17 +205,6 @@ def test_drop_functional(reference_sticks):
             assert d >= prev - 1e-12
             assert d <= f.arrays.heights[n] + 1e-12
             prev = d
-
-
-def test_forward_ladder(reference_sticks):
-    rungs = forward_ladder(walk(reference_sticks))
-    times = [t for t, _, _, _ in rungs]
-    assert times == sorted(times)
-    assert all(t >= 1 for t in times)
-    for _, gap, zeta, measure in rungs:
-        assert gap >= 1
-        assert zeta >= 0
-        assert measure.mass >= 1
 
 
 @given(st.lists(st.integers(0, 3), min_size=1, max_size=30))

@@ -167,7 +167,6 @@ def test_vhat_degenerate_lattices(rng):
                 GeometricUniformLaw(1.0, v=1.5)):
         draws = sample_vhat(law, rng, size=200)
         assert np.all(draws == 0.0)
-    assert sample_vhat(GaltonWatsonUnitLaw(1.0), rng) == 0.0  # scalar form
 
 
 class _OffLatticeLaw(ConstantStickLaw):
@@ -182,8 +181,6 @@ def test_vhat_rejects_lengths_off_the_span(rng):
     law = _OffLatticeLaw()
     with pytest.raises(ValueError, match="lattice"):
         sample_vhat(law, rng, size=10)
-    with pytest.raises(ValueError, match="lattice"):
-        sample_vhat(law, rng)
 
 
 def test_vhat_exponential_is_memoryless(rng):
@@ -236,6 +233,13 @@ def test_mean_age_integral_mc_geometric(rng):
     mean, se = mean_age_integral_mc(law, rng, 50_000)
     assert se > 0
     assert abs(mean - 0.5) < 4 * se
+
+
+def test_reference_laws_validate_input(rng):
+    with pytest.raises(ValueError, match="mean offspring must be positive"):
+        ladder_trio_pmf(np.array([1.0]), 5)
+    with pytest.raises(ValueError, match="t must be >= 0"):
+        sample_covering_v(GaltonWatsonUnitLaw(1.0), rng, -1.0, 5)
 
 
 def test_tau_pmf_validates_input():

@@ -6,6 +6,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import chronoforest
@@ -543,3 +544,121 @@ def test_a_scaling_replicate_is_one_call():
     found = [f"SeedSequence:{line}" for line in _seed_sequences_outside_replicate(tree)]
     found += _dict_fields(tree, "ExperimentResult")
     assert not found, "stochastic/experiments.py: " + ", ".join(found)
+
+
+def _optional_sizes(tree: ast.AST) -> list[str]:
+    """Where a module gives a draw a second, scalar form: a parameter named
+    ``size`` with a default, or a comparison of ``size`` with ``None``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            defaulted = positional[len(positional) - len(a.defaults):]
+            defaulted += [arg for arg, d in zip(a.kwonlyargs, a.kw_defaults) if d is not None]
+            if any(arg.arg == "size" for arg in defaulted):
+                found.append(f"{node.lineno}: {node.name} has a default size")
+        elif isinstance(node, ast.Compare):
+            operands = [node.left, *node.comparators]
+            if any(getattr(x, "id", None) == "size" for x in operands) and any(
+                isinstance(x, ast.Constant) and x.value is None for x in operands
+            ):
+                found.append(f"{node.lineno}: compares size with None")
+    return found
+
+
+def test_a_draw_has_a_size():
+    # every draw of the stochastic package takes the shape it returns: one
+    # array form per draw, not a scalar form whose type varies with the law
+    for snippet, expected in [
+        ("def sample(self, rng, size=None): pass", ["1: sample has a default size"]),
+        ("def sample(self, rng, *, size=1): pass", ["1: sample has a default size"]),
+        ("def draw(rng, n, size=(2, 3), k=0): pass", ["1: draw has a default size"]),
+        ("u = rng.random(size if size is not None else 1)", ["1: compares size with None"]),
+        ("if None == size:\n    size = ()", ["1: compares size with None"]),
+        ("def sample(self, rng, size):\n    return rng.random(size)", []),
+        ("def stats(law, rng, n, step_cap=1_000_000): pass", []),
+        ("def given(self, rng, counts, size): pass", []),
+        ("if shape is None:\n    shape = ()", []),
+    ]:
+        assert _optional_sizes(ast.parse(snippet)) == expected, snippet
+    root = Path(chronoforest.__file__).resolve().parent / "stochastic"
+    found = [
+        f"stochastic/{path.name}:{where}"
+        for path in sorted(root.glob("*.py"))
+        for where in _optional_sizes(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, "draws with a scalar form: " + ", ".join(found)
+
+
+# public names that no module calls, each kept for a reason of its own
+UNCALLED_ALLOWED = {
+    "max_rise_in_window": "acceptance criterion 7 and the benchmark's families-window workload",
+    "StickLaw.sample_stick": "acceptance criterion 1 draws its sticks one at a time",
+    "ladder_trio_pmf": "acceptance criterion 2's exact law",
+    "sample_covering_v": "the reference the length-biased lives are checked against",
+}
+
+
+def _uncalled_public_names(trees: dict[str, ast.AST]) -> list[str]:
+    """Public top-level functions and classes, and public methods of
+    top-level classes, that no module names in its code outside their own
+    definition; imports and ``__all__`` do not count as naming."""
+
+    def named(tree: ast.AST) -> Counter:
+        out = Counter()
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                continue
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                continue
+            out.update(filter(None, (getattr(node, "id", None), getattr(node, "attr", None))))
+            stack.extend(ast.iter_child_nodes(node))
+        return out
+
+    everywhere = sum(map(named, trees.values()), Counter())
+    found = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node)] if not node.name.startswith("_") else []
+            if isinstance(node, ast.ClassDef):
+                defs += [
+                    (f"{node.name}.{stmt.name}", stmt)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("_")
+                ]
+            for qualname, definition in defs:
+                if everywhere[definition.name] == named(definition)[definition.name]:
+                    found.append(f"{module}:{qualname}")
+    return found
+
+
+def test_every_public_name_has_a_caller():
+    # a public function, class or method that no module calls is code
+    # without a caller: it goes, or it names its reason in UNCALLED_ALLOWED
+    for sources, expected in [
+        ({"a.py": "def f(): pass"}, ["a.py:f"]),
+        ({"a.py": "def f(): pass\n\ndef g():\n    return f()"}, ["a.py:g"]),
+        ({"a.py": "def f(n):\n    return f(n - 1)"}, ["a.py:f"]),
+        ({"a.py": "__all__ = ['f']\n\ndef f(): pass", "b.py": "from .a import f"}, ["a.py:f"]),
+        ({"a.py": "def f(): pass", "b.py": "from .a import f\n\nx = f()"}, []),
+        ({"a.py": "class C:\n    def m(self): pass\n    def n(self): pass\n\nx = C().m()"}, ["a.py:C.n"]),
+        ({"a.py": "class _C:\n    def __len__(self): return 0\n    def _m(self): pass\n\ndef _f(): pass"}, []),
+        ({"a.py": "def f(): pass", "b.py": "def g():\n    def f(): pass"}, ["a.py:f", "b.py:g"]),
+    ]:
+        trees = {name: ast.parse(text) for name, text in sources.items()}
+        assert _uncalled_public_names(trees) == expected, sources
+    root = Path(chronoforest.__file__).resolve().parent
+    trees = {
+        path.relative_to(root).as_posix(): ast.parse(path.read_text(), filename=str(path))
+        for path in sorted(root.rglob("*.py"))
+    }
+    uncalled = {where.split(":")[1]: where for where in _uncalled_public_names(trees)}
+    found = [where for name, where in uncalled.items() if name not in UNCALLED_ALLOWED]
+    assert not found, "public names without a caller: " + ", ".join(found)
+    stale = sorted(set(UNCALLED_ALLOWED) - set(uncalled))
+    assert not stale, "allowed as uncalled, but called: " + ", ".join(stale)
