@@ -148,6 +148,7 @@ RENEWAL_COUNT_BOUND = 1.5e8
 
 def _cmd_renewal(args) -> int:
     law = parse_law(args.law)
+    law.require_subcritical("ladder epochs by duality")  # before any draw
     walks = min(args.draws, 10000)
     # with stable counts P(tau > n) ~ n^-(1-1/alpha): a walk draws about step_cap^(1/alpha)
     alpha = law.alpha if isinstance(law, StableFamilyLaw) else 2.0
@@ -178,8 +179,7 @@ def _cmd_renewal(args) -> int:
             "acceptance_rate": float(stats.accepted.mean()),
             "mean_tau_accepted": float(acc.mean()) if acc.size else None,
             "step_cap": args.step_cap,
-            "abandoned_envelope": int(stats.abandoned.sum()),
-            "rejected_step_cap": int((~stats.accepted & ~stats.abandoned).sum()),
+            "rejected_step_cap": int((stats.finite & ~stats.accepted).sum()),
         },
         "stationary_overshoot_mean": float(np.mean(vh)),
     }

@@ -16,7 +16,6 @@ from .renewal import (
     LadderStats,
     ladder_trio_pmf,
     mean_age_integral_mc,
-    sample_covering_v,
     sample_ladder_stats,
     sample_vhat,
     tau_minus_pmf,
@@ -47,7 +46,6 @@ __all__ = [
     "LadderStats",
     "ladder_trio_pmf",
     "mean_age_integral_mc",
-    "sample_covering_v",
     "sample_ladder_stats",
     "sample_vhat",
     "tau_minus_pmf",

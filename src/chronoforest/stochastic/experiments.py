@@ -365,8 +365,7 @@ def scaling_experiment(config: ExperimentConfig, workers: int = 1) -> Experiment
     (pickled for the worker pool).
     """
     law = parse_law(config.law)
-    if not 0.0 <= law.mean_offspring <= 1.0 + 1e-12:
-        raise ValueError("scaling experiments need a (sub)critical law")
+    law.require_subcritical("scaling experiments")
     # a replicate draws [p * t / (2 mean_v)] sticks or more, t up to the
     # interval's end: a count no array can hold must fail before any draw
     p_max, t_max = max(config.p_values), max(*config.times, config.interval[1])

@@ -461,8 +461,10 @@ class StickLaw:
     def sample_batch(self, rng: np.random.Generator, n: int) -> StickBatch:
         return self.layout(*self.draw(rng, n))
 
-    def sample_stick(self, rng: np.random.Generator) -> Stick:
-        return self.sample_batch(rng, 1).stick(0)
+    def require_subcritical(self, what: str) -> None:
+        """Refuse a supercritical law: ``what`` needs mean offspring <= 1."""
+        if not 0.0 <= self.mean_offspring <= 1.0 + 1e-12:
+            raise ValueError(f"{what} need a (sub)critical law")
 
     def sample_ystars(self, rng: np.random.Generator, n: int) -> np.ndarray:
         """Ages of a uniformly chosen atom of n size-biased sticks."""

@@ -4,8 +4,9 @@ Covers the quantities attached to a single weak ascent of the dual walk:
 
 * exact first-passage pmfs for the downward-skip-free walk (dynamic
   programming on the offspring pmf);
-* the joint law of (ascent time, undershoot, jump count) and an exact
-  rejection sampler for it;
+* the joint law of (ascent time, undershoot, jump count), and an exact
+  sampler for it by duality: a finiteness coin, a size-biased jump count
+  and a first passage of a fresh walk;
 * the mean total age of a stick, against which the size-biased atom ages
   of ``StickLaw.sample_ystars`` are checked;
 * the stationary overshoot of the life-length renewal process.
@@ -15,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -28,7 +28,6 @@ __all__ = [
     "sample_ladder_stats",
     "mean_age_integral_mc",
     "sample_vhat",
-    "sample_covering_v",
 ]
 
 
@@ -100,17 +99,17 @@ def ladder_trio_pmf(offspring_pmf, tmax: int) -> dict[tuple[int, int, int], floa
 class LadderStats:
     """Vectorized draws of the first weak ascent of the count walk.
 
-    ``accepted[i]`` is False when walk i was rejected; those rows hold -1 in
-    tau/zeta/jump_count.  A rejected walk either fell below the envelope and
-    was abandoned early (``abandoned[i]``) or was still negative after the
-    sampler's ``step_cap`` steps.
+    ``finite[i]`` is the coin that made walk i's ascent epoch finite.
+    ``accepted[i]`` is False when walk i was rejected, because its epoch is
+    infinite or lies past the sampler's ``step_cap``; those rows hold -1 in
+    tau/zeta/jump_count.
     """
 
     tau: np.ndarray
     zeta: np.ndarray
     jump_count: np.ndarray
     accepted: np.ndarray
-    abandoned: np.ndarray
+    finite: np.ndarray
 
 
 # The walks advance in blocks of steps: the first block is short, each next
@@ -122,65 +121,63 @@ _MAX_SLOTS = 1 << 23
 
 
 def sample_ladder_stats(
-    law: StickLaw,
-    rng: np.random.Generator,
-    n: int,
-    step_cap: int = 1_000_000,
-    envelope: Optional[float] = None,
+    law: StickLaw, rng: np.random.Generator, n: int, step_cap: int = 1_000_000
 ) -> LadderStats:
-    """Run n independent count walks until their first weak ascent.
+    """Draw the first weak ascent of n independent count walks, by duality.
 
     The walk S(k) = sum of (count - 1) starts at 0; the ascent happens at
     the first k >= 1 with S(k) >= 0, where zeta = -S(k-1) and jump_count is
-    the count consumed at that step.  Walks still negative after
-    ``step_cap`` steps are rejected.
+    the count consumed at that step.  Read backwards from the ascent, the
+    walk before it is a first passage to -zeta (``ladder_trio_pmf``), so for
+    a (sub)critical law the draw is exact:
 
-    For strictly subcritical laws the walk drifts down linearly and the
-    return probability from depth d decays like exp(-c d), so ``envelope``
-    abandons walks below that depth early (counted as rejections).  The
-    default 60 / (1 - mean) puts the abandonment bias far below Monte Carlo
-    resolution.  Critical laws get no envelope: they return from any depth
-    with full probability, so only the step cap may reject.
+    * the epoch is finite with probability equal to the mean offspring;
+    * given that it is, jump_count is size-biased and zeta uniform on
+      {0, ..., jump_count - 1};
+    * tau - 1 is the first passage time of a fresh walk from 0 to -zeta.
+
+    A finite epoch whose passage takes more than ``step_cap - 1`` steps is
+    rejected, like an infinite one.  A supercritical law raises ValueError:
+    its ascent is finite with probability 1, not its mean offspring.
     """
-    if envelope is None and law.mean_offspring < 1.0 - 1e-12:
-        envelope = min(60.0 / (1.0 - law.mean_offspring), 1e4)
+    law.require_subcritical("ladder epochs by duality")
+    finite = rng.random(n) < law.mean_offspring
     tau = np.full(n, -1, dtype=np.int64)
     zeta = np.full(n, -1, dtype=np.int64)
     jump = np.full(n, -1, dtype=np.int64)
-    abandoned = np.zeros(n, dtype=bool)
-    active = np.arange(n)
-    s_active = np.zeros(n, dtype=np.int64)
+    rows = np.flatnonzero(finite)
+    if rows.size:  # a law without children has no size-biased count
+        jump[rows] = law.counts.sizebiased(rng, rows.size)
+        zeta[rows] = rng.integers(0, jump[rows])
+    tau[zeta == 0] = 1
+    # the walk steps down by at most 1: a passage to -zeta takes zeta steps or more
+    active = np.flatnonzero((zeta > 0) & (zeta < step_cap))
+    # each active walk's height above -zeta, which its passage brings to 0
+    s_active = zeta[active]
     done = 0
     block = _FIRST_BLOCK
-    while active.size and done < step_cap:
-        b = min(block, step_cap - done, max(_MAX_SLOTS // active.size, 1))
+    while active.size and done < step_cap - 1:
+        b = min(block, step_cap - 1 - done, max(_MAX_SLOTS // active.size, 1))
         counts = law.counts.sample(rng, (active.size, b))
         cum = np.cumsum(counts - 1, axis=1)
         cum += s_active[:, None]
-        hit = cum >= 0
+        hit = cum <= 0
         any_hit = hit.any(axis=1)
-        rows = np.nonzero(any_hit)[0]
-        if rows.size:
-            fi = np.argmax(hit[rows], axis=1)
-            ai = active[rows]
-            tau[ai] = done + fi + 1
-            prev = np.where(fi > 0, cum[rows, np.maximum(fi - 1, 0)], s_active[rows])
-            if np.any(prev > 0):
-                raise RuntimeError("count walk ascended before its first weak ascent")
-            zeta[ai] = -prev
-            jump[ai] = counts[rows, fi]
+        hit_rows = np.flatnonzero(any_hit)
+        if hit_rows.size:
+            fi = np.argmax(hit[hit_rows], axis=1)
+            if np.any(cum[hit_rows, fi] != 0):
+                raise RuntimeError("count walk stepped past its passage level")
+            tau[active[hit_rows]] = done + fi + 2
         keep = ~any_hit
         active = active[keep]
         s_active = cum[keep, -1]
-        if envelope is not None and active.size:
-            shallow = s_active > -envelope
-            abandoned[active[~shallow]] = True
-            active = active[shallow]
-            s_active = s_active[shallow]
         done += b
         block = min(block * 2, _MAX_BLOCK)
     accepted = tau >= 0
-    return LadderStats(tau, zeta, jump, accepted, abandoned)
+    zeta[~accepted] = -1
+    jump[~accepted] = -1
+    return LadderStats(tau, zeta, jump, accepted, finite)
 
 
 def mean_age_integral_mc(
@@ -214,29 +211,3 @@ def sample_vhat(law: StickLaw, rng: np.random.Generator, size) -> np.ndarray:
             raise ValueError(f"life lengths of law {law.name} stray off its span-{h} lattice")
         return h * rng.integers(0, steps)
     return rng.random(size) * v
-
-
-def sample_covering_v(
-    law: StickLaw, rng: np.random.Generator, t: float, n: int
-) -> np.ndarray:
-    """Life length of the stick whose renewal interval covers time t.
-
-    Lays i.i.d. life lengths end to end from 0 and returns, for each of n
-    independent runs, the length of the interval containing t.  As t grows
-    this converges to the length-biased law.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    cols = int(t / law.mean_v * 1.5) + 30
-    out = np.empty(n)
-    pending = np.arange(n)
-    while pending.size:
-        v = law.life.sample(rng, (pending.size, cols))
-        cs = np.cumsum(v, axis=1)
-        covered = cs[:, -1] > t
-        idx = (cs <= t).sum(axis=1)
-        rows = np.nonzero(covered)[0]
-        out[pending[rows]] = v[rows, idx[rows]]
-        pending = pending[~covered]
-        cols *= 2
-    return out

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from chronoforest.measures import PointMeasure, Stick
+from chronoforest.stochastic import StickLaw
 
 
 @pytest.fixture(scope="session")
@@ -45,3 +46,28 @@ REFERENCE_WALK = (0, 1, 2, 2, 1, 0, 2, 1, 0, 0, -1)
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(20240817)
+
+
+def sample_covering_v(law: StickLaw, rng: np.random.Generator, t: float, n: int) -> np.ndarray:
+    """Life length of the stick whose renewal interval covers time t: the
+    oracle for length-biased lives.
+
+    Lays i.i.d. life lengths end to end from 0 and returns, for each of n
+    independent runs, the length of the interval containing t.  As t grows
+    this converges to the length-biased law.
+    """
+    if t < 0:
+        raise ValueError("t must be >= 0")
+    cols = int(t / law.mean_v * 1.5) + 30
+    out = np.empty(n)
+    pending = np.arange(n)
+    while pending.size:
+        v = law.life.sample(rng, (pending.size, cols))
+        cs = np.cumsum(v, axis=1)
+        covered = cs[:, -1] > t
+        idx = (cs <= t).sum(axis=1)
+        rows = np.nonzero(covered)[0]
+        out[pending[rows]] = v[rows, idx[rows]]
+        pending = pending[~covered]
+        cols *= 2
+    return out

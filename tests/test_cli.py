@@ -195,9 +195,10 @@ def test_renewal_diagnostics(capsys):
     # Unit ages: the sampled atom age is exactly 1 and the overshoot 0.
     assert report["uniform_atom_age"]["mc_mean"] == 1.0
     assert report["stationary_overshoot_mean"] == 0.0
-    assert report["ladder"]["acceptance_rate"] == pytest.approx(1.0)
-    # a critical law has no envelope: every rejection is a step-cap one
-    assert report["ladder"]["abandoned_envelope"] == 0
+    # a critical law's epochs are all finite, but P(tau > 1e6) is about 6e-4:
+    # about one of the 2000 walks runs past the step cap
+    assert report["ladder"]["acceptance_rate"] >= 0.995
+    # and every rejection is a step-cap one
     assert report["ladder"]["rejected_step_cap"] == round(2000 * (1.0 - report["ladder"]["acceptance_rate"]))
 
 
@@ -233,6 +234,16 @@ def test_renewal_refuses_a_heavy_tail_before_drawing(monkeypatch, capsys, spec, 
     assert captured.out == ""
     cap = flags[1] if flags else "1000000"
     assert captured.err == HEAVY_TAIL_REFUSAL.format(cap=cap, work=work)
+
+
+def test_renewal_refuses_a_supercritical_law_before_drawing(monkeypatch, capsys):
+    # ladder epochs are drawn by duality, which needs mean offspring <= 1
+    monkeypatch.setattr("chronoforest.cli.sample_ladder_stats", _refuse_to_draw)
+    monkeypatch.setattr("chronoforest.cli._rng", _refuse_to_draw)
+    assert main(["renewal", "--law", "gw(mean=1.5)", "--seed", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ladder epochs by duality need a (sub)critical law\n"
 
 
 @pytest.mark.parametrize(
@@ -466,8 +477,8 @@ def test_readme_examples_run(tmp_path, monkeypatch, capsys):
             assert json.loads(out)["ok"] is True
         elif argv[0] == "renewal":
             ladder = json.loads(out)["ladder"]
-            rejected = ladder["abandoned_envelope"] + ladder["rejected_step_cap"]
-            assert rejected == round(10_000 * (1.0 - ladder["acceptance_rate"]))
+            # the README's law is critical: every rejection is a step-cap one
+            assert ladder["rejected_step_cap"] == round(10_000 * (1.0 - ladder["acceptance_rate"]))
     assert (tmp_path / "forest.csv").is_file() and (tmp_path / "contour.csv").is_file()
     assert len(sticks_from_json((tmp_path / "sticks.json").read_text())) == 200
     assert json.loads((tmp_path / "summary.json").read_text())["config"]["replicates"] == 50

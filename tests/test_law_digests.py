@@ -31,8 +31,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chronoforest.stochastic import parse_law, sample_covering_v, sample_vhat
+from chronoforest.stochastic import parse_law, sample_vhat
 from chronoforest.stochastic.laws import _LAWS
+from conftest import sample_covering_v
 
 GOLDEN = json.loads((Path(__file__).with_name("law_digests.json")).read_text())
 
@@ -75,7 +76,7 @@ def item_covering(law, rng):
 
 
 def item_stick(law, rng):
-    s = law.sample_stick(rng)
+    s = law.sample_batch(rng, 1).stick(0)
     return [s.v, list(s.births.atoms)]
 
 

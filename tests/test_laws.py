@@ -241,9 +241,9 @@ def test_to_sticks_raises_the_literal_error(counts, v, ages):
     assert str(got.value) == str(want.value)
 
 
-def test_sample_stick_agrees_with_batch(rng):
+def test_one_stick_of_a_batch(rng):
     law = TwoPointAgesLaw()
-    s = law.sample_stick(rng)
+    s = law.sample_batch(rng, 1).stick(0)
     assert s.v == 1.0
     assert s.births.mass in (0, 2)
     if s.births.mass:
@@ -305,7 +305,7 @@ def test_const_law_validation():
         ConstantStickLaw(1.0, [1.5])  # age beyond the life length
     law = ConstantStickLaw(2.0, [0.7, 0.2])
     rng = np.random.default_rng(1)
-    s = law.sample_stick(rng)
+    s = law.sample_batch(rng, 1).stick(0)
     assert s.v == 2.0 and s.births.atoms == (0.7, 0.2)
 
 

@@ -1,9 +1,13 @@
 """Ladder-variable sampling, the passage-time DP and renewal limits."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.stats import expon, kstest
 
+from chronoforest.forest import forest_arrays
+from chronoforest.measures import StickBatch
 from chronoforest.stochastic import (
     ConstantStickLaw,
     ExponentialUniformLaw,
@@ -13,11 +17,11 @@ from chronoforest.stochastic import (
     TwoPointAgesLaw,
     ladder_trio_pmf,
     mean_age_integral_mc,
-    sample_covering_v,
     sample_ladder_stats,
     sample_vhat,
     tau_minus_pmf,
 )
+from conftest import sample_covering_v
 
 FAIR_02 = np.array([0.5, 0.0, 0.5])  # offspring 0 or 2, each with prob. 1/2
 
@@ -63,6 +67,26 @@ def test_trio_pmf_fair_walk_exact():
     big = ladder_trio_pmf(FAIR_02, 40)
     assert 0.93 < sum(big.values()) < 1.0 + 1e-12
     assert sum(trio.values()) < sum(big.values())
+
+
+@pytest.mark.parametrize(
+    "pmf",
+    [FAIR_02, [0.35, 0.2, 0.25, 0.2], [0.5, 0.25, 0.0, 0.25], [0.6, 0.2, 0.2]],
+)
+def test_tau_pmf_matches_kemperman(pmf):
+    # Kemperman's hitting-time formula, P(T_-x = t) = (x / t) P(S_t = -x),
+    # with P(S_t = .) from the t-fold convolution of the count pmf: a
+    # second oracle for the DP, which it shares nothing with
+    p = np.asarray(pmf)
+    tmax = 30
+    for x in (1, 2, 3):
+        want = np.zeros(tmax + 1)
+        total = np.ones(1)  # pmf of the sum of t counts; S_t = -x at a sum of t - x
+        for t in range(1, tmax + 1):
+            total = np.convolve(total, p)
+            if t >= x:
+                want[t] = x / t * total[t - x]
+        assert np.max(np.abs(tau_minus_pmf(p, x, tmax) - want)) <= 1e-16
 
 
 def test_trio_pmf_matches_duality_formula():
@@ -117,15 +141,57 @@ def test_ladder_acceptance_probability_subcritical(rng):
 
 def test_ladder_rejections_split_by_cause(rng):
     law = GeometricUniformLaw(mean_offspring=0.6, v=1.0)
-    # a tiny envelope abandons every walk still below 0 after the first block
-    stats = sample_ladder_stats(law, rng, 2000, envelope=0.5)
-    assert np.array_equal(stats.abandoned, ~stats.accepted)
-    assert stats.abandoned.any()
-    # a tiny step cap rejects before the default envelope is ever reached
+    # a tiny step cap rejects finite epochs as well as the infinite ones
     stats = sample_ladder_stats(law, rng, 2000, step_cap=2)
-    assert not stats.abandoned.any()
-    assert (~stats.accepted).any()
+    assert not stats.accepted[~stats.finite].any()
+    assert (stats.finite & ~stats.accepted).any()
     assert np.all(stats.tau[stats.accepted] <= 2)
+    for column in (stats.tau, stats.zeta, stats.jump_count):
+        assert np.all(column[~stats.accepted] == -1)
+
+
+def test_ladder_stats_match_trio_pmf_subcritical():
+    # 200,000 draws against the DP over its 12,945 cells at t <= 30 (counts
+    # up to 40; beyond them the geometric pmf holds 3e-15): an exact
+    # sampler reads about 0.0125 +- 0.0007 on this many cells
+    law = GeometricUniformLaw(mean_offspring=0.8, v=1.0)
+    n = 200_000
+    stats = sample_ladder_stats(law, np.random.default_rng(26011), n)
+    kept = stats.accepted
+    assert abs(kept.mean() - 0.8) <= 4 * np.sqrt(0.8 * 0.2 / n)
+    trio = ladder_trio_pmf(law.counts.pmf(40), 30)
+    emp = {}
+    for t, x, c in zip(stats.tau[kept], stats.zeta[kept], stats.jump_count[kept]):
+        key = (int(t), int(x), int(c - x))
+        emp[key] = emp.get(key, 0) + 1
+    total = kept.sum()
+    inside = sum(emp.get(k, 0) for k in trio) / total
+    tv = 0.5 * sum(abs(emp.get(k, 0) / total - pk) for k, pk in trio.items())
+    tv += 0.5 * abs((1.0 - inside) - (1.0 - sum(trio.values())))
+    assert tv < 0.016, tv
+
+
+def test_ladder_stats_of_a_childless_law():
+    # no epoch is finite, so no size-biased count is drawn (it would raise)
+    law = GaltonWatsonUnitLaw(0.0)
+
+    def refuse(rng, size):
+        raise AssertionError("drew a size-biased count of a childless law")
+
+    law.counts.sizebiased = refuse
+    stats = sample_ladder_stats(law, np.random.default_rng(26012), 500)
+    assert not stats.finite.any() and not stats.accepted.any()
+    assert np.all(stats.tau == -1)
+
+
+def test_ladder_stats_refuse_a_supercritical_law():
+    # an ascent of a supercritical walk is finite with probability 1, not
+    # its mean offspring: refused before any draw
+    rng = np.random.default_rng(26013)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=r"^ladder epochs by duality need a \(sub\)critical law$"):
+        sample_ladder_stats(GeometricUniformLaw(mean_offspring=1.5, v=1.0), rng, 100)
+    assert rng.bit_generator.state == state
 
 
 def test_ystar_single_atom_law(rng):
@@ -233,6 +299,97 @@ def test_mean_age_integral_mc_geometric(rng):
     mean, se = mean_age_integral_mc(law, rng, 50_000)
     assert se > 0
     assert abs(mean - 0.5) < 4 * se
+
+
+def _every_walk(pmf, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every count sequence of length n over the support of ``pmf``, one
+    per row, and the probability of each."""
+    support = np.flatnonzero(pmf)
+    seqs = np.array(list(itertools.product(support, repeat=n)), dtype=np.int64)
+    return seqs, np.prod(pmf[seqs], axis=1)
+
+
+def _forest_law(pmf, ages_of: dict, n: int) -> list[dict]:
+    """Joint law of (depth(k), H(k)) for k = 0..n: every forest of n sticks,
+    read off ``forest_arrays``; ``heights[k]`` reads only sticks 0..k-1."""
+    laws = [{} for _ in range(n + 1)]
+    seqs, probs = _every_walk(pmf, n)
+    for counts, prob in zip(seqs, probs):
+        ages = np.array([a for c in counts for a in ages_of[c]])
+        arrays = forest_arrays(counts, StickBatch.offsets_for(counts), ages)
+        for k, law in enumerate(laws):
+            key = (int(arrays.depths[k]), round(float(arrays.heights[k]), 9))
+            law[key] = law.get(key, 0.0) + prob
+    return laws
+
+
+def _renewal_law(pmf, ages_of: dict, n: int) -> dict:
+    """Joint law of (depth(n), H(n)) as a renewal sum: the dual walk read back
+    from n has i.i.d. weak ascents (T, A), each finite with probability the
+    mean count, with ``ladder_trio_pmf``'s law given that; A is the
+    (zeta + 1)-th largest age of the jump stick, and depth(n) and H(n) are
+    the number and the sum of the A's of the epochs done by time n."""
+    mean = float(np.dot(np.arange(len(pmf)), pmf))
+    epochs = {}  # (T, A): the probability of a finite first epoch with them
+    for (t, x, q), prob in ladder_trio_pmf(pmf, n).items():
+        key = (t, ages_of[x + q][x])
+        epochs[key] = epochs.get(key, 0.0) + mean * prob
+    # survive[m]: the probability of no epoch by time m
+    survive = [1.0 - sum(p for (t, _), p in epochs.items() if t <= m) for m in range(n + 1)]
+    law = {}
+    level = {(0, 0.0): 1.0}  # (time taken, height) after `depth` epochs
+    depth = 0
+    while level:
+        after = {}
+        for (s, h), prob in level.items():
+            key = (depth, round(h, 9))
+            law[key] = law.get(key, 0.0) + prob * survive[n - s]
+            for (t, a), p in epochs.items():
+                if s + t <= n:
+                    after[(s + t, h + a)] = after.get((s + t, h + a), 0.0) + prob * p
+        level = after
+        depth += 1
+    return law
+
+
+@pytest.mark.parametrize(
+    "pmf, ages_of, n, tol",
+    [
+        # two-point ages: dyadic probabilities and heights, so exact
+        ([0.5, 0.0, 0.5], {0: (), 2: (1.0, 0.5)}, 12, 0.0),
+        # counts {0, 1, 3} with a tie among the ages, critical and subcritical;
+        # the subcritical probabilities are sums of up to 3^7 rounded products
+        ([0.5, 0.25, 0.0, 0.25], {0: (), 1: (0.7,), 3: (0.9, 0.4, 0.4)}, 7, 0.0),
+        ([0.6, 0.2, 0.0, 0.2], {0: (), 1: (0.7,), 3: (0.9, 0.4, 0.4)}, 7, 1e-13),
+    ],
+)
+def test_height_is_a_ladder_renewal_in_law(pmf, ages_of, n, tol):
+    # the main theorem in law, by enumeration: the joint law of
+    # (depth(k), H(k)) over every forest of k sticks is the renewal sum of
+    # the ladder epochs of ``ladder_trio_pmf``, at every k <= n
+    pmf = np.array(pmf)
+    for k, forest in enumerate(_forest_law(pmf, ages_of, n)):
+        renewal = _renewal_law(pmf, ages_of, k)
+        assert set(forest) == set(renewal), k
+        assert max(abs(forest[key] - renewal[key]) for key in forest) <= tol, k
+    # and the trio law itself, against the first weak ascent of every walk
+    # of length n: a walk with its ascent at t stands for all of its
+    # continuations, so its probability sums to that of its first t counts
+    seqs, probs = _every_walk(pmf, n)
+    walk = np.cumsum(seqs - 1, axis=1)
+    up = walk >= 0
+    rows = np.flatnonzero(up.any(axis=1))
+    tau = np.argmax(up[rows], axis=1) + 1
+    before = np.where(tau > 1, walk[rows, np.maximum(tau - 2, 0)], 0)
+    jump = seqs[rows, tau - 1]
+    walks = {}
+    for t, x, c, prob in zip(tau, -before, jump, probs[rows]):
+        key = (int(t), int(x), int(c - x))
+        walks[key] = walks.get(key, 0.0) + prob
+    mean = float(np.dot(np.arange(len(pmf)), pmf))
+    trio = {key: mean * prob for key, prob in ladder_trio_pmf(pmf, n).items()}
+    assert set(walks) == set(trio)
+    assert max(abs(walks[key] - trio[key]) for key in trio) <= tol
 
 
 def test_reference_laws_validate_input(rng):

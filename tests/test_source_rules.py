@@ -371,7 +371,7 @@ def test_experiments_use_no_oracle_types():
 def test_only_the_laws_make_oracle_objects_in_stochastic():
     # the samplers, the coupling and the experiments run on arrays; in
     # ``stochastic/`` only ``laws.py`` makes a Stick or a PointMeasure (the
-    # oracle's ``sample_stick`` and the ``FixedAges`` check)
+    # ``FixedAges`` check)
     for name in ("Stick", "PointMeasure"):
         for snippet in [
             f"from ..measures import StickBatch, {name}",
@@ -594,9 +594,7 @@ def test_a_draw_has_a_size():
 # public names that no module calls, each kept for a reason of its own
 UNCALLED_ALLOWED = {
     "max_rise_in_window": "acceptance criterion 7 and the benchmark's families-window workload",
-    "StickLaw.sample_stick": "acceptance criterion 1 draws its sticks one at a time",
     "ladder_trio_pmf": "acceptance criterion 2's exact law",
-    "sample_covering_v": "the reference the length-biased lives are checked against",
 }
 
 
