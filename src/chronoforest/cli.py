@@ -177,7 +177,7 @@ def _cmd_renewal(args) -> int:
         "age_integral": {"mc_mean": mc_mean, "mc_se": mc_se},
         "ladder": {
             "acceptance_rate": float(stats.accepted.mean()),
-            "mean_tau_accepted": float(acc.mean()) if acc.size else None,
+            "median_tau_accepted": float(np.median(acc)) if acc.size else None,
             "step_cap": args.step_cap,
             "rejected_step_cap": int((stats.finite & ~stats.accepted).sum()),
         },

@@ -316,8 +316,11 @@ class ContourPath:
     terminal graft height.
 
     Raises ``ValueError`` when the doubled total life length overflows, or
-    when the path would descend above a peak, i.e. when some heights[n+1]
-    exceeds heights[n] + v[n] beyond rounding: no forest has such heights.
+    when the path would descend above a peak, i.e. when some
+    ``heights[n+1] > heights[n] + v[n]`` as floats.  No forest has such
+    heights: individual n+1 is born on the highest pending stub, which sits
+    at most ``v[n]`` above ``heights[n]``, and its birth time is the same
+    float sum as the stub's height.
     """
 
     def __init__(self, heights: np.ndarray, v: np.ndarray):
@@ -329,14 +332,12 @@ class ContourPath:
         # so the clock is finite throughout exactly when its last entry is
         if not np.isfinite(visit_times[-1]):
             raise _clock_overflow(v)
-        descents = visit_times[1:] - visit_times[:-1] - v
-        # each descent carries a few ulps of rounding of the visit times
-        tol = 1e-9 + 8.0 * np.finfo(float).eps * float(np.abs(visit_times).max())
-        if descents.size and descents.min() < -tol:
-            n = int(np.argmin(descents))
+        above = heights[1:] > heights[:-1] + v
+        if above.any():
+            n = int(np.argmax(above))
             raise ValueError(
                 f"contour would descend above its peak after individual {n}:"
-                f" height {heights[n + 1]!r} exceeds {heights[n]!r} + {v[n]!r}"
+                f" height {float(heights[n + 1])!r} exceeds {float(heights[n])!r} + {float(v[n])!r}"
             )
         self.visit_times = visit_times
         self.heights = heights
@@ -346,22 +347,21 @@ class ContourPath:
     def end_time(self) -> float:
         return float(self.visit_times[-1])
 
-    def eval(self, t) -> np.ndarray | float:
-        """Contour height at time(s) ``t`` in ``[0, end_time]``."""
+    def eval(self, t) -> np.ndarray:
+        """Contour heights at times ``t`` in ``[0, end_time]``: a float64
+        array of shape ``np.shape(t)``."""
         t_arr = np.asarray(t, dtype=float)
         if t_arr.size and (t_arr.min() < 0.0 or t_arr.max() > self.end_time):
             raise ValueError(
                 f"time out of range [0, {self.end_time}]: {t_arr.min()}..{t_arr.max()}"
             )
         if not len(self.v):  # no sticks: the path is the one point (0, heights[0])
-            out = np.full(t_arr.shape, self.heights[0])
-        else:
-            n = np.searchsorted(self.visit_times, t_arr, side="right") - 1
-            n = np.minimum(np.maximum(n, 0), len(self.v) - 1)
-            k, h, v = self.visit_times[n], self.heights[n], self.v[n]
-            rise = t_arr - k
-            out = np.where(rise <= v, h + rise, h + 2.0 * v - rise)
-        return float(out) if np.isscalar(t) or out.ndim == 0 else out
+            return np.full(t_arr.shape, self.heights[0])
+        n = np.searchsorted(self.visit_times, t_arr, side="right") - 1
+        n = np.minimum(np.maximum(n, 0), len(self.v) - 1)
+        k, h, v = self.visit_times[n], self.heights[n], self.v[n]
+        rise = t_arr - k
+        return np.where(rise <= v, h + rise, h + 2.0 * v - rise)
 
     def min_on(self, a: float, b: float) -> float:
         """Exact minimum of the contour over ``[a, b]``.
@@ -372,7 +372,7 @@ class ContourPath:
         """
         if not (0.0 <= a <= b <= self.end_time):
             raise ValueError(f"need 0 <= a <= b <= {self.end_time}, got [{a}, {b}]")
-        lo = float(min(self.eval(a), self.eval(b)))
+        lo = min(self.eval([a, b]).tolist())
         i = int(np.searchsorted(self.visit_times, a, side="left"))
         j = int(np.searchsorted(self.visit_times, b, side="right"))
         if i < j:

@@ -198,18 +198,11 @@ class _Context:
         depth, top = max(1, int(self.depths.max())), float(np.abs(self.heights).max())
         self.bound = depth * np.finfo(float).eps * top
         self._decomps: dict[int, object] = {}
-        self._shifted: dict[tuple[int, int], tuple[PointMeasure, ...]] = {}
 
     def decomp(self, j: int):
         if j not in self._decomps:
             self._decomps[j] = ladder_decomp(self.w, j)
         return self._decomps[j]
-
-    def shifted(self, m: int, n: int) -> tuple[PointMeasure, ...]:
-        key = (m, n)
-        if key not in self._shifted:
-            self._shifted[key] = shifted_spine(self.sticks, m, n)
-        return self._shifted[key]
 
     def reproducer(self, **kw) -> dict:
         return {"sticks": self.batch.to_json(), **kw}
@@ -269,7 +262,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
 
     dec_n = ctx.decomp(n)
     dec_m = ctx.decomp(m)
-    shifted = ctx.shifted(m, n)
+    shifted = shifted_spine(ctx.sticks, m, n)
     level = max_drop(w, m, n)
     r_walk = mrca(w, m, n)
     r_forest = ctx.forest.mrca(m, n) if n < ctx.n_sticks else None
@@ -339,7 +332,7 @@ def _check_pair(ctx: _Context, report: IdentityReport, m: int, n: int) -> None:
         )
 
     if m >= 1:
-        gap = spine_height(ctx.shifted(m - 1, n)) - spine_height(shifted)
+        gap = spine_height(shifted_spine(ctx.sticks, m - 1, n)) - spine_height(shifted)
         rec(
             "adjacent-shift-bound",
             -bound <= gap <= sticks[m - 1].births.sup_support + bound,

@@ -462,8 +462,9 @@ class StickLaw:
         return self.layout(*self.draw(rng, n))
 
     def require_subcritical(self, what: str) -> None:
-        """Refuse a supercritical law: ``what`` needs mean offspring <= 1."""
-        if not 0.0 <= self.mean_offspring <= 1.0 + 1e-12:
+        """Refuse a supercritical law: ``what`` needs mean offspring <= 1,
+        compared exactly (every critical named law has a mean of exactly 1.0)."""
+        if not 0.0 <= self.mean_offspring <= 1.0:
             raise ValueError(f"{what} need a (sub)critical law")
 
     def sample_ystars(self, rng: np.random.Generator, n: int) -> np.ndarray:

@@ -41,7 +41,8 @@ def tau_minus_pmf(offspring_pmf, x: int, tmax: int) -> np.ndarray:
     p = np.asarray(offspring_pmf, dtype=float)
     if p.ndim != 1 or len(p) == 0:
         raise ValueError("offspring pmf must be a non-empty 1-d array")
-    if np.any(p < 0) or p.sum() > 1 + 1e-9:
+    # each entry and each of the len(p) - 1 additions rounds by at most eps/2 of the sum
+    if np.any(p < 0) or p.sum() > 1 + len(p) * np.finfo(float).eps:
         raise ValueError("offspring pmf entries must be a sub-probability vector")
     if x < 0:
         raise ValueError("x must be >= 0")
@@ -199,7 +200,8 @@ def sample_vhat(law: StickLaw, rng: np.random.Generator, size) -> np.ndarray:
     Draw a length-biased life length and place the inspection point
     uniformly inside it: uniform on [0, v) in the non-arithmetic case, and
     uniform on the lattice {0, h, ..., v - h} when lengths live on a span-h
-    lattice.
+    lattice.  Raises ``ValueError`` when an arithmetic law's life length is
+    not exactly ``k * h`` for a whole k.
     """
     v = law.life.length_biased(rng, size)
     if law.arithmetic:
@@ -207,7 +209,7 @@ def sample_vhat(law: StickLaw, rng: np.random.Generator, size) -> np.ndarray:
         if h is None or not h > 0:
             raise ValueError(f"law {law.name} is arithmetic but has span {h!r}")
         steps = np.rint(v / h).astype(np.int64)
-        if not np.all(np.abs(steps * h - v) <= 1e-9 * np.maximum(v, 1.0)):
+        if not np.all(steps * h == v):
             raise ValueError(f"life lengths of law {law.name} stray off its span-{h} lattice")
         return h * rng.integers(0, steps)
     return rng.random(size) * v

@@ -202,6 +202,16 @@ def test_renewal_diagnostics(capsys):
     assert report["ladder"]["rejected_step_cap"] == round(2000 * (1.0 - report["ladder"]["acceptance_rate"]))
 
 
+def test_renewal_reports_the_median_accepted_passage_time(capsys):
+    # every stick has one child, so every ladder epoch is at tau = 1; a
+    # critical law's tau has infinite mean, so no mean is reported
+    assert main(["renewal", "--law", "const(v=1,ages=0.5)", "--seed", "4", "--draws", "200"]) == 0
+    ladder = json.loads(capsys.readouterr().out)["ladder"]
+    assert ladder["acceptance_rate"] == 1.0
+    assert ladder["median_tau_accepted"] == 1.0
+    assert "mean_tau_accepted" not in ladder
+
+
 class _LadderDrawn(Exception):
     pass
 

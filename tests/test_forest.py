@@ -112,19 +112,33 @@ def test_overflowing_birth_times_are_rejected():
 
 
 def test_contour_rejects_heights_above_a_peak():
-    # Individual 1 cannot be born at 3.0 when individual 0 dies at 1.0.
-    with pytest.raises(ValueError, match="descend above its peak"):
-        ContourPath(np.array([0.0, 3.0, 0.0]), np.array([1.0, 3.0]))
+    for heights, v, message in [
+        # individual 1 cannot be born at 3.0 when individual 0 dies at 1.0
+        ([0.0, 3.0, 0.0], [1.0, 3.0], "height 3.0 exceeds 0.0 + 1.0"),
+        # the check is exact at every scale: 100 times above the peak
+        ([0.0, 1e-10, 0.0], [1e-12, 1e-12], "height 1e-10 exceeds 0.0 + 1e-12"),
+        # one ulp above the peak
+        ([0.0, np.nextafter(1.0, 2.0), 0.0], [1.0, 2.0], "height 1.0000000000000002 exceeds 0.0 + 1.0"),
+    ]:
+        with pytest.raises(ValueError) as info:
+            ContourPath(np.array(heights), np.array(v))
+        assert str(info.value) == f"contour would descend above its peak after individual 0: {message}"
+
+
+def test_contour_accepts_a_birth_at_the_peak():
+    path = ContourPath(np.array([0.0, 1.0, 0.0]), np.array([1.0, 1.0]))
+    assert path.visit_times.tolist() == [0.0, 1.0, 4.0]
 
 
 def test_contour_eval_at_visits_and_peaks(reference_sticks):
     path = contour_path(build_forest(reference_sticks))
-    for k, h in zip(path.visit_times[:-1], REFERENCE_BIRTH_TIMES):
-        assert path.eval(float(k)) == pytest.approx(h)
+    assert path.eval(path.visit_times[:-1]).tolist() == pytest.approx(REFERENCE_BIRTH_TIMES)
     # Halfway between visiting stick 0 and stick 1 the contour has climbed
-    # stick 0 to its tip (height 2).
-    assert path.eval(2.0) == pytest.approx(2.0)
-    assert path.eval(34.0) == pytest.approx(0.0)
+    # stick 0 to its tip (height 2); a scalar time gives a 0-d array.
+    for t, h in [(2.0, 2.0), (34.0, 0.0)]:
+        out = path.eval(t)
+        assert isinstance(out, np.ndarray) and out.shape == () and out == pytest.approx(h)
+    assert path.eval([[2.0], [34.0]]).shape == (2, 1)
     with pytest.raises(ValueError):
         path.eval(34.5)
     with pytest.raises(ValueError):
@@ -151,7 +165,7 @@ def test_min_on_matches_vertex_scan(rng):
         a, b = np.sort(rng.uniform(0.0, path.end_time, size=2))
         xs, ys = path.vertices()
         inside = [y for x, y in zip(xs, ys) if a <= x <= b]
-        expected = min([path.eval(float(a)), path.eval(float(b)), *inside])
+        expected = min([*path.eval([a, b]).tolist(), *inside])
         assert path.min_on(float(a), float(b)) == pytest.approx(expected)
 
 
@@ -209,9 +223,9 @@ def test_empty_forest():
 def test_empty_forest_contour_is_one_point():
     path = contour_path(build_forest(StickBatch([], [], [])))
     assert path.end_time == 0.0
-    assert path.eval(0.0) == 0.0 and isinstance(path.eval(0.0), float)
+    assert path.eval(0.0).shape == () and path.eval(0.0) == 0.0
     assert np.array_equal(path.eval(np.zeros(3)), np.zeros(3))
-    assert path.min_on(0.0, 0.0) == 0.0
+    assert path.min_on(0.0, 0.0) == 0.0 and isinstance(path.min_on(0.0, 0.0), float)
     with pytest.raises(ValueError, match="out of range"):
         path.eval(0.5)
 

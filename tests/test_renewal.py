@@ -186,11 +186,12 @@ def test_ladder_stats_of_a_childless_law():
 
 def test_ladder_stats_refuse_a_supercritical_law():
     # an ascent of a supercritical walk is finite with probability 1, not
-    # its mean offspring: refused before any draw
+    # its mean offspring: refused before any draw; criticality is compared exactly
     rng = np.random.default_rng(26013)
     state = rng.bit_generator.state
-    with pytest.raises(ValueError, match=r"^ladder epochs by duality need a \(sub\)critical law$"):
-        sample_ladder_stats(GeometricUniformLaw(mean_offspring=1.5, v=1.0), rng, 100)
+    for mean in (1.5, 1.0 + 1e-12):
+        with pytest.raises(ValueError, match=r"^ladder epochs by duality need a \(sub\)critical law$"):
+            sample_ladder_stats(GeometricUniformLaw(mean_offspring=mean, v=1.0), rng, 100)
     assert rng.bit_generator.state == state
 
 
@@ -236,17 +237,18 @@ def test_vhat_degenerate_lattices(rng):
 
 
 class _OffLatticeLaw(ConstantStickLaw):
-    """Declares lattice span 0.75, but every life length is 2.0."""
+    """Declares lattice span ``span``, but every life length is 2.0."""
 
-    def __init__(self):
+    def __init__(self, span):
         super().__init__(2.0, [1.0])
-        self.span = 0.75
+        self.span = span
 
 
 def test_vhat_rejects_lengths_off_the_span(rng):
-    law = _OffLatticeLaw()
-    with pytest.raises(ValueError, match="lattice"):
-        sample_vhat(law, rng, size=10)
+    # 2.0 is not a whole multiple of 0.75, nor exactly of 2.0 * (1 + 1e-12)
+    for span in (0.75, 2.0 * (1.0 + 1e-12)):
+        with pytest.raises(ValueError, match="lattice"):
+            sample_vhat(_OffLatticeLaw(span), rng, size=10)
 
 
 def test_vhat_exponential_is_memoryless(rng):
@@ -402,6 +404,11 @@ def test_reference_laws_validate_input(rng):
 def test_tau_pmf_validates_input():
     with pytest.raises(ValueError):
         tau_minus_pmf(np.array([0.5, 0.6]), 1, 10)  # not a pmf
+    with pytest.raises(ValueError):
+        tau_minus_pmf(np.array([0.5, 0.5 + 1e-10]), 1, 10)  # above 1 by more than rounding
+    # this pmf's float sum is 1 + eps: within the len(p) * eps of rounding
+    pmf = np.array([0.2, 0.4, 0.3, 0.1])
+    assert pmf.sum() > 1.0 and tau_minus_pmf(pmf, 1, 3)[1] == 0.2
     with pytest.raises(ValueError):
         tau_minus_pmf(FAIR_02, -1, 10)
     with pytest.raises(ValueError):

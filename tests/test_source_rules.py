@@ -660,3 +660,35 @@ def test_every_public_name_has_a_caller():
     assert not found, "public names without a caller: " + ", ".join(found)
     stale = sorted(set(UNCALLED_ALLOWED) - set(uncalled))
     assert not stale, "allowed as uncalled, but called: " + ", ".join(stale)
+
+
+def _tiny_float_literals(tree: ast.AST) -> list[int]:
+    """Lines of the nonzero float literals below 1e-6 in magnitude.  Docstrings
+    are string constants and comments are not in the tree, so neither counts."""
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and type(node.value) is float and 0.0 < abs(node.value) < 1e-6
+    ]
+
+
+def test_no_guessed_tolerances():
+    # a validity check compares exactly, or within a bound derived from its
+    # inputs such as len(p) * eps; a tiny constant is a tolerance nobody measured
+    for snippet, expected in [
+        ("ok = mean <= 1.0 + 1e-12", [1]),
+        ("ok = abs(d) <= 1e-9 * max(v, 1.0)", [1]),
+        ("if x < -5e-7:\n    raise ValueError(x)", [1]),
+        ("tol = 1e-9 + 8.0 * eps\nok = d >= -tol", [1]),
+        ('def f():\n    """Agrees to 1e-12."""\n    return 0.0  # not 1e-9', []),
+        ("ok = p.sum() <= 1 + len(p) * np.finfo(float).eps", []),
+        ("x, y, z = 1e-6, 0.5, 0", []),
+    ]:
+        assert _tiny_float_literals(ast.parse(snippet)) == expected, snippet
+    root = Path(chronoforest.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(root).as_posix()}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _tiny_float_literals(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, "guessed tolerances (float literals below 1e-6): " + ", ".join(found)

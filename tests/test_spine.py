@@ -21,6 +21,7 @@ from chronoforest.spine import (
     verify_identities,
 )
 from chronoforest.stochastic import GeometricUniformLaw, parse_law, random_verification_law
+from chronoforest.stochastic.laws import _LAWS
 
 IDENTITY_CHECKS = {
     "adjacent-shift-bound",
@@ -344,6 +345,38 @@ def test_verify_identities_random_forests(rng):
             total.merge(report)
     assert total.forests == 8
     assert set(total.tallies) == IDENTITY_CHECKS
+
+
+# every named law at its defaults, and a subcritical variant of each law
+# with a mean or p parameter
+IDENTITY_LAWS = sorted(_LAWS) + ["gw(mean=0.7)", "geo-uniform(mean=0.6)", "exp-uniform(mean=0.6)", "two-point(p=0.3)"]
+
+
+def test_identities_hold_on_every_named_law():
+    rng = np.random.default_rng(13013)
+    total = IdentityReport()
+    for spec in IDENTITY_LAWS:
+        law = parse_law(spec)
+        for _ in range(10):
+            sticks = law.sample_batch(rng, int(rng.integers(3, 151))).to_sticks()
+            report = verify_identities(sticks, max_pairs=40, rng=rng)
+            failing = {name: t.examples[:1] for name, t in report.tallies.items() if t.failures}
+            assert not failing, (spec, failing)
+            total.merge(report)
+    assert total.forests == 10 * len(IDENTITY_LAWS)
+    assert set(total.tallies) == IDENTITY_CHECKS
+
+
+def test_identities_hold_on_a_deep_critical_forest():
+    # the subtractive identities' rounding bound max(1, max depth) * eps *
+    # max|heights|, at a depth in the hundreds
+    rng = np.random.default_rng(13031)
+    sticks = parse_law("geo-uniform").sample_batch(rng, 20_000).to_sticks()
+    report = verify_identities(sticks, max_pairs=40, rng=rng)
+    failing = {name: t.examples[:1] for name, t in report.tallies.items() if t.failures}
+    assert not failing
+    assert report.pairs_checked == 40
+    assert int(build_forest(sticks).arrays.depths.max()) >= 100
 
 
 def test_identity_report_json(reference_sticks):
