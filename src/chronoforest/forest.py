@@ -265,9 +265,8 @@ def graft_forest(sticks: Sequence[Stick]) -> ChronForest:
             # The stub discipline: everything below the graft point has no
             # stubs left, otherwise the "highest stub" rule would have found
             # a higher one there.
-            assert all(e[2] >= len(e[1]) for e in stack[best_pos + 1 :]), (
-                "open node below the highest stub still has stubs"
-            )
+            if not all(e[2] >= len(e[1]) for e in stack[best_pos + 1 :]):
+                raise AssertionError("open node below the highest stub still has stubs")
             del stack[best_pos + 1 :]
             entry = stack[best_pos]
             age = entry[1][entry[2]]
@@ -351,7 +350,7 @@ class ContourPath:
         """Contour heights at times ``t`` in ``[0, end_time]``: a float64
         array of shape ``np.shape(t)``."""
         t_arr = np.asarray(t, dtype=float)
-        if t_arr.size and (t_arr.min() < 0.0 or t_arr.max() > self.end_time):
+        if t_arr.size and not (t_arr.min() >= 0.0 and t_arr.max() <= self.end_time):  # NaN fails
             raise ValueError(
                 f"time out of range [0, {self.end_time}]: {t_arr.min()}..{t_arr.max()}"
             )

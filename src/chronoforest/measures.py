@@ -20,8 +20,10 @@ the height kernel and stick files work on; ``StickBatch`` owns its layout and
 its JSON form.  ``Stick`` and ``PointMeasure`` are the oracle's per-stick
 types: ``StickBatch.to_sticks`` checks a whole batch once, in arrays, and the
 first bad stick raises their constructors' error.  That array check replaces
-the per-stick constructor checks: the module-private ``_unchecked_stick``
-fills the slots of ``Stick`` without running ``__init__``.
+the per-stick constructor checks: ``to_sticks`` makes the objects with
+``object.__new__`` and fills their slots through the module-private slot
+setters (``_set_atoms``, ``_set_stick_v``, ``_set_stick_births``), all in
+C-level ``map`` calls, without running ``__init__``.
 """
 
 from __future__ import annotations
@@ -29,9 +31,10 @@ from __future__ import annotations
 import json
 import math
 import operator
+from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -66,9 +69,9 @@ class PointMeasure:
     @classmethod
     def _from_sorted(cls, atoms: tuple[float, ...]) -> "PointMeasure":
         # Internal fast path: ``atoms`` is already non-increasing, finite and
-        # positive.  Only this module, which checked them, may call it; for
-        # ``StickBatch.to_sticks`` the array check stands for the
-        # constructor's, and childless sticks take ``ZERO`` instead.
+        # positive.  Only this module, which checked them, may call it or
+        # ``_set_atoms``; for ``StickBatch.to_sticks`` the array check stands
+        # for the constructor's, and childless sticks take ``ZERO`` instead.
         m = cls.__new__(cls)
         m._atoms = atoms
         return m
@@ -116,6 +119,8 @@ class PointMeasure:
 #: The zero measure (no atoms).
 ZERO = PointMeasure()
 
+_set_atoms = PointMeasure._atoms.__set__
+
 
 @dataclass(frozen=True, slots=True)
 class Stick:
@@ -140,13 +145,9 @@ class Stick:
 _set_stick_v, _set_stick_births = Stick.v.__set__, Stick.births.__set__
 
 
-def _unchecked_stick(v: float, births: PointMeasure) -> Stick:
-    # ``Stick(v, births)`` without ``__init__`` and its checks: only for
-    # parts that ``StickBatch.to_sticks`` has checked in arrays.
-    s = object.__new__(Stick)
-    _set_stick_v(s, v)
-    _set_stick_births(s, births)
-    return s
+def _drain(it) -> None:
+    # run an iterator of side effects to its end in C
+    deque(it, maxlen=0)
 
 
 def _all_of(kind, values) -> bool:
@@ -245,18 +246,25 @@ class StickBatch:
         """``[self.stick(k) for k in range(self.n)]``, checked once in arrays by
         ``_first_bad_stick``; that stick is rebuilt by ``stick(k)``, so the
         constructors raise their own error.  Once the batch passes, the array
-        check replaces the per-stick constructor checks: each stick is made by
-        ``_unchecked_stick``, its atom tuple is a slice of the non-increasing
-        layout, and every childless stick shares ``ZERO``."""
+        check replaces the per-stick constructor checks: no Python function
+        runs per stick.  Each atom tuple is a slice of one tuple of the
+        non-increasing layout, each measure and stick is an ``object.__new__``
+        whose slots the module's setters fill, every childless stick shares
+        ``ZERO``, and each step is a ``map`` drained in C."""
         k = self._first_bad_stick()
         if k >= 0:
             self.stick(k)  # raises the constructors' error
-        flat, bounds = self.ages.tolist(), self.offsets.tolist()
-        measure, stick = PointMeasure._from_sorted, _unchecked_stick
-        return [
-            stick(life, ZERO if a == b else measure(tuple(flat[a:b])))
-            for life, a, b in zip(self.v.tolist(), bounds, bounds[1:])
-        ]
+        flat = tuple(self.ages.tolist())
+        full = np.flatnonzero(self.counts)
+        starts, stops = self.offsets[full].tolist(), self.offsets[full + 1].tolist()
+        measures = list(map(object.__new__, repeat(PointMeasure, len(full))))
+        _drain(map(_set_atoms, measures, map(flat.__getitem__, map(slice, starts, stops))))
+        births = [ZERO] * self.n
+        _drain(map(births.__setitem__, full.tolist(), measures))
+        sticks = list(map(object.__new__, repeat(Stick, self.n)))
+        _drain(map(_set_stick_v, sticks, self.v.tolist()))
+        _drain(map(_set_stick_births, sticks, births))
+        return sticks
 
     def to_json(self) -> list[dict]:
         """One ``{"v": number, "births": [number, ...]}`` object per stick, births largest first."""

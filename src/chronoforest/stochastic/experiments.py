@@ -415,7 +415,7 @@ def max_rise_in_window(path: ContourPath, width: float) -> float:
     edge with the local minima (visited birth times) whose visit times fall
     inside the window, found by one range-minimum query per apex.
     """
-    if width <= 0:
+    if not width > 0:  # NaN fails
         raise ValueError("width must be positive")
     heights = path.heights
     v = path.v

@@ -307,8 +307,13 @@ def test_max_rise_matches_apex_scan(rng):
             left = max(0.0, float(at) - width)
             best = max(best, float(av) - path.min_on(left, float(at)))
         assert max_rise_in_window(path, width) == pytest.approx(best, abs=1e-9)
-    with pytest.raises(ValueError):
-        max_rise_in_window(path, 0.0)
+
+
+@pytest.mark.parametrize("width", [0.0, -1.0, float("nan")])
+def test_max_rise_refuses_a_width_that_is_not_positive(width):
+    path = contour_path(build_forest(GeometricUniformLaw(1.0, 1.0).sample_batch(np.random.default_rng(4), 20)))
+    with pytest.raises(ValueError, match="width must be positive"):
+        max_rise_in_window(path, width)
 
 
 def _max_rise_deque(path, width):

@@ -143,6 +143,8 @@ def test_contour_eval_at_visits_and_peaks(reference_sticks):
         path.eval(34.5)
     with pytest.raises(ValueError):
         path.eval(-0.1)
+    with pytest.raises(ValueError, match="time out of range"):
+        path.eval(float("nan"))
 
 
 def test_min_contour_values(reference_sticks):

@@ -207,6 +207,29 @@ def test_to_sticks_equals_literal_construction(batch):
         assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
+@pytest.mark.parametrize(
+    "spec, n, seed",
+    [("family2", 6_450, 28061), ("geo-uniform(mean=1.0)", 20_000, 28062)],
+)
+def test_to_sticks_equals_literal_construction_at_scale(spec, n, seed):
+    # the sizes ``to_sticks`` runs at: a family batch of criterion 7's shape
+    # at p = 25,000 (p/4 + 200 sticks), and a large critical batch
+    batch = parse_law(spec).sample_batch(np.random.default_rng(seed), n)
+    sticks, expected = batch.to_sticks(), literal_sticks(batch)
+    assert len(sticks) == len(expected) == n
+    assert {type(s) for s in sticks} == {Stick} and sticks == expected
+    assert {type(s.births) for s in sticks} == {PointMeasure}
+    assert {type(s.v) for s in sticks} == {float}
+    assert _bits([s.v for s in sticks]) == _bits([e.v for e in expected])
+    assert [s.births.mass for s in sticks] == [e.births.mass for e in expected]
+    atoms = [a for s in sticks for a in s.births.atoms]
+    assert {type(a) for a in atoms} == {float}
+    assert _bits(atoms) == _bits([a for e in expected for a in e.births.atoms])
+    childless = [not e.births.atoms for e in expected]
+    assert 0 < sum(childless) < n
+    assert [s.births is ZERO for s in sticks] == childless
+
+
 nan, inf = math.nan, math.inf
 
 

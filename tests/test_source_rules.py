@@ -11,30 +11,33 @@ from pathlib import Path
 
 import chronoforest
 
-# The literal oracles may keep asserts on their own internal bookkeeping.
-ASSERTS_ALLOWED = {"forest.py"}
+def _asserts(tree: ast.AST) -> list[int]:
+    """Lines of the assert statements in ``tree``."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
 
 def test_no_assert_guards_results():
-    # ``python -O`` strips assert statements, so a check that guards a
-    # result must raise explicitly.
+    # ``python -O`` strips assert statements, so every check in the package,
+    # the literal oracles' bookkeeping included, must raise explicitly.
+    for snippet, lines in [
+        ("assert ok", [1]),
+        ("def f(stack):\n    assert all(stack), 'open node'", [2]),
+        ("if not ok:\n    raise AssertionError('open node')", []),
+        ("x = 'assert ok'", []),
+    ]:
+        assert _asserts(ast.parse(snippet)) == lines, snippet
     root = Path(chronoforest.__file__).resolve().parent
-    found = []
-    for path in sorted(root.rglob("*.py")):
-        if path.name in ASSERTS_ALLOWED and path.parent == root:
-            continue
-        tree = ast.parse(path.read_text(), filename=str(path))
-        found += [
-            f"{path.relative_to(root)}:{node.lineno}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Assert)
-        ]
-    assert not found, "assert statements outside the oracles: " + ", ".join(found)
+    found = [
+        f"{path.relative_to(root)}:{line}"
+        for path in sorted(root.rglob("*.py"))
+        for line in _asserts(ast.parse(path.read_text(), filename=str(path)))
+    ]
+    assert not found, "assert statements in the package: " + ", ".join(found)
 
 
 def test_verify_does_not_depend_on_asserts():
-    # the oracles' asserts vanish under ``python -O``; what ``verify``
-    # reports must not change with them
+    # what ``verify`` reports must not change under ``python -O``, which
+    # strips assert statements
     src = str(Path(chronoforest.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     argv = ["-m", "chronoforest", "verify", "--seed", "3", "--forests", "5"]
@@ -133,10 +136,10 @@ def test_grafting_oracle_stays_out_of_hot_paths():
 
 
 def test_unchecked_measure_constructor_stays_in_measures():
-    # ``PointMeasure._from_sorted`` skips the sort and the checks, and
-    # ``_unchecked_stick`` (through the slot setters) skips ``Stick``'s;
-    # only ``measures``, which checks the parts first, may name them.
-    for name in ("_from_sorted", "_unchecked_stick", "_set_stick_v", "_set_stick_births"):
+    # ``PointMeasure._from_sorted`` and the atoms setter skip the sort and
+    # the checks, and the slot setters skip ``Stick``'s; only ``measures``,
+    # which checks the parts first, may name them.
+    for name in ("_from_sorted", "_set_atoms", "_set_stick_v", "_set_stick_births"):
         for snippet in [
             f"m = measures.{name}(atoms)",
             f"from chronoforest.measures import {name}",
