@@ -21,12 +21,13 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager, nullcontext
 from typing import Optional
 
 import numpy as np
 
 from . import __version__
-from .forest import build_forest, contour_path, write_contour_csv, write_forest_csv
+from .forest import ContourPath, build_forest, contour_path, write_contour_csv, write_forest_csv
 from .measures import sticks_from_json, sticks_to_json
 from .spine import IdentityReport, verify_identities
 from .stochastic import (
@@ -90,9 +91,68 @@ def _open_out(path: Optional[str]):
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
+def _shared_file(outputs: dict[str, Optional[str]]) -> Optional[str]:
+    """A message naming two flags of ``outputs`` (flag -> path, None when
+    unset or standard output) whose paths resolve to the same file, or None."""
+    seen: dict[str, str] = {}
+    for flag, path in outputs.items():
+        if not path:
+            continue
+        real = os.path.realpath(path)
+        if real in seen:
+            return f"{seen[real]} and {flag} name the same file: {path}"
+        seen[real] = flag
+    return None
+
+
+@contextmanager
+def _contour_written_by_child(path: ContourPath, filename: str):
+    """Write the contour CSV to ``filename`` in a forked child while the
+    body runs; raise ``OSError`` with the child's message if it failed.
+
+    The child leaves only through ``os._exit``: it never returns into the
+    caller, flushes no inherited stdio buffer, prints nothing and takes no
+    lock the parent held.  It exits 0, or 2 after it sent ``str(exc)`` down
+    the pipe.  The child is reaped whether or not the body raises.
+    """
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        status = 2
+        try:
+            with open(filename, "w", encoding="utf-8", newline="") as fh:
+                write_contour_csv(path, fh)
+            status = 0
+        except Exception as exc:  # an interrupt ends the child with status 2 too
+            os.write(w, str(exc).encode("utf-8", "surrogateescape"))
+        finally:
+            os._exit(status)
+    os.close(w)
+    try:
+        yield
+    finally:
+        with open(r, "rb") as pipe:
+            try:
+                message = pipe.read().decode("utf-8", "surrogateescape")
+            finally:
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code != 0:
+        raise OSError(message or f"the contour writer ended with status {code}")
+
+
 def _cmd_build(args) -> int:
     if (args.input is None) == (args.law is None):
         print("build: need exactly one of --input or --law", file=sys.stderr)
+        return 2
+    clash = _shared_file(
+        {
+            "--forest-out": None if args.forest_out == "-" else args.forest_out,
+            "--contour-out": args.contour_out,
+            "--sticks-out": args.sticks_out,
+        }
+    )
+    if clash:
+        print(f"build: {clash}", file=sys.stderr)
         return 2
     if args.input is not None:
         forest = build_forest(sticks_from_json(_read_text(args.input)))
@@ -103,18 +163,18 @@ def _cmd_build(args) -> int:
             return 2
         forest = build_forest(law.sample_batch(_rng(args.seed), args.n))
     path = contour_path(forest)  # rejects an overflowing clock before any output
-    if args.sticks_out:
-        with open(args.sticks_out, "w", encoding="utf-8") as fh:
-            fh.write(sticks_to_json(forest.batch) + "\n")
-    out, close = _open_out(args.forest_out)
-    try:
-        write_forest_csv(forest, out)
-    finally:
-        if close:
-            out.close()
-    if args.contour_out:
-        with open(args.contour_out, "w", encoding="utf-8", newline="") as fh:
-            write_contour_csv(path, fh)
+    # the contour, the larger table, is formatted on a second core meanwhile
+    child = _contour_written_by_child(path, args.contour_out) if args.contour_out else nullcontext()
+    with child:
+        if args.sticks_out:
+            with open(args.sticks_out, "w", encoding="utf-8") as fh:
+                fh.write(sticks_to_json(forest.batch) + "\n")
+        out, close = _open_out(args.forest_out)
+        try:
+            write_forest_csv(forest, out)
+        finally:
+            if close:
+                out.close()
     if not args.quiet:
         print(
             f"built {forest.n_sticks} sticks, {forest.tree_count} trees,"
@@ -219,6 +279,12 @@ def _cmd_couple(args) -> int:
 
 
 def _cmd_scale(args) -> int:
+    clash = _shared_file(
+        {"--out": None if args.out == "-" else args.out, "--summary-out": args.summary_out}
+    )
+    if clash:
+        print(f"scale: {clash}", file=sys.stderr)
+        return 2
     if args.config is not None:
         config = parse_config(_read_text(args.config))
     else:

@@ -16,7 +16,7 @@ import pytest
 from chronoforest.cli import _rng, main
 from chronoforest.measures import StickBatch, sticks_from_json, sticks_to_json
 from chronoforest.stochastic import parse_law, run_coupling_many
-from chronoforest.stochastic.laws import _LAWS
+from chronoforest.stochastic.laws import _LAWS, StickLaw
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -803,6 +803,101 @@ def test_sticks_out_file_is_pinned(tmp_path):
     assert hashlib.sha256(sticks_out.read_bytes()).hexdigest() == STICKS_OUT_DIGEST
 
 
+# SHA-256 of the two tables of ``build --law exp-uniform --n 70000 --seed
+# 29029``, as the sequential writers wrote them: both tables are longer than
+# one formatting block (70000 and 140001 rows) and ``v`` varies.  Like
+# ``law_digests.json`` the values depend on numpy 2.4's generator streams.
+BUILD_CSV_DIGESTS = {
+    "forest.csv": "ee8b8df29526d3ff4e671145c4b0c89d511c2e32f140d1d59e20dacf894b610e",
+    "contour.csv": "e44f1d0c15758af631b7b35f043c8369704ac3b0a540aced429398670d6bc1fb",
+}
+
+
+def test_build_csv_files_are_pinned(tmp_path):
+    argv = ["build", "--law", "exp-uniform", "--n", "70000", "--seed", "29029", "--quiet"]
+    forest, contour = tmp_path / "forest.csv", tmp_path / "contour.csv"
+    assert main([*argv, "--forest-out", str(forest), "--contour-out", str(contour)]) == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in BUILD_CSV_DIGESTS}
+    assert digests == BUILD_CSV_DIGESTS
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("failing", ["--contour-out", "--forest-out"])
+def test_a_failed_write_is_reported_and_the_child_reaped(tmp_path, capsys, failing):
+    # the contour is written by a forked child: its error reaches stderr as
+    # the parent's would, and the child is waited for either way
+    missing = str(tmp_path / "missing" / "out.csv")
+    paths = {"--forest-out": str(tmp_path / "forest.csv"), "--contour-out": str(tmp_path / "contour.csv")}
+    paths[failing] = missing
+    argv = ["build", "--law", "gw", "--n", "2000", "--seed", "5", "--quiet"]
+    assert main([*argv, "--forest-out", paths["--forest-out"], "--contour-out", paths["--contour-out"]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: [Errno 2] No such file or directory: '{missing}'\n"
+    assert_no_child_left()
+
+
+def test_the_contour_child_is_reaped_after_a_build(tmp_path, monkeypatch):
+    contour = tmp_path / "contour.csv"
+    argv = ["build", "--law", "gw", "--n", "2000", "--seed", "5", "--quiet", "--contour-out", str(contour)]
+    assert main([*argv, "--forest-out", str(tmp_path / "forest.csv")]) == 0
+    assert_no_child_left()
+    written = contour.read_bytes()
+
+    class ClosedPipe(io.StringIO):
+        # stdout whose reader went away; ``main`` points its descriptor at devnull
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        def fileno(self):
+            return stdout_fd
+
+    with open(tmp_path / "stdout", "w") as stdout:
+        stdout_fd = stdout.fileno()
+        monkeypatch.setattr("sys.stdout", ClosedPipe())
+        contour.unlink()
+        assert main(argv) == 141
+    assert_no_child_left()
+    assert contour.read_bytes() == written
+
+
+@pytest.mark.parametrize(
+    "argv, flags",
+    [
+        (["build", "--forest-out", "{a}", "--contour-out", "{a}"], "--forest-out and --contour-out"),
+        (["build", "--forest-out", "{a}", "--sticks-out", "{link}"], "--forest-out and --sticks-out"),
+        (["build", "--sticks-out", "{a}", "--contour-out", "{dot}"], "--contour-out and --sticks-out"),
+        (["scale", "--p", "10", "--replicates", "1", "--out", "{a}", "--summary-out", "{link}"],
+         "--out and --summary-out"),
+    ],
+)
+def test_outputs_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, argv, flags):
+    # two writers to one file would leave only the last one's output there:
+    # refused before any draw, whatever spelling or link names the file
+    monkeypatch.setattr(StickLaw, "draw", _refuse_to_draw)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "link").symlink_to(tmp_path / "a")
+    names = {"a": "a", "link": str(tmp_path / "link"), "dot": "./a"}
+    argv = [arg.format(**names) for arg in argv]
+    assert main([*argv[:1], "--law", "gw", "--seed", "1", *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"{argv[0]}: {flags} name the same file: ")
+    assert not (tmp_path / "a").exists()
+
+
+def test_stdout_and_a_file_named_dash_are_distinct_outputs(tmp_path, monkeypatch, capsys):
+    # ``-`` is standard output for --forest-out, but a file for --contour-out
+    monkeypatch.chdir(tmp_path)
+    assert main(["build", "--law", "gw", "--n", "5", "--seed", "1", "--quiet", "--forest-out", "-", "--contour-out", "-"]) == 0
+    assert capsys.readouterr().out.startswith("index,parent,")
+    assert (tmp_path / "-").read_text().startswith("time,value")
+
+
 def test_import_does_not_load_scipy_special():
     # numpy is the one runtime dependency (scipy.special alone costs a
     # process about 0.2 s and 17 MB): neither the import nor building and
@@ -835,19 +930,25 @@ print(scipy_modules())
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
-def test_closed_stdout_pipe_ends_quietly():
+def test_closed_stdout_pipe_ends_quietly(tmp_path):
     # a reader that stops after one line (``| head -1``) is not bad input:
-    # no message, and 141 = 128 + SIGPIPE instead of the usage status 2
+    # no message, and 141 = 128 + SIGPIPE instead of the usage status 2;
+    # the contour, written by a forked child meanwhile, is complete
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    contour = tmp_path / "contour.csv"
     argv = ["-m", "chronoforest", "build", "--law", "gw", "--n", "50000", "--seed", "1", "--quiet"]
-    proc = subprocess.Popen(
-        [sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
-    )
-    assert proc.stdout.readline() == b"index,parent,birth_time,depth,v,tree_id\r\n"
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=60) == 141
+    with subprocess.Popen(
+        [sys.executable, *argv, "--contour-out", str(contour)],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:
+        assert proc.stdout.readline() == b"index,parent,birth_time,depth,v,tree_id\r\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 141
     assert err == b""
+    assert len(contour.read_bytes().splitlines()) == 2 * 50000 + 2
 
 
 BAD_LAWS = [
