@@ -86,48 +86,112 @@ def config_value(key: str):
 
 
 def _open_out(path: Optional[str]):
-    if path is None or path == "-":
+    if _out_target(path) == 1:
         return sys.stdout, False
     return open(path, "w", encoding="utf-8", newline=""), True
 
 
-def _shared_file(outputs: dict[str, Optional[str]]) -> Optional[str]:
-    """A message naming two flags of ``outputs`` (flag -> path, None when
-    unset or standard output) whose paths resolve to the same file, or None."""
-    seen: dict[str, str] = {}
-    for flag, path in outputs.items():
-        if not path:
+def _out_target(path: Optional[str]):
+    """What ``_open_out(path)`` writes to: a path, or descriptor 1 for
+    standard output."""
+    return 1 if path is None or path == "-" else path
+
+
+def _file_identity(target):
+    """What names the file that ``target`` (a path, or a descriptor) writes
+    to: its device and inode when it exists, so links and ``/dev/stdout``
+    count, else its resolved path; None for a closed descriptor."""
+    try:
+        st = os.stat(target)
+    except OSError:
+        return None if isinstance(target, int) else os.path.realpath(target)
+    return st.st_dev, st.st_ino
+
+
+def _shared_file(outputs: dict) -> Optional[str]:
+    """A message naming two flags of ``outputs`` (flag -> path, descriptor,
+    or None when unset) that write to the same file, or None.  The null
+    device may take any number of outputs."""
+    devnull = _file_identity(os.devnull)
+    seen: dict[object, str] = {}
+    for flag, target in outputs.items():
+        if target is None:
             continue
-        real = os.path.realpath(path)
-        if real in seen:
-            return f"{seen[real]} and {flag} name the same file: {path}"
-        seen[real] = flag
+        identity = _file_identity(target)
+        if identity is None or identity == devnull:
+            continue
+        if identity in seen:
+            shown = "standard output" if isinstance(target, int) else target
+            return f"{seen[identity]} and {flag} name the same file: {shown}"
+        seen[identity] = flag
     return None
 
 
-@contextmanager
-def _contour_written_by_child(path: ContourPath, filename: str):
-    """Write the contour CSV to ``filename`` in a forked child while the
-    body runs; raise ``OSError`` with the child's message if it failed.
+# Sticks from which ``build`` writes the contour in a forked child.  On a
+# 2-core Xeon a fork and the child's exit cost about 4 ms; in paired builds
+# the child won 1 of 30 at 300 sticks, 19 of 30 at 4000 and 27 of 30 at 5000.
+CONTOUR_CHILD_STICKS = 5000
+
+
+def _contour_child_pays(n_sticks: int) -> bool:
+    """Whether a forked child writing the contour beats writing it after the
+    forest table: fork exists, this process may run on a second CPU and the
+    tables are long enough to repay the fork."""
+    if n_sticks < CONTOUR_CHILD_STICKS or not hasattr(os, "fork"):
+        return False
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    return (cpus or 1) > 1
+
+
+def _write_contour(path: ContourPath, filename: str) -> None:
+    with open(filename, "w", encoding="utf-8", newline="") as fh:
+        write_contour_csv(path, fh)
+
+
+def _fork_contour_writer(path: ContourPath, filename: str) -> Optional[tuple[int, int]]:
+    """Fork a child that writes the contour CSV to ``filename``; return its
+    pid and the read end of its error pipe, or None when the fork fails.
 
     The child leaves only through ``os._exit``: it never returns into the
     caller, flushes no inherited stdio buffer, prints nothing and takes no
     lock the parent held.  It exits 0, or 2 after it sent ``str(exc)`` down
-    the pipe.  The child is reaped whether or not the body raises.
+    the pipe.
     """
     r, w = os.pipe()
-    pid = os.fork()
+    try:
+        pid = os.fork()
+    except OSError:  # out of processes or memory
+        os.close(r)
+        os.close(w)
+        return None
     if pid == 0:
         status = 2
         try:
-            with open(filename, "w", encoding="utf-8", newline="") as fh:
-                write_contour_csv(path, fh)
+            _write_contour(path, filename)
             status = 0
         except Exception as exc:  # an interrupt ends the child with status 2 too
             os.write(w, str(exc).encode("utf-8", "surrogateescape"))
         finally:
             os._exit(status)
     os.close(w)
+    return pid, r
+
+
+@contextmanager
+def _contour_written_alongside(path: ContourPath, filename: str, fork: bool):
+    """Write the contour CSV to ``filename`` alongside the body: with
+    ``fork``, in a child while the body runs, else after the body.
+
+    A forked child is reaped whether or not the body raises; when it failed
+    (and the body did not), its message is raised as ``OSError``.  When the
+    fork itself fails the contour is written after the body.
+    """
+    child = _fork_contour_writer(path, filename) if fork else None
+    if child is None:
+        yield
+        _write_contour(path, filename)
+        return
+    pid, r = child
     try:
         yield
     finally:
@@ -146,7 +210,7 @@ def _cmd_build(args) -> int:
         return 2
     clash = _shared_file(
         {
-            "--forest-out": None if args.forest_out == "-" else args.forest_out,
+            "--forest-out": _out_target(args.forest_out),
             "--contour-out": args.contour_out,
             "--sticks-out": args.sticks_out,
         }
@@ -163,9 +227,12 @@ def _cmd_build(args) -> int:
             return 2
         forest = build_forest(law.sample_batch(_rng(args.seed), args.n))
     path = contour_path(forest)  # rejects an overflowing clock before any output
-    # the contour, the larger table, is formatted on a second core meanwhile
-    child = _contour_written_by_child(path, args.contour_out) if args.contour_out else nullcontext()
-    with child:
+    contour = (
+        _contour_written_alongside(path, args.contour_out, _contour_child_pays(forest.n_sticks))
+        if args.contour_out
+        else nullcontext()
+    )
+    with contour:
         if args.sticks_out:
             with open(args.sticks_out, "w", encoding="utf-8") as fh:
                 fh.write(sticks_to_json(forest.batch) + "\n")
@@ -280,7 +347,7 @@ def _cmd_couple(args) -> int:
 
 def _cmd_scale(args) -> int:
     clash = _shared_file(
-        {"--out": None if args.out == "-" else args.out, "--summary-out": args.summary_out}
+        {"--out": _out_target(args.out), "--summary-out": args.summary_out}
     )
     if clash:
         print(f"scale: {clash}", file=sys.stderr)

@@ -1,5 +1,6 @@
 """Command-line front end: exit codes, files written, determinism."""
 
+import errno
 import hashlib
 import io
 import json
@@ -13,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from chronoforest.cli import _rng, main
+from chronoforest.cli import CONTOUR_CHILD_STICKS, _contour_child_pays, _rng, main
 from chronoforest.measures import StickBatch, sticks_from_json, sticks_to_json
 from chronoforest.stochastic import parse_law, run_coupling_many
 from chronoforest.stochastic.laws import _LAWS, StickLaw
@@ -813,7 +814,15 @@ BUILD_CSV_DIGESTS = {
 }
 
 
-def test_build_csv_files_are_pinned(tmp_path):
+@pytest.fixture(params=["forked", "after the forest"])
+def contour_writer(request, monkeypatch):
+    # ``build`` writes the contour in a forked child only where that pays
+    # off; tests take each way at any size
+    monkeypatch.setattr("chronoforest.cli._contour_child_pays", lambda n_sticks: request.param == "forked")
+    return request.param
+
+
+def test_build_csv_files_are_pinned(tmp_path, contour_writer):
     argv = ["build", "--law", "exp-uniform", "--n", "70000", "--seed", "29029", "--quiet"]
     forest, contour = tmp_path / "forest.csv", tmp_path / "contour.csv"
     assert main([*argv, "--forest-out", str(forest), "--contour-out", str(contour)]) == 0
@@ -827,9 +836,9 @@ def assert_no_child_left():
 
 
 @pytest.mark.parametrize("failing", ["--contour-out", "--forest-out"])
-def test_a_failed_write_is_reported_and_the_child_reaped(tmp_path, capsys, failing):
-    # the contour is written by a forked child: its error reaches stderr as
-    # the parent's would, and the child is waited for either way
+def test_a_failed_write_is_reported_and_the_child_reaped(tmp_path, capsys, contour_writer, failing):
+    # a forked child's error reaches stderr as the parent's would, and the
+    # child is waited for either way
     missing = str(tmp_path / "missing" / "out.csv")
     paths = {"--forest-out": str(tmp_path / "forest.csv"), "--contour-out": str(tmp_path / "contour.csv")}
     paths[failing] = missing
@@ -841,7 +850,7 @@ def test_a_failed_write_is_reported_and_the_child_reaped(tmp_path, capsys, faili
     assert_no_child_left()
 
 
-def test_the_contour_child_is_reaped_after_a_build(tmp_path, monkeypatch):
+def test_the_contour_child_is_reaped_after_a_build(tmp_path, monkeypatch, contour_writer):
     contour = tmp_path / "contour.csv"
     argv = ["build", "--law", "gw", "--n", "2000", "--seed", "5", "--quiet", "--contour-out", str(contour)]
     assert main([*argv, "--forest-out", str(tmp_path / "forest.csv")]) == 0
@@ -862,32 +871,79 @@ def test_the_contour_child_is_reaped_after_a_build(tmp_path, monkeypatch):
         contour.unlink()
         assert main(argv) == 141
     assert_no_child_left()
-    assert contour.read_bytes() == written
+    # the child wrote the whole contour; written after the forest, it never began
+    assert contour.read_bytes() == written if contour_writer == "forked" else not contour.exists()
+
+
+def test_a_failed_fork_writes_the_contour_after_the_forest(tmp_path, monkeypatch):
+    # no process or memory to spare for the child: the build still succeeds
+    # with the same bytes and keeps no descriptor of the pipe
+    monkeypatch.setattr("chronoforest.cli._contour_child_pays", lambda n_sticks: True)
+    argv = ["build", "--law", "gw", "--n", "2000", "--seed", "5", "--quiet", "--forest-out", str(tmp_path / "f.csv")]
+    assert main([*argv, "--contour-out", str(tmp_path / "forked.csv")]) == 0
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", fork)
+    descriptors = os.listdir("/dev/fd")
+    assert main([*argv, "--contour-out", str(tmp_path / "unforked.csv")]) == 0
+    assert os.listdir("/dev/fd") == descriptors
+    assert (tmp_path / "unforked.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+
+
+def test_the_contour_is_forked_only_where_that_pays(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert _contour_child_pays(CONTOUR_CHILD_STICKS)
+    assert not _contour_child_pays(CONTOUR_CHILD_STICKS - 1)  # the fork costs more than it saves
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {1})
+    assert not _contour_child_pays(10 * CONTOUR_CHILD_STICKS)  # one CPU: the child would queue behind the parent
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert _contour_child_pays(CONTOUR_CHILD_STICKS)
+    monkeypatch.delattr(os, "fork")
+    assert not _contour_child_pays(CONTOUR_CHILD_STICKS)
 
 
 @pytest.mark.parametrize(
-    "argv, flags",
+    "argv, flags, shown",
     [
-        (["build", "--forest-out", "{a}", "--contour-out", "{a}"], "--forest-out and --contour-out"),
-        (["build", "--forest-out", "{a}", "--sticks-out", "{link}"], "--forest-out and --sticks-out"),
-        (["build", "--sticks-out", "{a}", "--contour-out", "{dot}"], "--contour-out and --sticks-out"),
+        (["build", "--forest-out", "{a}", "--contour-out", "{a}"], "--forest-out and --contour-out", "a"),
+        (["build", "--forest-out", "{a}", "--sticks-out", "{link}"], "--forest-out and --sticks-out", "{link}"),
+        (["build", "--forest-out", "{a}", "--sticks-out", "{hard}"], "--forest-out and --sticks-out", "hard"),
+        (["build", "--sticks-out", "{new}", "--contour-out", "{dot}"], "--contour-out and --sticks-out", "new"),
+        (["build", "--contour-out", "/dev/stdout"], "--forest-out and --contour-out", "/dev/stdout"),
+        (["build", "--forest-out", "/dev/fd/1", "--contour-out", "/dev/null", "--sticks-out", "-"],
+         "--forest-out and --sticks-out", "-"),
         (["scale", "--p", "10", "--replicates", "1", "--out", "{a}", "--summary-out", "{link}"],
-         "--out and --summary-out"),
+         "--out and --summary-out", "{link}"),
+        (["scale", "--p", "10", "--replicates", "1", "--summary-out", "/dev/fd/1"],
+         "--out and --summary-out", "/dev/fd/1"),
     ],
 )
-def test_outputs_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, argv, flags):
-    # two writers to one file would leave only the last one's output there:
-    # refused before any draw, whatever spelling or link names the file
+def test_outputs_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, argv, flags, shown):
+    # two writers to one file would leave only the last one's output there,
+    # or mix the two: refused before any draw, whatever spelling or link
+    # names the file; ``-`` is standard output for --forest-out and --out
     monkeypatch.setattr(StickLaw, "draw", _refuse_to_draw)
     monkeypatch.chdir(tmp_path)
+    (tmp_path / "a").write_text("kept\n")
     (tmp_path / "link").symlink_to(tmp_path / "a")
-    names = {"a": "a", "link": str(tmp_path / "link"), "dot": "./a"}
+    os.link(tmp_path / "a", tmp_path / "hard")
+    (tmp_path / "-").symlink_to("/dev/stdout")
+    names = {"a": "a", "link": str(tmp_path / "link"), "hard": "hard", "new": "new", "dot": "./new"}
     argv = [arg.format(**names) for arg in argv]
     assert main([*argv[:1], "--law", "gw", "--seed", "1", *argv[1:]]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"{argv[0]}: {flags} name the same file: ")
-    assert not (tmp_path / "a").exists()
+    assert captured.err == f"{argv[0]}: {flags} name the same file: {shown.format(**names)}\n"
+    assert (tmp_path / "a").read_text() == "kept\n"
+    assert not (tmp_path / "new").exists()
+
+
+def test_the_null_device_takes_every_output(tmp_path):
+    argv = ["build", "--law", "gw", "--n", "5", "--seed", "1", "--quiet"]
+    assert main([*argv, "--forest-out", os.devnull, "--contour-out", os.devnull, "--sticks-out", os.devnull]) == 0
 
 
 def test_stdout_and_a_file_named_dash_are_distinct_outputs(tmp_path, monkeypatch, capsys):
@@ -930,25 +986,26 @@ print(scipy_modules())
     assert out.stdout.splitlines() == ["[]", "[]"]
 
 
-def test_closed_stdout_pipe_ends_quietly(tmp_path):
+@pytest.mark.parametrize("contour", [False, True])
+def test_closed_stdout_pipe_ends_quietly(tmp_path, contour):
     # a reader that stops after one line (``| head -1``) is not bad input:
     # no message, and 141 = 128 + SIGPIPE instead of the usage status 2;
-    # the contour, written by a forked child meanwhile, is complete
+    # a contour written by a forked child meanwhile is complete
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
-    contour = tmp_path / "contour.csv"
+    path = tmp_path / "contour.csv"
     argv = ["-m", "chronoforest", "build", "--law", "gw", "--n", "50000", "--seed", "1", "--quiet"]
-    with subprocess.Popen(
-        [sys.executable, *argv, "--contour-out", str(contour)],
-        env=env,
-        stdout=subprocess.PIPE,
-        stderr=subprocess.PIPE,
-    ) as proc:
+    if contour:
+        argv += ["--contour-out", str(path)]
+    with subprocess.Popen([sys.executable, *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
         assert proc.stdout.readline() == b"index,parent,birth_time,depth,v,tree_id\r\n"
         proc.stdout.close()
         err = proc.stderr.read()
         assert proc.wait(timeout=60) == 141
     assert err == b""
-    assert len(contour.read_bytes().splitlines()) == 2 * 50000 + 2
+    if contour and _contour_child_pays(50000):
+        assert len(path.read_bytes().splitlines()) == 2 * 50000 + 2
+    else:
+        assert not path.exists()
 
 
 BAD_LAWS = [
