@@ -21,7 +21,7 @@ import json
 import math
 import os
 import sys
-from contextlib import contextmanager, nullcontext
+from contextlib import nullcontext
 from typing import Optional
 
 import numpy as np
@@ -44,6 +44,7 @@ from .stochastic import (
     summarize_coupling,
 )
 from .stochastic.experiments import CONFIG_KEYS
+from .stochastic.renewal import mc_mean_se
 
 
 def _rng(seed: int) -> np.random.Generator:
@@ -86,15 +87,22 @@ def config_value(key: str):
 
 
 def _open_out(path: Optional[str]):
+    """Standard output or the opened file ``path``, for a ``with`` block."""
     if _out_target(path) == 1:
-        return sys.stdout, False
-    return open(path, "w", encoding="utf-8", newline=""), True
+        return nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
 
 
 def _out_target(path: Optional[str]):
     """What ``_open_out(path)`` writes to: a path, or descriptor 1 for
     standard output."""
     return 1 if path is None or path == "-" else path
+
+
+def _json_text(doc) -> str:
+    """``doc`` as the CLI writes JSON; a value that is not finite is a
+    ``ValueError``, as JSON has no spelling for it."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def _file_identity(target):
@@ -148,60 +156,26 @@ def _write_contour(path: ContourPath, filename: str) -> None:
         write_contour_csv(path, fh)
 
 
-def _fork_contour_writer(path: ContourPath, filename: str) -> Optional[tuple[int, int]]:
+def _fork_contour_writer(path: ContourPath, filename: str) -> Optional[int]:
     """Fork a child that writes the contour CSV to ``filename``; return its
-    pid and the read end of its error pipe, or None when the fork fails.
+    pid, or None when the fork fails.
 
     The child leaves only through ``os._exit``: it never returns into the
     caller, flushes no inherited stdio buffer, prints nothing and takes no
-    lock the parent held.  It exits 0, or 2 after it sent ``str(exc)`` down
-    the pipe.
+    lock the parent held.  It exits 0 once the file is written, else 1.
     """
-    r, w = os.pipe()
     try:
         pid = os.fork()
     except OSError:  # out of processes or memory
-        os.close(r)
-        os.close(w)
         return None
     if pid == 0:
-        status = 2
+        status = 1
         try:
             _write_contour(path, filename)
             status = 0
-        except Exception as exc:  # an interrupt ends the child with status 2 too
-            os.write(w, str(exc).encode("utf-8", "surrogateescape"))
         finally:
             os._exit(status)
-    os.close(w)
-    return pid, r
-
-
-@contextmanager
-def _contour_written_alongside(path: ContourPath, filename: str, fork: bool):
-    """Write the contour CSV to ``filename`` alongside the body: with
-    ``fork``, in a child while the body runs, else after the body.
-
-    A forked child is reaped whether or not the body raises; when it failed
-    (and the body did not), its message is raised as ``OSError``.  When the
-    fork itself fails the contour is written after the body.
-    """
-    child = _fork_contour_writer(path, filename) if fork else None
-    if child is None:
-        yield
-        _write_contour(path, filename)
-        return
-    pid, r = child
-    try:
-        yield
-    finally:
-        with open(r, "rb") as pipe:
-            try:
-                message = pipe.read().decode("utf-8", "surrogateescape")
-            finally:
-                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code != 0:
-        raise OSError(message or f"the contour writer ended with status {code}")
+    return pid
 
 
 def _cmd_build(args) -> int:
@@ -227,21 +201,21 @@ def _cmd_build(args) -> int:
             return 2
         forest = build_forest(law.sample_batch(_rng(args.seed), args.n))
     path = contour_path(forest)  # rejects an overflowing clock before any output
-    contour = (
-        _contour_written_alongside(path, args.contour_out, _contour_child_pays(forest.n_sticks))
-        if args.contour_out
-        else nullcontext()
-    )
-    with contour:
+    child = None
+    if args.contour_out and _contour_child_pays(forest.n_sticks):
+        child = _fork_contour_writer(path, args.contour_out)
+    try:
         if args.sticks_out:
             with open(args.sticks_out, "w", encoding="utf-8") as fh:
                 fh.write(sticks_to_json(forest.batch) + "\n")
-        out, close = _open_out(args.forest_out)
-        try:
+        with _open_out(args.forest_out) as out:
             write_forest_csv(forest, out)
-        finally:
-            if close:
-                out.close()
+    finally:
+        # wait status 0: the child wrote the whole contour and exited 0
+        written = child is not None and os.waitpid(child, 0)[1] == 0
+    if args.contour_out and not written:
+        # no child, or it failed: a lasting error is raised from this write
+        _write_contour(path, args.contour_out)
     if not args.quiet:
         print(
             f"built {forest.n_sticks} sticks, {forest.tree_count} trees,"
@@ -263,9 +237,7 @@ def _cmd_verify(args) -> int:
             n = int(rng.integers(3, args.max_sticks + 1))
             sticks = law.sample_batch(rng, n).to_sticks()
             report.merge(verify_identities(sticks, max_pairs=args.pairs, rng=rng))
-    doc = report.to_json()
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    sys.stdout.write(_json_text(report.to_json()))
     return 0 if report.ok else 1
 
 
@@ -290,17 +262,14 @@ def _cmd_renewal(args) -> int:
         )
         return 2
     rng = _rng(args.seed)
-    ys = law.sample_ystars(rng, args.draws)
+    age_mean, age_se = mc_mean_se(law.sample_ystars(rng, args.draws))
     mc_mean, mc_se = mean_age_integral_mc(law, rng, args.draws)
     stats = sample_ladder_stats(law, rng, walks, step_cap=args.step_cap)
     acc = stats.tau[stats.accepted]
     vh = sample_vhat(law, rng, args.draws)
     doc = {
         "law": law.describe(),
-        "uniform_atom_age": {
-            "mc_mean": float(ys.mean()),
-            "mc_se": float(ys.std(ddof=1) / math.sqrt(len(ys))),
-        },
+        "uniform_atom_age": {"mc_mean": age_mean, "mc_se": age_se},
         "age_integral": {"mc_mean": mc_mean, "mc_se": mc_se},
         "ladder": {
             "acceptance_rate": float(stats.accepted.mean()),
@@ -310,8 +279,7 @@ def _cmd_renewal(args) -> int:
         },
         "stationary_overshoot_mean": float(np.mean(vh)),
     }
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    sys.stdout.write(_json_text(doc))
     return 0
 
 
@@ -340,8 +308,7 @@ def _cmd_couple(args) -> int:
     ]
     if violations:
         doc["violations"] = violations
-    json.dump(doc, sys.stdout, indent=2)
-    print()
+    sys.stdout.write(_json_text(doc))
     return 1 if violations else 0
 
 
@@ -366,16 +333,12 @@ def _cmd_scale(args) -> int:
             seed=args.seed,
         )
     result = scaling_experiment(config, workers=args.workers)
-    out, close = _open_out(args.out)
-    try:
+    with _open_out(args.out) as out:
         result.write_csv(out)
-    finally:
-        if close:
-            out.close()
     if args.summary_out:
+        summary = _json_text(result.summary())
         with open(args.summary_out, "w", encoding="utf-8") as fh:
-            json.dump(result.summary(), fh, indent=2)
-            fh.write("\n")
+            fh.write(summary)
     return 0
 
 
@@ -449,6 +412,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 141  # 128 + SIGPIPE, as a shell reports a killed writer
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:  # numpy's names the size it could not allocate
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2

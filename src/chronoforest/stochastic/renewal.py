@@ -26,6 +26,7 @@ __all__ = [
     "ladder_trio_pmf",
     "LadderStats",
     "sample_ladder_stats",
+    "mc_mean_se",
     "mean_age_integral_mc",
     "sample_vhat",
 ]
@@ -181,16 +182,29 @@ def sample_ladder_stats(
     return LadderStats(tau, zeta, jump, accepted, finite)
 
 
+def mc_mean_se(values: np.ndarray) -> tuple[float, float]:
+    """Monte Carlo mean and standard error of ``values`` (inf from fewer than two).
+
+    Both are computed on the values scaled by a power of two that brings the
+    largest below 1, so the squares stay finite for any finite values.  The
+    scaling rounds nothing above the subnormal range, so wherever the plain
+    formula is finite it gives the same floats.
+    """
+    n = len(values)
+    _, e = np.frexp(np.max(np.abs(values), initial=0.0))
+    scaled = np.ldexp(values, -e)
+    mean = float(np.ldexp(scaled.mean(), e))
+    se = float(np.ldexp(scaled.std(ddof=1) / math.sqrt(n), e)) if n > 1 else math.inf
+    return mean, se
+
+
 def mean_age_integral_mc(
     law: StickLaw, rng: np.random.Generator, n: int
 ) -> tuple[float, float]:
     """Monte Carlo mean and standard error of the per-stick total of ages."""
     batch = law.sample_batch(rng, n)
     cums = np.concatenate(([0.0], np.cumsum(batch.ages)))
-    totals = np.diff(cums[batch.offsets])
-    mean = float(totals.mean())
-    se = float(totals.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
-    return mean, se
+    return mc_mean_se(np.diff(cums[batch.offsets]))
 
 
 def sample_vhat(law: StickLaw, rng: np.random.Generator, size) -> np.ndarray:

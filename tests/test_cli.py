@@ -4,9 +4,11 @@ import errno
 import hashlib
 import io
 import json
+import math
 import os
 import re
 import shlex
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from chronoforest import cli
 from chronoforest.cli import CONTOUR_CHILD_STICKS, _contour_child_pays, _rng, main
 from chronoforest.measures import StickBatch, sticks_from_json, sticks_to_json
 from chronoforest.stochastic import parse_law, run_coupling_many
@@ -201,6 +204,55 @@ def test_renewal_diagnostics(capsys):
     assert report["ladder"]["acceptance_rate"] >= 0.995
     # and every rejection is a step-cap one
     assert report["ladder"]["rejected_step_cap"] == round(2000 * (1.0 - report["ladder"]["acceptance_rate"]))
+
+
+def _refuse_constant(name):
+    raise AssertionError(f"not JSON: {name}")
+
+
+def test_renewal_of_huge_lengths_prints_finite_json(capsys):
+    # ages near 1e200 have squares past the largest float: the standard
+    # errors are computed on scaled values, so none of them is Infinity
+    assert main(["renewal", "--law", "exp-uniform(rate=1e-200)", "--seed", "1", "--draws", "10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    report = json.loads(captured.out, parse_constant=_refuse_constant)
+    assert 0 < report["uniform_atom_age"]["mc_se"] < report["uniform_atom_age"]["mc_mean"]
+    assert 0 < report["age_integral"]["mc_se"] < report["age_integral"]["mc_mean"]
+
+
+def test_a_value_that_is_not_finite_is_not_printed(monkeypatch, capsys):
+    monkeypatch.setattr("chronoforest.cli.mean_age_integral_mc", lambda law, rng, n: (math.nan, math.inf))
+    assert main(["renewal", "--law", "gw", "--seed", "1", "--draws", "10"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: Out of range float values are not JSON compliant")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", "--law", "gw", "--n", "10", "--seed", "1"],
+        ["scale", "--law", "gw", "--p", "100", "--replicates", "1", "--times", "1"],
+    ],
+)
+@pytest.mark.parametrize(
+    "exc, message",
+    [
+        (MemoryError("Unable to allocate 745. GiB for an array"), "Unable to allocate 745. GiB for an array"),
+        (MemoryError(), "out of memory"),
+    ],
+)
+def test_a_failed_allocation_is_an_error_line(monkeypatch, capsys, argv, exc, message):
+    # status 1 is kept for a found violation: no memory for the draws is 2
+    def draw(self, rng, n):
+        raise exc
+
+    monkeypatch.setattr(StickLaw, "draw", draw)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_renewal_reports_the_median_accepted_passage_time(capsys):
@@ -877,7 +929,7 @@ def test_the_contour_child_is_reaped_after_a_build(tmp_path, monkeypatch, contou
 
 def test_a_failed_fork_writes_the_contour_after_the_forest(tmp_path, monkeypatch):
     # no process or memory to spare for the child: the build still succeeds
-    # with the same bytes and keeps no descriptor of the pipe
+    # with the same bytes and keeps no descriptor open
     monkeypatch.setattr("chronoforest.cli._contour_child_pays", lambda n_sticks: True)
     argv = ["build", "--law", "gw", "--n", "2000", "--seed", "5", "--quiet", "--forest-out", str(tmp_path / "f.csv")]
     assert main([*argv, "--contour-out", str(tmp_path / "forked.csv")]) == 0
@@ -890,6 +942,31 @@ def test_a_failed_fork_writes_the_contour_after_the_forest(tmp_path, monkeypatch
     assert main([*argv, "--contour-out", str(tmp_path / "unforked.csv")]) == 0
     assert os.listdir("/dev/fd") == descriptors
     assert (tmp_path / "unforked.csv").read_bytes() == (tmp_path / "forked.csv").read_bytes()
+
+
+@pytest.mark.parametrize("failure", ["no space", "killed"])
+def test_a_failed_child_leaves_the_contour_to_the_parent(tmp_path, monkeypatch, failure):
+    # a child that ran out of space once, or was killed, does not fail the
+    # build: the parent writes the contour after the forest, with the same bytes
+    argv = ["build", "--law", "gw", "--n", "2000", "--seed", "5", "--quiet", "--forest-out", str(tmp_path / "f.csv")]
+    monkeypatch.setattr("chronoforest.cli._contour_child_pays", lambda n_sticks: False)
+    assert main([*argv, "--contour-out", str(tmp_path / "unforked.csv")]) == 0
+    parent, write = os.getpid(), cli.write_contour_csv
+
+    def fail_in_the_child(path, fh):
+        if os.getpid() != parent:
+            if failure == "killed":
+                os.kill(os.getpid(), signal.SIGKILL)
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write(path, fh)
+
+    monkeypatch.setattr("chronoforest.cli.write_contour_csv", fail_in_the_child)
+    monkeypatch.setattr("chronoforest.cli._contour_child_pays", lambda n_sticks: True)
+    descriptors = os.listdir("/dev/fd")
+    assert main([*argv, "--contour-out", str(tmp_path / "forked.csv")]) == 0
+    assert_no_child_left()
+    assert os.listdir("/dev/fd") == descriptors
+    assert (tmp_path / "forked.csv").read_bytes() == (tmp_path / "unforked.csv").read_bytes()
 
 
 def test_the_contour_is_forked_only_where_that_pays(monkeypatch):
