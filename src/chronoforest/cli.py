@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import __version__
+from ._parallel import second_cpu
 from .forest import ContourPath, build_forest, contour_path, write_contour_csv, write_forest_csv
 from .measures import sticks_from_json, sticks_to_json
 from .spine import IdentityReport, verify_identities
@@ -145,10 +146,7 @@ def _contour_child_pays(n_sticks: int) -> bool:
     """Whether a forked child writing the contour beats writing it after the
     forest table: fork exists, this process may run on a second CPU and the
     tables are long enough to repay the fork."""
-    if n_sticks < CONTOUR_CHILD_STICKS or not hasattr(os, "fork"):
-        return False
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    return (cpus or 1) > 1
+    return n_sticks >= CONTOUR_CHILD_STICKS and hasattr(os, "fork") and second_cpu()
 
 
 def _write_contour(path: ContourPath, filename: str) -> None:
@@ -277,7 +275,7 @@ def _cmd_renewal(args) -> int:
             "step_cap": args.step_cap,
             "rejected_step_cap": int((stats.finite & ~stats.accepted).sum()),
         },
-        "stationary_overshoot_mean": float(np.mean(vh)),
+        "stationary_overshoot_mean": mc_mean_se(vh)[0],  # finite for any finite draws
     }
     sys.stdout.write(_json_text(doc))
     return 0

@@ -40,6 +40,7 @@ from typing import IO, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from ._parallel import pair_for
 from .measures import PointMeasure, Stick, StickBatch
 
 __all__ = [
@@ -99,60 +100,87 @@ def forest_arrays(counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray) -> 
     are then filled one generation at a time with grafting's own sum,
     ``height[parent] + birth_age``, so they equal the grafted birth times
     bit for bit.  O((n + atoms) log n) plus one numpy step per generation.
+
+    From ``_parallel.TWO_CORE_AGES`` ages on, and given a second CPU, the
+    work goes in pairs to two threads (``_parallel.pair_for``): the sorted
+    keys with the sorted queries, the two halves of the search, and the
+    generations with the parents.  Either way the same numpy calls make
+    every array, so the forest is the same bit for bit.  Nothing here calls
+    ``np.repeat``, which holds the GIL: a stick index is a ``cumsum`` over
+    the stick starts, and one gather spreads a per-stick value over atoms.
     """
-    n = len(counts)
+    n, m = len(counts), len(ages)
     span = n + 1  # walk indices 0..n; index span means "never"
     s = np.zeros(span, dtype=np.int64)
     np.cumsum(counts - 1, out=s[1:])
     s -= s.min() - 1  # levels from 1, so every target level below is >= 0
     # levels fit a small integer type, whose stable sort is a radix sort
     small = np.min_scalar_type(int(s.max()))
-    # the pair (S(k), k) packed as one integer, in lexicographic order
-    order = np.argsort(s.astype(small), kind="stable")
-    keys = s[order] * span + order
-    del order
 
-    stick = np.repeat(np.arange(n), counts)
-    # the level that atom a of stick m waits for: S(m+1) - (a - offsets[m]) - 1
-    level = np.repeat(s[1:] + offsets[:-1] - 1, counts) - np.arange(len(ages))
-    # atoms come in order of stick, so sorting by level sorts the queries,
-    # which makes the search faster
-    perm = np.argsort(level.astype(small), kind="stable")
-    level *= span
-    query = level + stick
-    query += 1
+    def sorted_keys() -> np.ndarray:
+        # the pair (S(k), k) packed as one integer, in lexicographic order
+        order = np.argsort(s.astype(small), kind="stable")
+        keys = s[order]
+        keys *= span
+        keys += order
+        return keys
+
+    def sorted_queries() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        # the stick of each atom: one more at each start of sticks 1..n-1
+        stick = np.cumsum(np.bincount(offsets[1:-1], minlength=m + 1)[:m])
+        # the level that atom a of stick m waits for: S(m+1) - (a - offsets[m]) - 1
+        level = (s[1:] + offsets[:-1] - 1)[stick]
+        level -= np.arange(m)
+        # atoms come in order of stick, so sorting by level sorts the queries,
+        # which makes the search faster
+        perm = np.argsort(level.astype(small), kind="stable")
+        level *= span
+        query = level + stick
+        query += 1
+        return stick, level, perm, query[perm]
+
+    pair = pair_for(m)
+    keys, (stick, level, perm, query) = pair(sorted_keys, sorted_queries)
     # every target level lies below S(m+1), so some key is >= the query;
     # it is the passage when it sits on the target level, and otherwise it
     # lies a level higher, at least span past the query's level: "never"
-    end = np.empty_like(query)
-    end[perm] = keys[np.searchsorted(keys, query[perm])]
-    del keys, perm, query
+    found = np.empty(m, dtype=np.int64)
+
+    def search(lo: int, hi: int) -> None:
+        np.take(keys, np.searchsorted(keys, query[lo:hi]), out=found[lo:hi])
+
+    pair(lambda: search(0, m // 2), lambda: search(m // 2, m))
+    end = np.empty_like(found)
+    end[perm] = found
+    del keys, perm, query, found
     end -= level
     np.minimum(end, span, out=end)
     del level
     has = counts > 0
-    child = np.empty_like(end)
-    child[1:] = end[:-1]
-    child[offsets[:-1][has]] = np.flatnonzero(has) + 1
 
-    # one generation more after each stick with children, one less where
-    # the subtree of its last child ends
-    step = np.zeros(span + 1, dtype=np.int64)
-    step[1:span] = has
-    step -= np.bincount(end[offsets[1:][has] - 1], minlength=span + 1)
-    depths = np.cumsum(step[:span])
-    del step, end
+    def generations() -> tuple[np.ndarray, np.ndarray, list]:
+        # one generation more after each stick with children, one less where
+        # the subtree of its last child ends
+        step = np.zeros(span + 1, dtype=np.int64)
+        step[1:span] = has
+        step -= np.bincount(end[offsets[1:][has] - 1], minlength=span + 1)
+        depths = np.cumsum(step[:span])
+        by_depth = depths.astype(np.min_scalar_type(int(depths.max())))
+        return depths, np.argsort(by_depth, kind="stable"), np.cumsum(np.bincount(by_depth)).tolist()
 
-    # entry span collects the atoms whose child lies beyond the horizon
-    parent = np.full(span + 1, -1, dtype=np.int64)
-    parent[child] = stick
-    birth_age = np.zeros(span + 1)
-    birth_age[child] = ages
-    del child, stick
+    def parents() -> tuple[np.ndarray, np.ndarray]:
+        child = np.empty_like(end)
+        child[1:] = end[:-1]
+        child[offsets[:-1][has]] = np.flatnonzero(has) + 1
+        # entry span collects the atoms whose child lies beyond the horizon
+        parent = np.full(span + 1, -1, dtype=np.int64)
+        parent[child] = stick
+        birth_age = np.zeros(span + 1)
+        birth_age[child] = ages
+        return parent, birth_age
 
-    by_depth = depths.astype(np.min_scalar_type(int(depths.max())))
-    order = np.argsort(by_depth, kind="stable")
-    bounds = np.cumsum(np.bincount(by_depth)).tolist()
+    (depths, order, bounds), (parent, birth_age) = pair(generations, parents)
+    del end, stick
     heights = np.zeros(span)
     # a sum past the largest float is inf, which ``ChronForest`` and the
     # contour reject with the overflow error
@@ -162,7 +190,7 @@ def forest_arrays(counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray) -> 
             heights[idx] = heights[parent[idx]] + birth_age[idx]
 
     roots = depths[:n] == 0
-    pending = len(ages) - n + int(np.count_nonzero(roots))
+    pending = m - n + int(np.count_nonzero(roots))
     return ForestArrays(
         heights, depths, parent[:n], birth_age[:n], np.cumsum(roots) - 1, pending
     )

@@ -35,6 +35,7 @@ from typing import Optional
 
 import numpy as np
 
+from .._parallel import pair_for, share_cpus
 from ..forest import ContourPath, write_rows
 from ..measures import StickBatch
 from ..spine import height_profile_arrays
@@ -228,8 +229,12 @@ def _simulate_population(
     batch = law.sample_batch(rng, chunk)
     while True:
         heights, depths = height_profile_arrays(batch.counts, batch.offsets, batch.ages)
-        path = ContourPath(heights, batch.v)
-        gen_path = ContourPath(depths.astype(float), np.ones(batch.n))
+        # the two contours at once on a large batch (as many sticks as ages
+        # for a critical law)
+        path, gen_path = pair_for(batch.n)(
+            lambda: ContourPath(heights, batch.v),
+            lambda: ContourPath(depths.astype(float), np.ones(batch.n)),
+        )
         if path.end_time >= raw_time and gen_path.end_time >= raw_gen_time:
             return batch, path, gen_path
         chunk = max(chunk // 2, 256)
@@ -282,7 +287,7 @@ def simulate_replicate(
     rows["Hp"], rows["Hcalp"], rows["Cp"] = hp, hcalp, cp
     rows["Sp"] = s[j] / (p * eps)
     rows["phip"], rows["phibarp"] = phi / p, phibar / p
-    rows["deltaH"] = hp - law.mean_ystar * hcalp
+    rows["deltaH"] = hp - law.mean_atom_age * hcalp
     rows["deltaC"] = cp - eps * path.heights[j_slow]
     rows["epsDelta"] = eps * (phi - phibar)
     min_contour = eps * path.min_on(p * u, p * w)
@@ -344,7 +349,7 @@ class ExperimentResult:
         by_p = self.replicates.reshape(len(self.config.p_values), self.config.replicates)
         for p, records in zip(self.config.p_values, by_p):
             mc = records["min_contour"]
-            target = self.law.mean_ystar * records["min_gen_contour"]
+            target = self.law.mean_atom_age * records["min_gen_contour"]
             out["interval_minima"].append(
                 {
                     "p": p,
@@ -378,7 +383,8 @@ def scaling_experiment(config: ExperimentConfig, workers: int = 1) -> Experiment
     replicate = functools.partial(simulate_replicate, law, config)
     grid = [(p_idx, rep) for p_idx in range(len(config.p_values)) for rep in range(config.replicates)]
     if workers > 1:
-        with multiprocessing.get_context("fork").Pool(workers) as pool:
+        # each worker starts helper threads only if the pool leaves it a CPU
+        with multiprocessing.get_context("fork").Pool(workers, share_cpus, (workers,)) as pool:
             results = pool.starmap(replicate, grid)
     else:
         results = list(itertools.starmap(replicate, grid))

@@ -28,9 +28,10 @@ when it first reads it.
 
 ``StickLaw(name, counts, life, ages)`` assembles the draws and derives the
 descriptors the scaling limits are built from: ``mean_offspring``,
-``mean_v`` and ``mean_ystar`` (the expected total of birth ages per stick,
-which for a critical law equals the mean age of a uniformly chosen atom of
-the size-biased stick).  ``arithmetic`` says whether life lengths live on a
+``mean_v``, ``mean_ystar`` (the expected total of birth ages per stick)
+and ``mean_atom_age`` (``mean_ystar / mean_offspring``, the mean age of a
+uniformly chosen atom of the size-biased stick, which for a critical law
+is ``mean_ystar`` itself).  ``arithmetic`` says whether life lengths live on a
 lattice (with ``span`` the mesh).  The named laws only choose their parts.
 """
 
@@ -43,6 +44,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .._parallel import both, two_cores
 from ..measures import PointMeasure, Stick, StickBatch
 
 __all__ = [
@@ -60,18 +62,39 @@ __all__ = [
 
 
 def _sort_ages_desc(ages: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Sort a flat age array descending within each stick."""
-    # NumPy sorts complex numbers lexicographically, by real part and then by
-    # imaginary part, so one direct sort of (stick index) + 1j * (-age) orders
-    # by stick and then by descending age.  Stick indices are exact floats
-    # below 2**53.  Only the sorted values come back and tied ages are equal
-    # floats, so the unstable sort gives the stable lexsort's result bit for
-    # bit (ages are positive, so no -0.0 ties with 0.0 can be reordered).
+    """Sort a flat age array descending within each stick.
+
+    NumPy sorts complex numbers lexicographically, by real part and then by
+    imaginary part, so one direct sort of (stick index) + 1j * (-age) orders
+    by stick and then by descending age.  Stick indices are exact floats
+    below 2**53.  Only the sorted values come back and tied ages are equal
+    floats, so the unstable sort gives the stable lexsort's result bit for
+    bit (ages are positive, so no -0.0 ties with 0.0 can be reordered).  A
+    large batch sorts its first half of sticks and its second half on two
+    threads: each half sorts within its own sticks, so the halves join end
+    to end into the same array.
+    """
     keys = np.empty(len(ages), dtype=complex)
-    keys.real = np.repeat(np.arange(len(counts), dtype=float), counts)
+    if two_cores(len(ages)):
+        half = len(counts) // 2
+        cut = int(counts[:half].sum())
+        both(
+            lambda: _sort_keys(ages[:cut], counts[:half], keys[:cut]),
+            lambda: _sort_keys(ages[cut:], counts[half:], keys[cut:]),
+        )
+    else:
+        _sort_keys(ages, counts, keys)
+    return -keys.imag
+
+
+def _sort_keys(ages: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> None:
+    """Fill ``keys`` with the complex keys of a run of sticks and sort them."""
+    # the stick index: one more at each start of sticks 1, 2, ... (np.repeat
+    # would hold the GIL while the other half sorts)
+    starts = np.bincount(counts[:-1].cumsum(), minlength=len(ages) + 1)
+    keys.real = starts[: len(ages)].cumsum()
     np.negative(ages, out=keys.imag)
     keys.sort()
-    return -keys.imag
 
 
 def _positive_finite(what: str, x: float) -> float:
@@ -443,6 +466,10 @@ class StickLaw:
         self.mean_offspring = counts.mean
         self.mean_v = life.mean
         self.mean_ystar = ages.mean_total(counts, life)
+        # E A, the mean age of a uniformly chosen atom of the size-biased
+        # stick: the constant that stretches generation into height (every
+        # depth of a childless law is 0, so its constant never matters)
+        self.mean_atom_age = self.mean_ystar / self.mean_offspring if self.mean_offspring else 0.0
         self.arithmetic = life.arithmetic
         self.span = life.span
         self.eps_rule = counts.eps_rule

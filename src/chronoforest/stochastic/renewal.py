@@ -201,10 +201,18 @@ def mc_mean_se(values: np.ndarray) -> tuple[float, float]:
 def mean_age_integral_mc(
     law: StickLaw, rng: np.random.Generator, n: int
 ) -> tuple[float, float]:
-    """Monte Carlo mean and standard error of the per-stick total of ages."""
+    """Monte Carlo mean and standard error of the per-stick total of ages.
+
+    Each stick's ages are summed on their own, so a total is finite
+    whenever that stick's ages add up to a float, whatever the other
+    sticks hold."""
     batch = law.sample_batch(rng, n)
-    cums = np.concatenate(([0.0], np.cumsum(batch.ages)))
-    return mc_mean_se(np.diff(cums[batch.offsets]))
+    totals = np.zeros(n)
+    full = batch.counts > 0
+    # ``reduceat`` gives an empty segment an element of its own, so only the
+    # sticks with children get one: their starts increase strictly
+    totals[full] = np.add.reduceat(batch.ages, batch.offsets[:-1][full])
+    return mc_mean_se(totals)
 
 
 def sample_vhat(law: StickLaw, rng: np.random.Generator, size) -> np.ndarray:

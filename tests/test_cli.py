@@ -221,6 +221,18 @@ def test_renewal_of_huge_lengths_prints_finite_json(capsys):
     assert 0 < report["age_integral"]["mc_se"] < report["age_integral"]["mc_mean"]
 
 
+def test_renewal_near_the_largest_float_sums_each_stick_alone():
+    # every stick's total age is finite, though the running sum over the
+    # batch is not: the command prints strict JSON and not one warning
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+    argv = ["-m", "chronoforest", "renewal", "--law", "exp-uniform(rate=1e-307)", "--seed", "1", "--draws", "200"]
+    out = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True, timeout=60)
+    assert (out.returncode, out.stderr) == (0, "")
+    report = json.loads(out.stdout, parse_constant=_refuse_constant)
+    assert 0 < report["age_integral"]["mc_se"] < report["age_integral"]["mc_mean"] < 1e308
+    assert 0 < report["stationary_overshoot_mean"] < 1e308
+
+
 def test_a_value_that_is_not_finite_is_not_printed(monkeypatch, capsys):
     monkeypatch.setattr("chronoforest.cli.mean_age_integral_mc", lambda law, rng, n: (math.nan, math.inf))
     assert main(["renewal", "--law", "gw", "--seed", "1", "--draws", "10"]) == 2

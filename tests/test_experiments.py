@@ -266,7 +266,7 @@ def test_interval_minima_are_means_of_contiguous_copies(replicates):
     for p in res.config.p_values:
         records = res.replicates[res.replicates["p"] == p]
         mc, mg, v = (np.ascontiguousarray(records[f]) for f in ("min_contour", "min_gen_contour", "v_at_phibar"))
-        target = res.law.mean_ystar * mg
+        target = res.law.mean_atom_age * mg
         want.append(
             {
                 "p": p,
@@ -277,6 +277,28 @@ def test_interval_minima_are_means_of_contiguous_copies(replicates):
             }
         )
     assert json.dumps(res.summary()["interval_minima"]) == json.dumps(want)
+
+
+def test_subcritical_height_is_stretched_by_the_mean_atom_age():
+    # E A = mean_ystar / mean_offspring: 0.4 / 0.8 for uniform ages on (0, 1]
+    # under mean-0.8 geometric counts, the mean age of an atom of the
+    # size-biased stick (mean_ystar itself is 0.4)
+    res = scaling_experiment(small_config(law="geo-uniform(mean=0.8)"))
+    assert (res.law.mean_ystar, res.law.mean_atom_age) == (0.4, 0.5)
+    rows = res.rows
+    assert np.any(rows["Hcalp"] > 0)
+    assert rows["deltaH"].tobytes() == (rows["Hp"] - 0.5 * rows["Hcalp"]).tobytes()
+    target = 0.5 * res.replicates["min_gen_contour"].reshape(2, -1)
+    got = [m["scaled_gen_min_mean"] for m in res.summary()["interval_minima"]]
+    assert got == [float(t.mean()) for t in target]
+
+
+def test_a_childless_law_stretches_by_nothing():
+    # every depth is 0, so deltaH is Hp and the target 0, with no 0 / 0
+    res = scaling_experiment(small_config(law="geo-uniform(mean=0)"))
+    assert res.law.mean_atom_age == 0.0
+    assert res.rows["deltaH"].tobytes() == res.rows["Hp"].tobytes()
+    assert all(m["scaled_gen_min_mean"] == 0.0 for m in res.summary()["interval_minima"])
 
 
 def test_law_is_parsed_once(monkeypatch):

@@ -17,10 +17,12 @@ from chronoforest.stochastic import (
     TwoPointAgesLaw,
     ladder_trio_pmf,
     mean_age_integral_mc,
+    parse_law,
     sample_ladder_stats,
     sample_vhat,
     tau_minus_pmf,
 )
+from chronoforest.stochastic.renewal import mc_mean_se
 from conftest import sample_covering_v
 
 FAIR_02 = np.array([0.5, 0.0, 0.5])  # offspring 0 or 2, each with prob. 1/2
@@ -294,6 +296,19 @@ def test_covering_stick_tends_to_length_biased(rng):
     tv_small, tv_big = tv_at(2.0), tv_at(300.0)
     assert tv_big < tv_small
     assert tv_big < 0.06
+
+
+def test_mean_age_integral_mc_sums_each_stick_alone():
+    # the totals are each stick's own sum, childless sticks 0.0: the mean
+    # and error are those of the per-stick totals, bit for bit
+    law = parse_law("geo-uniform(mean=0.8)")
+    mean, se = mean_age_integral_mc(law, np.random.default_rng(3205), 500)
+    batch = law.sample_batch(np.random.default_rng(3205), 500)
+    totals = np.array([batch.ages[lo:hi].sum() for lo, hi in zip(batch.offsets[:-1], batch.offsets[1:])])
+    assert np.count_nonzero(batch.counts == 0) > 100
+    assert (mean, se) == mc_mean_se(totals)
+    # a batch without children has every total 0
+    assert mean_age_integral_mc(parse_law("geo-uniform(mean=0)"), np.random.default_rng(1), 50) == (0.0, 0.0)
 
 
 def test_mean_age_integral_mc_geometric(rng):

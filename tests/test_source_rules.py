@@ -695,3 +695,47 @@ def test_no_guessed_tolerances():
         for line in _tiny_float_literals(ast.parse(path.read_text(), filename=str(path)))
     ]
     assert not found, "guessed tolerances (float literals below 1e-6): " + ", ".join(found)
+
+
+def test_only_the_helper_module_starts_threads():
+    # ``_parallel.both`` joins its one helper thread before it returns, so
+    # no thread is alive when ``build`` forks its contour writer or
+    # ``scale --workers`` its pool; a thread started anywhere else could be
+    # alive at a fork
+    found = [
+        where
+        for package in ("threading", "_thread", "concurrent.futures")
+        for where in _imported_in_package(package)
+    ]
+    assert found and all(where.startswith("_parallel.py:") for where in found), ", ".join(found)
+
+
+def _repeats(tree: ast.AST) -> list[int]:
+    """Lines that name ``repeat``: ``np.repeat``, ``a.repeat`` or a bare name."""
+    return [getattr(node, "lineno", "?") for node in ast.walk(tree) if "repeat" in _node_names(node)]
+
+
+def test_no_repeat_in_the_kernel_or_the_age_sort():
+    # ``np.repeat`` holds the GIL, so on the helper thread it would stall
+    # the caller's numpy work (two threads of it took twice the time of
+    # one); the kernel and the age sort spread per-stick values over atoms
+    # with a stick index (``cumsum`` over the stick starts) and a gather
+    for snippet, expected in [
+        ("x = np.repeat(a, c)", [1]),
+        ("x = a.repeat(3)", [1]),
+        ("from itertools import repeat", [1]),
+        ("x = np.cumsum(np.bincount(s))[i]", []),
+    ]:
+        assert _repeats(ast.parse(snippet)) == expected, snippet
+    root = Path(chronoforest.__file__).resolve().parent
+    forest = ast.parse((root / "forest.py").read_text())
+    laws = ast.parse((root / "stochastic" / "laws.py").read_text())
+    defs = {node.name: node for node in laws.body if isinstance(node, ast.FunctionDef)}
+    sort = defs["_sort_ages_desc"]
+    # the sort and the module functions it calls
+    called = {node.id for node in ast.walk(sort) if isinstance(node, ast.Name)}
+    parts = [sort] + [defs[name] for name in sorted(called & set(defs) - {sort.name})]
+    assert [p.name for p in parts] == ["_sort_ages_desc", "_sort_keys"]
+    found = [f"forest.py:{line}" for line in _repeats(forest)]
+    found += [f"stochastic/laws.py:{line}" for part in parts for line in _repeats(part)]
+    assert not found, "repeat in the kernel or the age sort: " + ", ".join(map(str, found))
