@@ -13,7 +13,7 @@ from .measures import (
     PointMeasure,
     Stick,
     sticks_from_json,
-    sticks_to_json,
+    write_sticks_json,
 )
 from .forest import (
     ChronForest,
@@ -51,7 +51,7 @@ __all__ = [
     "PointMeasure",
     "Stick",
     "sticks_from_json",
-    "sticks_to_json",
+    "write_sticks_json",
     "ChronForest",
     "ContourPath",
     "build_forest",

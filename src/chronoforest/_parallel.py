@@ -13,6 +13,11 @@ itself: not in a pool worker whose pool takes every CPU (``share_cpus``).
 ``two_cores(n)`` decides, and ``pair_for(n)`` otherwise runs the pair in
 turn.  The helper's work must not call a function that a tracer may wrap:
 it runs plain numpy.
+
+The height kernel (``forest.forest_arrays``) and a scaling replicate's two
+contours use the helper.  The layout's age sort does not: its keys arrive
+in stick order, and one stable sort of them on one thread took less time
+than two half sorts on two, from 60,000 to 1e6 ages.
 """
 
 from __future__ import annotations
@@ -24,10 +29,11 @@ from typing import Callable, TypeVar
 A = TypeVar("A")
 B = TypeVar("B")
 
-# Ages from which the height kernel and the age sort split their work
-# over two threads.  On a 2-core Xeon, in runs that alternated the two
-# paths in one process (critical geo-uniform, a layout plus the kernel,
-# three rounds), the threads changed the time by +7% to -2% at 40,000 ages,
+# Ages from which the height kernel, and a scaling replicate's two
+# contours, split their work over two threads.  On a 2-core Xeon, in runs
+# that alternated the two paths in one process (critical geo-uniform, a
+# layout plus the kernel, three rounds, when the layout's sort still split
+# too), the threads changed the time by +7% to -2% at 40,000 ages,
 # by 0% to -5% at 50,000, by -5% to -14% at 70,000, by -10% at 1e5 and
 # by -27% at 1e6; at 10,000 they cost 16% more.
 TWO_CORE_AGES = 50_000

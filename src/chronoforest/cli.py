@@ -29,7 +29,7 @@ import numpy as np
 from . import __version__
 from ._parallel import second_cpu
 from .forest import ContourPath, build_forest, contour_path, write_contour_csv, write_forest_csv
-from .measures import sticks_from_json, sticks_to_json
+from .measures import sticks_from_json, write_sticks_json
 from .spine import IdentityReport, verify_identities
 from .stochastic import (
     ExperimentConfig,
@@ -205,7 +205,8 @@ def _cmd_build(args) -> int:
     try:
         if args.sticks_out:
             with open(args.sticks_out, "w", encoding="utf-8") as fh:
-                fh.write(sticks_to_json(forest.batch) + "\n")
+                write_sticks_json(forest.batch, fh)
+                fh.write("\n")
         with _open_out(args.forest_out) as out:
             write_forest_csv(forest, out)
     finally:

@@ -35,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import chain, repeat
-from typing import Iterable, Sequence
+from typing import IO, Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -44,8 +44,8 @@ __all__ = [
     "ZERO",
     "Stick",
     "StickBatch",
-    "sticks_to_json",
     "sticks_from_json",
+    "write_sticks_json",
 ]
 
 
@@ -266,10 +266,14 @@ class StickBatch:
         _drain(map(_set_stick_births, sticks, births))
         return sticks
 
-    def to_json(self) -> list[dict]:
-        """One ``{"v": number, "births": [number, ...]}`` object per stick, births largest first."""
-        flat, bounds = self.ages.tolist(), self.offsets.tolist()
-        return [{"v": life, "births": flat[a:b]} for life, a, b in zip(self.v.tolist(), bounds, bounds[1:])]
+    def to_json(self, lo: int = 0, hi: Optional[int] = None) -> list[dict]:
+        """One ``{"v": number, "births": [number, ...]}`` object per stick of
+        ``lo:hi`` (every stick by default), births largest first."""
+        hi = self.n if hi is None else hi
+        bounds = self.offsets[lo : hi + 1]
+        flat = self.ages[bounds[0] : bounds[-1]].tolist()
+        bounds = (bounds - bounds[0]).tolist()
+        return [{"v": life, "births": flat[a:b]} for life, a, b in zip(self.v[lo:hi].tolist(), bounds, bounds[1:])]
 
     @classmethod
     def from_json(cls, data) -> "StickBatch":
@@ -323,8 +327,20 @@ def root_first_sum(ages: Iterable[float]) -> float:
     return reduce(operator.add, ages, 0.0)
 
 
-def sticks_to_json(batch: StickBatch) -> str:
-    return json.dumps(batch.to_json())
+# sticks per block of a stick file: one block's objects and text are made
+# and freed before the next, so writing holds a few megabytes at most
+_STICK_BLOCK = 4096
+
+
+def write_sticks_json(batch: StickBatch, fp: IO[str]) -> None:
+    """Write ``json.dumps(batch.to_json())`` to ``fp``, ``_STICK_BLOCK``
+    sticks at a time: each block is ``json.dumps`` of its sticks' objects
+    without the brackets, and the blocks join with ``", "`` as list items
+    do, so the bytes are the same."""
+    fp.write("[")
+    for lo in range(0, batch.n, _STICK_BLOCK):
+        fp.write((", " if lo else "") + json.dumps(batch.to_json(lo, lo + _STICK_BLOCK))[1:-1])
+    fp.write("]")
 
 
 def sticks_from_json(text: str) -> StickBatch:

@@ -124,13 +124,13 @@ class _Blocks:
 
 
 class _WalkState:
-    """Where one marked walk stands: its last value, its number of steps,
-    its running maximum and its first pushed index at or above t."""
+    """Where one marked walk stands: its last value, its number of steps and
+    its first pushed index at or above t.  The steps are positive, so the
+    values never decrease and the last value is the running maximum."""
 
     def __init__(self, start: float):
         self.last = start
         self.n = 0
-        self.running_max = start
         self.crossing: Optional[int] = None
         self.crossing_value = math.nan
 
@@ -140,12 +140,10 @@ class _WalkState:
             return
         values = np.cumsum(np.concatenate(([self.last], steps)))[1:]
         if self.crossing is None:
-            above = values >= t
-            if above.any():
-                hit = int(above.argmax())
+            hit = int(np.searchsorted(values, t))  # the first value >= t
+            if hit < len(values):
                 self.crossing = self.n + hit + 1
                 self.crossing_value = float(values[hit])
-        self.running_max = max(self.running_max, float(values.max()))
         self.last = float(values[-1])
         self.n += len(steps)
 
@@ -228,7 +226,7 @@ def run_coupling(
     result.sigma = walk.n
     result.sigma_prime = walk_prime.n
     result.offset = diff
-    result.gamma = max(walk.running_max, walk_prime.running_max)
+    result.gamma = max(walk.last, walk_prime.last)
 
     # After the meeting, plus-signed stream elements drive both walks.  A
     # block is pushed whole to each walk that has not crossed yet: nothing

@@ -44,7 +44,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .._parallel import both, two_cores
 from ..measures import PointMeasure, Stick, StickBatch
 
 __all__ = [
@@ -65,36 +64,22 @@ def _sort_ages_desc(ages: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """Sort a flat age array descending within each stick.
 
     NumPy sorts complex numbers lexicographically, by real part and then by
-    imaginary part, so one direct sort of (stick index) + 1j * (-age) orders
-    by stick and then by descending age.  Stick indices are exact floats
-    below 2**53.  Only the sorted values come back and tied ages are equal
-    floats, so the unstable sort gives the stable lexsort's result bit for
-    bit (ages are positive, so no -0.0 ties with 0.0 can be reordered).  A
-    large batch sorts its first half of sticks and its second half on two
-    threads: each half sorts within its own sticks, so the halves join end
-    to end into the same array.
+    imaginary part, so one sort of (stick index) + 1j * (-age) orders by
+    stick and then by descending age.  Stick indices are exact floats below
+    2**53.  The keys arrive in stick order, so only the few ages inside each
+    stick are out of order, and the stable sort (timsort for complex keys)
+    runs over the ordered runs already there.  Only the sorted values come
+    back and tied ages are equal floats, so the result is the stable
+    lexsort's bit for bit (ages are positive, so no -0.0 ties with 0.0 can
+    be reordered).
     """
     keys = np.empty(len(ages), dtype=complex)
-    if two_cores(len(ages)):
-        half = len(counts) // 2
-        cut = int(counts[:half].sum())
-        both(
-            lambda: _sort_keys(ages[:cut], counts[:half], keys[:cut]),
-            lambda: _sort_keys(ages[cut:], counts[half:], keys[cut:]),
-        )
-    else:
-        _sort_keys(ages, counts, keys)
-    return -keys.imag
-
-
-def _sort_keys(ages: np.ndarray, counts: np.ndarray, keys: np.ndarray) -> None:
-    """Fill ``keys`` with the complex keys of a run of sticks and sort them."""
-    # the stick index: one more at each start of sticks 1, 2, ... (np.repeat
-    # would hold the GIL while the other half sorts)
+    # the stick index: one more at each start of sticks 1, 2, ...
     starts = np.bincount(counts[:-1].cumsum(), minlength=len(ages) + 1)
     keys.real = starts[: len(ages)].cumsum()
     np.negative(ages, out=keys.imag)
-    keys.sort()
+    keys.sort(kind="stable")
+    return -keys.imag
 
 
 def _positive_finite(what: str, x: float) -> float:

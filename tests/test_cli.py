@@ -18,7 +18,7 @@ import pytest
 
 from chronoforest import cli
 from chronoforest.cli import CONTOUR_CHILD_STICKS, _contour_child_pays, _rng, main
-from chronoforest.measures import StickBatch, sticks_from_json, sticks_to_json
+from chronoforest.measures import StickBatch, sticks_from_json, write_sticks_json
 from chronoforest.stochastic import parse_law, run_coupling_many
 from chronoforest.stochastic.laws import _LAWS, StickLaw
 
@@ -42,7 +42,8 @@ GOLDEN_FOREST_ROWS = [
 @pytest.fixture
 def fixture_json(tmp_path, reference_sticks):
     path = tmp_path / "sticks.json"
-    path.write_text(sticks_to_json(StickBatch.from_sticks(reference_sticks)))
+    with path.open("w", encoding="utf-8") as fh:
+        write_sticks_json(StickBatch.from_sticks(reference_sticks), fh)
     return path
 
 

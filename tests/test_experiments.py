@@ -1,6 +1,7 @@
 """Scaling experiments: config plumbing, determinism and path functionals."""
 
 import csv
+import dataclasses
 import io
 import json
 import re
@@ -140,6 +141,21 @@ def test_write_csv_matches_csv_writer_bytes(monkeypatch, block):
         assert got == want.getvalue()
         assert got.count("\n") == 1 + len(res.rows) == 1 + 2 * 3 * replicates
         assert "\r" not in got
+
+
+def test_write_csv_matches_csv_writer_at_the_block_edges():
+    # the rows of one small grid repeated to one row short of a block at the
+    # default block size, one block, one row over, two blocks and a row, and
+    # no rows (seed 3403)
+    res = scaling_experiment(small_config(law="exp-uniform", seed=3403))
+    block = forest_module._CSV_BLOCK
+    for rows in (0, block - 1, block, block + 1, 2 * block + 1):
+        sized = dataclasses.replace(res, rows=res.rows[np.arange(rows) % len(res.rows)])
+        want = io.StringIO()
+        _csv_writer_rows(sized, want)
+        got = csv_text(sized)
+        assert got == want.getvalue()
+        assert got.count("\n") == 1 + rows
 
 
 def test_unit_age_law_has_zero_height_delta():

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -306,14 +307,21 @@ def _csv_writer_contour(path, fp):
         w.writerow([format(float(t), ".12g"), format(float(x), ".12g")])
 
 
+B = forest_module._CSV_BLOCK
+
+
 @pytest.mark.parametrize("block", [None, 7])
 def test_csv_writers_match_csv_writer_bytes(reference_sticks, monkeypatch, block):
     if block is not None:  # many blocks, and a partial last one
         monkeypatch.setattr(forest_module, "_CSV_BLOCK", block)
-    big = GeometricUniformLaw(mean_offspring=1.0, v=1.0).sample_batch(
-        np.random.default_rng(5), 10_000
-    )
-    for forest in (build_forest(reference_sticks), build_forest(big), build_forest([])):
+    law = GeometricUniformLaw(mean_offspring=1.0, v=1.0)
+    big = law.sample_batch(np.random.default_rng(5), 10_000)
+    # at the default block size B, forest tables one row short of a block,
+    # one block, one row over, and two blocks and a row, and contours (2n + 1
+    # rows for n sticks) of B - 1, B + 1 and 2B + 1 rows (seed 3401)
+    rng = np.random.default_rng(3401)
+    edges = [law.sample_batch(rng, n) for n in (B // 2 - 1, B // 2, B - 1, B, B + 1, 2 * B + 1)]
+    for forest in map(build_forest, [reference_sticks, big, [], *edges]):
         path = contour_path(forest)
         for write, oracle, arg in (
             (write_forest_csv, _csv_writer_forest, forest),
@@ -325,3 +333,49 @@ def test_csv_writers_match_csv_writer_bytes(reference_sticks, monkeypatch, block
             assert got.getvalue() == want.getvalue()
             assert got.getvalue().endswith("\r\n")
             assert got.getvalue().count("\n") == got.getvalue().count("\r\n")
+
+
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def _rows_peak(monkeypatch, write, arg) -> int:
+    """The ``tracemalloc`` peak while ``write(arg, sink)`` runs
+    ``write_rows`` into a sink that keeps nothing, above what was allocated
+    when ``write_rows`` began: the writer's blocks, not the column arrays
+    it is handed."""
+    peaks = []
+    write_rows = forest_module.write_rows
+
+    def traced(*args):
+        start = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        write_rows(*args)
+        peaks.append(tracemalloc.get_traced_memory()[1] - start)
+
+    monkeypatch.setattr(forest_module, "write_rows", traced)
+    tracemalloc.start()
+    try:
+        write(arg, _Discard())
+    finally:
+        tracemalloc.stop()
+    (peak,) = peaks
+    return peak
+
+
+def test_csv_writers_hold_a_bounded_working_set(monkeypatch):
+    # 20 blocks of rows take less than 1.5 times the memory of 2 blocks:
+    # each block's fields and text are freed before the next (seed 3402)
+    law = GeometricUniformLaw(mean_offspring=1.0, v=1.0)
+    rng = np.random.default_rng(3402)
+    peaks = []
+    for blocks in (2, 20):
+        forest = build_forest(law.sample_batch(rng, blocks * B))
+        # a contour of n sticks has 2n + 1 rows
+        path = contour_path(build_forest(law.sample_batch(rng, blocks * B // 2)))
+        peaks.append(
+            (_rows_peak(monkeypatch, write_forest_csv, forest), _rows_peak(monkeypatch, write_contour_csv, path))
+        )
+    for table, small, large in zip(("forest", "contour"), *peaks):
+        assert large < 1.5 * small, (table, small, large)

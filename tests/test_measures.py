@@ -1,7 +1,9 @@
 """Point measures, sticks and the truncation operator."""
 
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,14 +11,16 @@ from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from chronoforest.measures import (
+    _STICK_BLOCK,
     ZERO,
     PointMeasure,
     Stick,
     StickBatch,
     sticks_from_json,
-    sticks_to_json,
+    write_sticks_json,
 )
 from chronoforest.spine import spine_height
+from chronoforest.stochastic import GeometricUniformLaw
 
 atoms_strategy = st.lists(
     st.floats(min_value=1e-3, max_value=1e3, allow_nan=False),
@@ -93,6 +97,12 @@ def test_nonfinite_values_rejected(bad):
         Stick(bad)
     with pytest.raises(ValueError, match="finite"):
         PointMeasure([1.0, bad])
+
+
+def sticks_to_json(batch: StickBatch) -> str:
+    out = io.StringIO()
+    write_sticks_json(batch, out)
+    return out.getvalue()
 
 
 def test_stick_json_round_trip(reference_sticks):
@@ -300,3 +310,33 @@ def test_stick_file_must_be_an_array(text):
 def test_too_deeply_nested_stick_file_is_a_value_error():
     with pytest.raises(ValueError, match="^stick file nests too deeply$"):
         sticks_from_json("[" * 100_000)
+
+
+@pytest.mark.parametrize("n", [0, _STICK_BLOCK - 1, _STICK_BLOCK, _STICK_BLOCK + 1, 2 * _STICK_BLOCK + 1])
+def test_stick_file_blocks_join_into_one_dump(n):
+    # one stick short of a block, one block, one stick over, two blocks and
+    # a stick, and no sticks (seed 3404)
+    batch = GeometricUniformLaw(mean_offspring=1.0, v=1.0).sample_batch(np.random.default_rng(3404), n)
+    assert sticks_to_json(batch) == json.dumps(batch.to_json()) == oracle_sticks_to_json(batch.to_sticks())
+
+
+class _Discard:
+    def write(self, text: str) -> None:
+        pass
+
+
+def test_stick_file_writer_holds_a_bounded_working_set():
+    # 20 blocks of sticks take less than 1.5 times the memory of 2 blocks:
+    # each block's objects and text are freed before the next (seed 3405)
+    law = GeometricUniformLaw(mean_offspring=1.0, v=1.0)
+    rng = np.random.default_rng(3405)
+    peaks = []
+    for blocks in (2, 20):
+        batch = law.sample_batch(rng, blocks * _STICK_BLOCK)
+        tracemalloc.start()
+        try:
+            write_sticks_json(batch, _Discard())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0], peaks

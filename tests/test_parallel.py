@@ -1,10 +1,11 @@
-"""The two-core path: the helper thread, and the kernel and the age sort on it.
+"""The two-core path: the helper thread, and the kernel on it.
 
-``_parallel.pair_for`` sends the height kernel's and the age sort's work to
-``both`` from ``TWO_CORE_AGES`` ages on when a second CPU is there.  These
-tests hold the threaded arrays to the one-thread arrays and to the grafting
-oracle bit for bit, and check that no thread outlives a call, that an error
-on either thread reaches the caller, and that one CPU starts no thread.
+``_parallel.pair_for`` sends the height kernel's work to ``both`` from
+``TWO_CORE_AGES`` ages on when a second CPU is there.  These tests hold the
+threaded arrays to the one-thread arrays and to the grafting oracle bit for
+bit, and the age sort of the same batches to the lexsort, and check that no
+thread outlives a call, that an error on either thread reaches the caller,
+and that one CPU starts no thread.
 """
 
 import os
@@ -63,8 +64,8 @@ def assert_sort_is_lexsort(ages, counts, got):
 
 
 def check_batch(monkeypatch, batch, threads_started, oracle=True):
-    """The kernel and the sort of ``batch`` on two threads, against one thread
-    and (when ``oracle``) the grafting oracle."""
+    """The kernel of ``batch`` on two threads, against one thread and (when
+    ``oracle``) the grafting oracle, and its age sort against the lexsort."""
     before = threading.active_count()
     del threads_started[:]
     arrays = forest_arrays(batch.counts, batch.offsets, batch.ages)
@@ -75,7 +76,6 @@ def check_batch(monkeypatch, batch, threads_started, oracle=True):
     assert threading.active_count() == before
     assert all(not t.is_alive() for t in threads_started)
     assert_same_forest(arrays, one_thread(monkeypatch, forest_arrays, batch.counts, batch.offsets, batch.ages))
-    assert np.array_equal(sorted_ages, one_thread(monkeypatch, _sort_ages_desc, ages, batch.counts))
     assert np.array_equal(sorted_ages, batch.ages)
     assert_sort_is_lexsort(ages, batch.counts, sorted_ages)
     if oracle:
@@ -104,15 +104,15 @@ def test_threshold_batches_match_one_thread_and_the_oracle(monkeypatch, two_cpus
     batch = batch_of_ages(parse_law("geo-uniform(lattice=4)"), np.random.default_rng(total), total)
     assert len(batch.ages) == total
     started = check_batch(monkeypatch, batch, threads_started)
-    # the kernel pairs three times and the sort once, all from the threshold on
-    assert started == (4 if total >= TWO_CORE_AGES else 0)
+    # the kernel pairs three times, all from the threshold on
+    assert started == (3 if total >= TWO_CORE_AGES else 0)
 
 
 def edge_batches():
     rng = np.random.default_rng(3201)
     law = parse_law("geo-uniform(lattice=4)")
     yield "lattice", law.sample_batch(rng, 3000)
-    # empty sticks on both sides of the sort's split, at half the sticks
+    # a run of empty sticks at half the sticks
     b = law.sample_batch(rng, 2000)
     counts = b.counts.copy()
     counts[995:1005] = 0
@@ -132,7 +132,7 @@ def edge_batches():
 @pytest.mark.parametrize("name,batch", list(edge_batches()), ids=[name for name, _ in edge_batches()])
 def test_edge_batches_on_two_threads(monkeypatch, two_cpus, threads_started, name, batch):
     monkeypatch.setattr(parallel, "TWO_CORE_AGES", 0)  # every batch takes the threads
-    assert check_batch(monkeypatch, batch, threads_started) == 4
+    assert check_batch(monkeypatch, batch, threads_started) == 3
 
 
 class _Births:

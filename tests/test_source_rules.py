@@ -735,7 +735,7 @@ def test_no_repeat_in_the_kernel_or_the_age_sort():
     # the sort and the module functions it calls
     called = {node.id for node in ast.walk(sort) if isinstance(node, ast.Name)}
     parts = [sort] + [defs[name] for name in sorted(called & set(defs) - {sort.name})]
-    assert [p.name for p in parts] == ["_sort_ages_desc", "_sort_keys"]
+    assert [p.name for p in parts] == ["_sort_ages_desc"]
     found = [f"forest.py:{line}" for line in _repeats(forest)]
     found += [f"stochastic/laws.py:{line}" for part in parts for line in _repeats(part)]
     assert not found, "repeat in the kernel or the age sort: " + ", ".join(map(str, found))
