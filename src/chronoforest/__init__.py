@@ -8,6 +8,7 @@ ships the renewal samplers, coupling checks and scaling experiments that
 probe the large-population behaviour of those processes.
 """
 
+from . import _heap
 from .measures import (
     ZERO,
     PointMeasure,
@@ -43,6 +44,9 @@ from .spine import (
     spine_states,
     verify_identities,
 )
+
+# once per process, before any replicate allocates
+_heap.keep_freed_memory()
 
 __version__ = "0.1.0"
 

@@ -334,8 +334,9 @@ class ContourPath:
 
     ``ContourPath(heights, v)`` is the contour of individuals with birth
     times ``heights`` (length n+1, entry 0 being 0) and life lengths ``v``
-    (length n).  ``visit_times[n]`` is the time K(n) = 2 * (v[0] + ... +
-    v[n-1]) - heights[n] at which individual ``n``'s birth point is visited.
+    (length n).  ``doubled_sums[n-1]`` is the length clock 2 * (v[0] + ...
+    + v[n-1]), and ``visit_times[n]`` is the time K(n) = ``doubled_sums[n-1]``
+    - heights[n] at which individual ``n``'s birth point is visited.
     The path climbs at slope +1 from (K(n), heights[n]) for v[n] time units,
     then descends at slope -1 down to heights[n+1].  The arrays carry one
     trailing entry: ``visit_times[n_sticks]`` closes the path at the
@@ -353,7 +354,8 @@ class ContourPath:
         visit_times = np.empty(len(heights))
         visit_times[0] = 0.0
         with np.errstate(over="ignore", invalid="ignore"):
-            visit_times[1:] = 2.0 * np.cumsum(v) - heights[1:]
+            doubled_sums = 2.0 * np.cumsum(v)
+            np.subtract(doubled_sums, heights[1:], out=visit_times[1:])
         # the doubled sums only grow, and a forest's heights stay below them,
         # so the clock is finite throughout exactly when its last entry is
         if not np.isfinite(visit_times[-1]):
@@ -365,6 +367,7 @@ class ContourPath:
                 f"contour would descend above its peak after individual {n}:"
                 f" height {float(heights[n + 1])!r} exceeds {float(heights[n])!r} + {float(v[n])!r}"
             )
+        self.doubled_sums = doubled_sums
         self.visit_times = visit_times
         self.heights = heights
         self.v = v

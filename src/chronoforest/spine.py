@@ -404,7 +404,7 @@ def _gap_checks(ctx: _Context, report: IdentityReport) -> None:
     the index gap ``_gap_formula`` rebuilds, checked midway between the
     visits of j and j + 1, away from the ties at a visit time."""
     n, visits, name = ctx.n_sticks, ctx.path.visit_times, "time-change-gap-formula"
-    vc2 = 2.0 * np.cumsum(ctx.batch.v)
+    vc2 = ctx.path.doubled_sums
     for j in sorted({0, n // 2, n - 1}) if n else []:
         raw_time = visits[j] / 2.0 + visits[j + 1] / 2.0  # halves: the sum may overflow
         j0 = int(np.searchsorted(vc2, raw_time, side="left"))

@@ -270,14 +270,13 @@ def simulate_replicate(
     s_raw = p * t
     j = np.floor(s_raw).astype(np.int64)
     phi = np.searchsorted(path.visit_times, s_raw, side="left")
-    phibar = np.searchsorted(2.0 * np.cumsum(batch.v), s_raw, side="left")
+    phibar = np.searchsorted(path.doubled_sums, s_raw, side="left")
     ahead = np.flatnonzero(phi < phibar)
     if ahead.size:
         k = ahead[0]
         raise RuntimeError(
             f"contour time change {phi[k]} ran ahead of the length one {phibar[k]} at t={t[k]}"
         )
-    s = np.concatenate(([0], np.cumsum(batch.counts - 1)))  # the count walk
     hp = eps * path.heights[j]
     hcalp = eps * gen_path.heights[j]
     cp = eps * path.eval(s_raw)
@@ -285,7 +284,7 @@ def simulate_replicate(
     rows = np.empty(len(t), dtype=ROW_DTYPE)
     rows["p"], rows["t"], rows["replicate"] = p, t, rep
     rows["Hp"], rows["Hcalp"], rows["Cp"] = hp, hcalp, cp
-    rows["Sp"] = s[j] / (p * eps)
+    rows["Sp"] = (batch.offsets[j] - j) / (p * eps)  # the count walk at j
     rows["phip"], rows["phibarp"] = phi / p, phibar / p
     rows["deltaH"] = hp - law.mean_atom_age * hcalp
     rows["deltaC"] = cp - eps * path.heights[j_slow]

@@ -710,6 +710,17 @@ def test_only_the_helper_module_starts_threads():
     assert found and all(where.startswith("_parallel.py:") for where in found), ", ".join(found)
 
 
+def test_only_the_heap_module_calls_into_libc():
+    # ``_heap.keep_freed_memory`` sets the one allocator policy, once at
+    # import, and returns quietly wherever it cannot; a ``ctypes`` call
+    # anywhere else could change the process's memory behind that policy
+    # or crash it outright
+    for snippet in ["import ctypes", "from ctypes import CDLL", "import ctypes.util", "__import__('ctypes')"]:
+        assert _imports(ast.parse(snippet), "ctypes") == [1], snippet
+    found = _imported_in_package("ctypes")
+    assert found and all(where.startswith("_heap.py:") for where in found), ", ".join(found)
+
+
 def _repeats(tree: ast.AST) -> list[int]:
     """Lines that name ``repeat``: ``np.repeat``, ``a.repeat`` or a bare name."""
     return [getattr(node, "lineno", "?") for node in ast.walk(tree) if "repeat" in _node_names(node)]
