@@ -180,6 +180,10 @@ def _cmd_build(args) -> int:
     if (args.input is None) == (args.law is None):
         print("build: need exactly one of --input or --law", file=sys.stderr)
         return 2
+    given = [flag for flag in ("--seed", "--n") if getattr(args, flag[2:]) is not None]
+    if args.input is not None and given:
+        print(f"build: --input does not take {', '.join(given)}", file=sys.stderr)
+        return 2
     clash = _shared_file(
         {
             "--forest-out": _out_target(args.forest_out),
@@ -197,7 +201,7 @@ def _cmd_build(args) -> int:
         if args.seed is None:
             print("build: --law needs --seed", file=sys.stderr)
             return 2
-        forest = build_forest(law.sample_batch(_rng(args.seed), args.n))
+        forest = build_forest(law.sample_batch(_rng(args.seed), 100 if args.n is None else args.n))
     path = contour_path(forest)  # rejects an overflowing clock before any output
     child = None
     if args.contour_out and _contour_child_pays(forest.n_sticks):
@@ -318,19 +322,20 @@ def _cmd_scale(args) -> int:
     if clash:
         print(f"scale: {clash}", file=sys.stderr)
         return 2
+    inline = {"--law": "law", "--p": "p_values", "--times": "times", "--replicates": "replicates",
+              "--seed": "seed"}
+    given = [flag for flag in inline if getattr(args, flag[2:]) is not None]
     if args.config is not None:
+        if given:
+            print(f"scale: --config does not take {', '.join(given)}", file=sys.stderr)
+            return 2
         config = parse_config(_read_text(args.config))
     else:
         if args.law is None or args.p is None:
             print("scale: need --config, or --law and --p", file=sys.stderr)
             return 2
-        config = ExperimentConfig(
-            law=args.law,
-            p_values=args.p,
-            times=args.times,
-            replicates=args.replicates,
-            seed=args.seed,
-        )
+        # a flag not given keeps ExperimentConfig's default
+        config = ExperimentConfig(**{inline[flag]: getattr(args, flag[2:]) for flag in given})
     result = scaling_experiment(config, workers=args.workers)
     with _open_out(args.out) as out:
         result.write_csv(out)
@@ -352,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build = sub.add_parser("build", help="graft sticks and write forest/contour CSV")
     p_build.add_argument("--input", help="sticks JSON file ('-' for stdin)")
     p_build.add_argument("--law", help="law spec to sample sticks from")
-    p_build.add_argument("--n", type=nonnegative_int, default=100, help="sticks to sample with --law")
+    p_build.add_argument("--n", type=nonnegative_int, help="sticks to sample with --law (default 100)")
     p_build.add_argument("--seed", type=nonnegative_int, help="seed for --law sampling")
     p_build.add_argument("--forest-out", help="forest CSV path (default stdout)")
     p_build.add_argument("--contour-out", help="contour polyline CSV path")
@@ -389,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_scale.add_argument("--config", help="config file of key = value lines")
     p_scale.add_argument("--law", help="law spec (inline config)")
     p_scale.add_argument("--p", type=config_value("p"), help="comma-separated population sizes")
-    p_scale.add_argument("--times", type=config_value("times"), default="0.5,1.0")
-    p_scale.add_argument("--replicates", type=int, default=20)
-    p_scale.add_argument("--seed", type=nonnegative_int, default=0)
+    p_scale.add_argument("--times", type=config_value("times"), help="times (default 0.5,1.0)")
+    p_scale.add_argument("--replicates", type=int, help="replicates per p (default 20)")
+    p_scale.add_argument("--seed", type=nonnegative_int, help="seed (default 0)")
     p_scale.add_argument("--workers", type=int_at_least(1), default=1)
     p_scale.add_argument("--out", help="rows CSV path (default stdout)")
     p_scale.add_argument("--summary-out", help="summary JSON path")

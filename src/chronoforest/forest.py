@@ -105,13 +105,12 @@ def forest_arrays(counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray) -> 
     keys with the sorted queries, the two halves of the search, and the
     generations with the parents.  Either way the same numpy calls make
     every array, so the forest is the same bit for bit.  Nothing here calls
-    ``np.repeat``, which holds the GIL: a stick index is a ``cumsum`` over
-    the stick starts, and one gather spreads a per-stick value over atoms.
+    ``np.repeat``, which holds the GIL: the stick index is
+    ``StickBatch.sticks_for``, and a gather spreads per-stick values over atoms.
     """
     n, m = len(counts), len(ages)
     span = n + 1  # walk indices 0..n; index span means "never"
-    s = np.zeros(span, dtype=np.int64)
-    np.cumsum(counts - 1, out=s[1:])
+    s = offsets - np.arange(span)  # S(k) = offsets[k] - k
     s -= s.min() - 1  # levels from 1, so every target level below is >= 0
     # levels fit a small integer type, whose stable sort is a radix sort
     small = np.min_scalar_type(int(s.max()))
@@ -125,8 +124,7 @@ def forest_arrays(counts: np.ndarray, offsets: np.ndarray, ages: np.ndarray) -> 
         return keys
 
     def sorted_queries() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        # the stick of each atom: one more at each start of sticks 1..n-1
-        stick = np.cumsum(np.bincount(offsets[1:-1], minlength=m + 1)[:m])
+        stick = StickBatch.sticks_for(offsets)
         # the level that atom a of stick m waits for: S(m+1) - (a - offsets[m]) - 1
         level = (s[1:] + offsets[:-1] - 1)[stick]
         level -= np.arange(m)

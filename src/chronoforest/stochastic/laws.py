@@ -74,9 +74,7 @@ def _sort_ages_desc(ages: np.ndarray, counts: np.ndarray) -> np.ndarray:
     be reordered).
     """
     keys = np.empty(len(ages), dtype=complex)
-    # the stick index: one more at each start of sticks 1, 2, ...
-    starts = np.bincount(counts[:-1].cumsum(), minlength=len(ages) + 1)
-    keys.real = starts[: len(ages)].cumsum()
+    keys.real = StickBatch.sticks_for(StickBatch.offsets_for(counts))
     np.negative(ages, out=keys.imag)
     keys.sort(kind="stable")
     return -keys.imag

@@ -350,6 +350,17 @@ def test_renewal_draws_a_heavy_tail_within_the_bound(monkeypatch, capsys, spec, 
         (["scale", "--law", "gw"], "scale: need --config, or --law and --p\n"),
         (["scale", "--p", "10"], "scale: need --config, or --law and --p\n"),
         (["scale"], "scale: need --config, or --law and --p\n"),
+        # the config file and the stick file leave nothing for these flags to set
+        (["scale", "--config", "cfg", "--law", "exp-uniform"], "scale: --config does not take --law\n"),
+        (["scale", "--config", "cfg", "--p", "5000"], "scale: --config does not take --p\n"),
+        (["scale", "--config", "cfg", "--times", "1"], "scale: --config does not take --times\n"),
+        (["scale", "--config", "cfg", "--replicates", "7"], "scale: --config does not take --replicates\n"),
+        (["scale", "--config", "cfg", "--seed", "9"], "scale: --config does not take --seed\n"),
+        (["scale", "--config", "cfg", "--p", "5000", "--law", "exp-uniform", "--replicates", "7", "--seed", "9"],
+         "scale: --config does not take --law, --p, --replicates, --seed\n"),
+        (["build", "--input", "sticks.json", "--seed", "3"], "build: --input does not take --seed\n"),
+        (["build", "--input", "sticks.json", "--n", "0"], "build: --input does not take --n\n"),
+        (["build", "--input", "sticks.json", "--n", "5", "--seed", "3"], "build: --input does not take --seed, --n\n"),
     ],
 )
 def test_missing_arguments_are_usage_errors(capsys, argv, message):
@@ -357,6 +368,23 @@ def test_missing_arguments_are_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == message
+
+
+def test_unset_flags_keep_the_defaults(capsys):
+    # an inline flag not given is ExperimentConfig's default, and build
+    # samples 100 sticks without --n
+    runs = [
+        ["scale", "--law", "gw", "--p", "30"],
+        ["scale", "--law", "gw", "--p", "30", "--times", "0.5,1.0", "--replicates", "20", "--seed", "0"],
+        ["build", "--law", "gw", "--seed", "4", "--quiet"],
+        ["build", "--law", "gw", "--seed", "4", "--quiet", "--n", "100"],
+    ]
+    outs = []
+    for argv in runs:
+        assert main(argv) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1] and len(outs[0].splitlines()) == 1 + 2 * 20
+    assert outs[2] == outs[3] and len(outs[2].splitlines()) == 1 + 100
 
 
 def test_couple_exit_codes(capsys):

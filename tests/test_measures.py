@@ -82,6 +82,21 @@ def test_truncation_mass_arithmetic(atoms, k):
         assert t.sup_support <= m.sup_support
 
 
+@settings(deadline=None)
+@given(st.lists(st.integers(0, 5), max_size=20))
+@example([])  # no sticks
+@example([0, 0, 0])  # every stick childless
+@example([0, 2, 0, 1, 0])  # childless first and last sticks
+@example([4])  # a single stick
+@example([0])
+def test_sticks_for_is_the_repeat_of_stick_indices(counts):
+    # the one stick index of the layout: stick k once per age of stick k
+    c = np.array(counts, dtype=np.int64)
+    got = StickBatch.sticks_for(StickBatch.offsets_for(c))
+    want = np.repeat(np.arange(len(c)), c)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
 def test_stick_validation():
     with pytest.raises(ValueError):
         Stick(0.0)

@@ -136,10 +136,10 @@ def test_grafting_oracle_stays_out_of_hot_paths():
 
 
 def test_unchecked_measure_constructor_stays_in_measures():
-    # ``PointMeasure._from_sorted`` and the atoms setter skip the sort and
-    # the checks, and the slot setters skip ``Stick``'s; only ``measures``,
-    # which checks the parts first, may name them.
-    for name in ("_from_sorted", "_set_atoms", "_set_stick_v", "_set_stick_births"):
+    # the atoms setter skips ``PointMeasure``'s sort and checks, and the
+    # slot setters skip ``Stick``'s; only ``measures``, which checks the
+    # parts first, may name them.
+    for name in ("_set_atoms", "_set_stick_v", "_set_stick_births"):
         for snippet in [
             f"m = measures.{name}(atoms)",
             f"from chronoforest.measures import {name}",
@@ -730,7 +730,7 @@ def test_no_repeat_in_the_kernel_or_the_age_sort():
     # ``np.repeat`` holds the GIL, so on the helper thread it would stall
     # the caller's numpy work (two threads of it took twice the time of
     # one); the kernel and the age sort spread per-stick values over atoms
-    # with a stick index (``cumsum`` over the stick starts) and a gather
+    # with the one stick index, ``StickBatch.sticks_for``, and a gather
     for snippet, expected in [
         ("x = np.repeat(a, c)", [1]),
         ("x = a.repeat(3)", [1]),
@@ -740,6 +740,11 @@ def test_no_repeat_in_the_kernel_or_the_age_sort():
         assert _repeats(ast.parse(snippet)) == expected, snippet
     root = Path(chronoforest.__file__).resolve().parent
     forest = ast.parse((root / "forest.py").read_text())
+    measures = ast.parse((root / "measures.py").read_text())
+    (batch,) = [node for node in measures.body if isinstance(node, ast.ClassDef) and node.name == "StickBatch"]
+    # the layout helpers that the kernel and the age sort call
+    helpers = [node for node in batch.body if getattr(node, "name", "") in ("offsets_for", "sticks_for")]
+    assert len(helpers) == 2
     laws = ast.parse((root / "stochastic" / "laws.py").read_text())
     defs = {node.name: node for node in laws.body if isinstance(node, ast.FunctionDef)}
     sort = defs["_sort_ages_desc"]
@@ -749,4 +754,5 @@ def test_no_repeat_in_the_kernel_or_the_age_sort():
     assert [p.name for p in parts] == ["_sort_ages_desc"]
     found = [f"forest.py:{line}" for line in _repeats(forest)]
     found += [f"stochastic/laws.py:{line}" for part in parts for line in _repeats(part)]
-    assert not found, "repeat in the kernel or the age sort: " + ", ".join(map(str, found))
+    found += [f"measures.py:{line}" for helper in helpers for line in _repeats(helper)]
+    assert not found, "repeat in the kernel, the age sort or the stick index: " + ", ".join(map(str, found))
